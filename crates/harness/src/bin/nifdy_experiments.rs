@@ -8,7 +8,7 @@ use std::process::ExitCode;
 
 use nifdy_harness::{
     analyze_cmd, ext, ext_lossy, fig23, fig4, fig5, fig6, fig78, fig9, node_cmd, percentile_table,
-    sweep, table3, trace_guard, wire_cmd, Engine, Jobs, Scale,
+    sweep, table3, trace_guard, wire_cmd, Jobs, Scale,
 };
 use nifdy_trace::export;
 
@@ -16,10 +16,8 @@ const USAGE: &str = "usage: nifdy-experiments \
     <fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|table3|all|sweep:<network>\
     |ext:adaptive|ext:loadsweep|ext:lossy|trace-guard|wire:loopback|wire:udp|wire:chaos\
     |trace:analyze|node:serve|node:swarm> \
-    [--full|--quick|--smoke] [--seed N] [--jobs N] [--engine cycle|event] \
+    [--full|--quick|--smoke] [--seed N] [--jobs N] \
     [--trace-out FILE.json] [--trace-jsonl FILE.jsonl] [--metrics-out FILE.json]\n\
-    --engine event runs the skip-ahead kernel (byte-identical output, \
-    fewer stepped cycles)\n\
     wire:chaos --metrics-out writes the per-cause fault-counter JSON report\n\
     wire:udp exits with code 3 when the localhost sockets cannot bind\n\
     trace:analyze --metrics-out writes the journey-analysis JSON report, \
@@ -59,14 +57,6 @@ fn main() -> ExitCode {
                 Some(v) => jobs = Jobs::new(v),
                 None => {
                     eprintln!("--jobs needs a worker count\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if a == "--engine" {
-            match it.next().and_then(|v| Engine::parse(v)) {
-                Some(e) => nifdy_harness::set_engine(e),
-                None => {
-                    eprintln!("--engine needs 'cycle' or 'event'\n{USAGE}");
                     return ExitCode::FAILURE;
                 }
             }

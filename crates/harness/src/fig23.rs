@@ -2,7 +2,7 @@
 //! for {no NIFDY, buffering only, NIFDY} under the heavy and light synthetic
 //! patterns of §4.1.
 
-use nifdy_traffic::{NetworkKind, NicChoice, SyntheticConfig};
+use nifdy_traffic::{NetworkKind, NicChoice, Scenario, SyntheticConfig};
 
 use crate::exec::{self, Jobs};
 use crate::report::Table;
@@ -27,7 +27,7 @@ pub fn run_cell(
     scale: Scale,
     seed: u64,
 ) -> u64 {
-    let mut driver = crate::scenario(kind)
+    let mut driver = Scenario::new(kind)
         .seed(seed)
         .nic(choice.clone())
         .build_with(|sc| {

@@ -5,7 +5,7 @@
 //! order to concentrate on the effects of O and B."
 
 use nifdy::NifdyConfig;
-use nifdy_traffic::{NetworkKind, NicChoice, SyntheticConfig};
+use nifdy_traffic::{NetworkKind, NicChoice, Scenario, SyntheticConfig};
 
 use crate::exec::{self, Jobs};
 use crate::report::Table;
@@ -30,7 +30,7 @@ pub struct ScalePoint {
 }
 
 fn throughput(nodes: usize, choice: &NicChoice, scale: Scale, seed: u64) -> u64 {
-    let mut driver = crate::scenario(NetworkKind::FatTree)
+    let mut driver = Scenario::new(NetworkKind::FatTree)
         .nodes(nodes)
         .seed(seed)
         .nic(choice.clone())

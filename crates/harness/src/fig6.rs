@@ -6,7 +6,7 @@
 //! than optimized barriers. When NIFDY's in-order delivery is exploited,
 //! the benefit is even greater."
 
-use nifdy_traffic::{CShiftConfig, NetworkKind, NicChoice, SoftwareModel};
+use nifdy_traffic::{CShiftConfig, NetworkKind, NicChoice, Scenario, SoftwareModel};
 
 use crate::exec::{self, Jobs};
 use crate::report::Table;
@@ -34,7 +34,7 @@ fn run_one(
     // reorder in software.
     let sw = SoftwareModel::cm5_library(!inorder_library);
     let words = crate::fig5::words_for(scale);
-    let mut driver = crate::scenario(NetworkKind::Cm5)
+    let mut driver = Scenario::new(NetworkKind::Cm5)
         .nodes(32)
         .seed(seed)
         .nic(choice.clone())

@@ -84,6 +84,25 @@ impl GilbertElliott {
         }
     }
 
+    /// Advances the chain by one judged packet and returns whether the
+    /// chain drops it. `in_burst` is the caller's chain state (`true` in
+    /// the bad state). The loss draw for the current state comes first,
+    /// then the transition draw; a zero probability draws nothing, so the
+    /// stream consumed from `rng` is a pure function of the parameters and
+    /// the judged-packet sequence.
+    pub fn advance(&self, in_burst: &mut bool, rng: &mut SimRng) -> bool {
+        let (loss, flip) = if *in_burst {
+            (self.loss_bad, self.p_exit)
+        } else {
+            (self.loss_good, self.p_enter)
+        };
+        let drop = loss > 0.0 && rng.gen_bool(loss);
+        if flip > 0.0 && rng.gen_bool(flip) {
+            *in_burst = !*in_burst;
+        }
+        drop
+    }
+
     /// The long-run fraction of judged packets this chain drops.
     pub fn steady_state_loss(&self) -> f64 {
         let denom = self.p_enter + self.p_exit;
@@ -339,21 +358,10 @@ impl FaultPlane {
         }
         // Advance the burst chain first so its trajectory is independent of
         // the deterministic rules firing.
-        let burst_says_drop = if let Some(ge) = self.cfg.burst {
-            let loss = if self.in_burst {
-                ge.loss_bad
-            } else {
-                ge.loss_good
-            };
-            let drop = loss > 0.0 && self.rng.gen_bool(loss);
-            let flip = if self.in_burst { ge.p_exit } else { ge.p_enter };
-            if flip > 0.0 && self.rng.gen_bool(flip) {
-                self.in_burst = !self.in_burst;
-            }
-            drop
-        } else {
-            false
-        };
+        let burst_says_drop = self
+            .cfg
+            .burst
+            .is_some_and(|ge| ge.advance(&mut self.in_burst, &mut self.rng));
 
         if self.link_is_down(packet.dst, now) {
             return Some(DropCause::LinkDown);

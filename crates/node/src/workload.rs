@@ -20,7 +20,7 @@ use nifdy_net::topology::Mesh;
 use nifdy_net::{Fabric, FabricConfig, UserData};
 use nifdy_sim::NodeId;
 use nifdy_traffic::{Em3dParams, Em3dPlan};
-use nifdy_wire::conformance::DeliveryLog;
+use nifdy_wire::conformance::{mesh_dims, DeliveryLog};
 use nifdy_wire::LoopbackTransport;
 
 use crate::config::NodeConfig;
@@ -228,15 +228,6 @@ impl PlanFeeder {
     pub fn done(&self) -> bool {
         self.head.is_none() && self.queue.len() == 0
     }
-}
-
-/// Mesh dimensions for `nodes`: the most square factorization.
-fn mesh_dims(nodes: usize) -> (usize, usize) {
-    let mut w = (nodes as f64).sqrt() as usize;
-    while w > 1 && !nodes.is_multiple_of(w) {
-        w -= 1;
-    }
-    (w.max(1), nodes / w.max(1))
 }
 
 /// Runs the plan through the cycle-accurate simulated fabric (the same

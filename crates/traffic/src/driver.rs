@@ -9,43 +9,6 @@ use nifdy_trace::{trace_event, EventKind, MetricsRegistry, TraceHandle};
 use crate::processor::{NodeWorkload, ProcEvent, ProcWake, Processor};
 use crate::SoftwareModel;
 
-/// How the driver advances simulated time.
-///
-/// Both engines produce **identical** observable behaviour — delivery
-/// orders, statistics, traces, gauges, final clocks. The event engine is
-/// purely a performance feature: it skips stretches where every component
-/// has declared (via [`Wakeup`]) that stepping would be a no-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Step every component every cycle (the reference semantics).
-    #[default]
-    Cycle,
-    /// Event-driven skip-ahead: compute the earliest wakeup across NICs,
-    /// processors, workloads, the fabric, and the stall watchdog; when
-    /// nothing is due, jump the clock to it (batching the empty polls and
-    /// gauge samples the skipped cycles would have produced).
-    Event,
-}
-
-impl Engine {
-    /// Parses a CLI-facing engine name (`cycle` / `event`).
-    pub fn parse(s: &str) -> Option<Engine> {
-        match s {
-            "cycle" => Some(Engine::Cycle),
-            "event" => Some(Engine::Event),
-            _ => None,
-        }
-    }
-
-    /// The CLI-facing name (`cycle` / `event`).
-    pub fn label(self) -> &'static str {
-        match self {
-            Engine::Cycle => "cycle",
-            Engine::Event => "event",
-        }
-    }
-}
-
 /// Which network interface model to attach to every node — the three
 /// configurations the paper compares.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,7 +101,6 @@ pub struct Driver {
     trace: TraceHandle,
     metrics: Option<MetricsRegistry>,
     gauge_period: u64,
-    engine: Engine,
     cycles_stepped: u64,
     /// Per-node gate: strictly before this cycle, stepping node `i`'s
     /// processor and NIC is a proven no-op (absent packets waiting for it
@@ -181,27 +143,13 @@ impl Driver {
             trace: TraceHandle::off(),
             metrics: None,
             gauge_period: 1_000,
-            engine: Engine::default(),
             cycles_stepped: 0,
             node_due: vec![Cycle::ZERO; n],
         })
     }
 
-    /// Selects the stepping engine (default [`Engine::Cycle`]). The event
-    /// engine produces byte-identical results; see [`Engine`].
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The stepping engine in use.
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
-    /// Cycles that were stepped for real (as opposed to skipped by the
-    /// event engine). Under [`Engine::Cycle`] this equals elapsed time;
-    /// the gap between the two is the event engine's work saved.
+    /// Cycles that were stepped for real, as opposed to jumped as a quiet
+    /// window; the gap to elapsed time is the skip-ahead's work saved.
     pub fn cycles_stepped(&self) -> u64 {
         self.cycles_stepped
     }
@@ -306,36 +254,19 @@ impl Driver {
         self.procs.iter().map(|p| p.stats().user_words.get()).sum()
     }
 
-    /// Advances the simulation by one cycle.
-    ///
-    /// A thin wrapper over [`advance`](Self::advance): both engines go
-    /// through the same machinery, the cycle engine simply never skips.
+    /// Advances the simulation by one cycle (a thin wrapper over
+    /// [`advance`](Self::advance)).
     pub fn step(&mut self) {
         let next = self.fab.now() + 1;
         self.advance(next);
     }
 
     /// Advances simulated time to exactly `until` (no-op when already
-    /// there). Under [`Engine::Cycle`] this steps every cycle; under
-    /// [`Engine::Event`] quiet stretches are jumped in one burst.
+    /// there): cycles where anything can happen are stepped, quiet
+    /// stretches are jumped.
     pub fn advance(&mut self, until: Cycle) {
         while self.fab.now() < until {
-            match self.engine {
-                Engine::Cycle => self.step_cycle(),
-                Engine::Event => self.event_burst(until),
-            }
-        }
-    }
-
-    /// One burst of progress toward `until`: a single stepped cycle, or —
-    /// for the event engine — possibly a multi-cycle skip. Always moves
-    /// time forward. Used by [`advance`](Self::advance) and by
-    /// [`run_until_quiet`](Self::run_until_quiet), which must observe the
-    /// simulation between bursts.
-    fn advance_burst(&mut self, until: Cycle) {
-        match self.engine {
-            Engine::Cycle => self.step_cycle(),
-            Engine::Event => self.event_burst(until),
+            self.burst(until);
         }
     }
 
@@ -370,10 +301,44 @@ impl Driver {
         self.node_due[i] > now && self.fab.ready_len(NodeId::new(i)) == 0
     }
 
-    /// The reference semantics: step every component through one cycle.
-    /// Nodes provably idle this cycle ([`node_gated`](Self::node_gated))
-    /// are skipped — their step would be a no-op, so results are
-    /// bit-for-bit those of stepping everyone.
+    /// Whether the barrier releases this cycle: some node waits in it and
+    /// every node is blocked in it or done.
+    fn barrier_ready(&self) -> bool {
+        self.procs.iter().any(|p| p.in_barrier())
+            && self.procs.iter().all(|p| p.in_barrier() || p.is_done())
+    }
+
+    /// Steps node `i`'s interface, collects its typed failures, and shows
+    /// its progress to the stall watchdog.
+    #[inline]
+    fn step_nic(&mut self, i: usize, now: Cycle) {
+        let nic = self.nics[i].as_mut();
+        nic.step(&mut self.fab);
+        self.failures.extend(nic.take_failures());
+        if let Some(dog) = &mut self.watchdog {
+            let fp = nic.stats().progress_fingerprint();
+            if let Some(report) = dog.observe(i, now, fp, !nic.is_idle()) {
+                let node = NodeId::new(i);
+                trace_event!(
+                    self.trace,
+                    now,
+                    node,
+                    EventKind::WatchdogFire {
+                        unit: report.unit as u32,
+                        since: report.since,
+                        fingerprint: report.fingerprint,
+                    }
+                );
+                let dump = flight_recorder_dump(&self.trace, node);
+                panic!("stall watchdog tripped: {report}{dump}");
+            }
+        }
+    }
+
+    /// Steps every component through one cycle — the single place
+    /// components are stepped. Nodes provably idle this cycle
+    /// ([`node_gated`](Self::node_gated)) are skipped — their step would
+    /// be a no-op, so results are bit-for-bit those of stepping everyone.
     fn step_cycle(&mut self) {
         self.cycles_stepped += 1;
         let now = self.fab.now();
@@ -382,8 +347,8 @@ impl Driver {
         }
         // A due stall deadline disables gating for the cycle: the watchdog
         // only accrues observations on stepped nodes, so the firing cycle
-        // must step (and thus observe) everyone, exactly like the ungated
-        // engine would.
+        // must step (and thus observe) everyone, exactly like ungated
+        // stepping would.
         let dog_due = self
             .watchdog
             .as_ref()
@@ -396,9 +361,7 @@ impl Driver {
             let ev = self.procs[i].step(self.nics[i].as_mut(), self.wls[i].as_mut(), now);
             debug_assert!(matches!(ev, ProcEvent::None | ProcEvent::EnteredBarrier));
         }
-        // Barrier release: every node is blocked in the barrier or done.
-        let any_waiting = self.procs.iter().any(|p| p.in_barrier());
-        if any_waiting && self.procs.iter().all(|p| p.in_barrier() || p.is_done()) {
+        if self.barrier_ready() {
             for (i, p) in self.procs.iter_mut().enumerate() {
                 if p.in_barrier() {
                     p.release_barrier(now, self.barrier_cost);
@@ -408,33 +371,14 @@ impl Driver {
                 }
             }
         }
-        for (i, nic) in self.nics.iter_mut().enumerate() {
-            if !dog_due && self.node_due[i] > now && self.fab.ready_len(NodeId::new(i)) == 0 {
+        for i in 0..self.nics.len() {
+            if !dog_due && self.node_gated(i, now) {
                 continue;
             }
-            nic.step(&mut self.fab);
-            self.failures.extend(nic.take_failures());
-            if let Some(dog) = &mut self.watchdog {
-                let fp = nic.stats().progress_fingerprint();
-                if let Some(report) = dog.observe(i, now, fp, !nic.is_idle()) {
-                    let node = NodeId::new(i);
-                    trace_event!(
-                        self.trace,
-                        now,
-                        node,
-                        EventKind::WatchdogFire {
-                            unit: report.unit as u32,
-                            since: report.since,
-                            fingerprint: report.fingerprint,
-                        }
-                    );
-                    let dump = flight_recorder_dump(&self.trace, node);
-                    panic!("stall watchdog tripped: {report}{dump}");
-                }
-            }
+            self.step_nic(i, now);
             // Both layers just ran; their own wakeups say when the node can
             // next matter. `Now` and past deadlines mean "again next cycle".
-            let nic_due = match nic.next_event(now) {
+            let nic_due = match self.nics[i].next_event(now) {
                 Wakeup::Now => now + 1,
                 Wakeup::At(t) => t.max(now + 1),
                 Wakeup::Quiescent => Cycle::MAX,
@@ -444,28 +388,24 @@ impl Driver {
         self.fab.step();
     }
 
-    /// One event-engine burst toward `until` (which must be in the
+    /// One burst of progress toward `until` (which must be in the
     /// future): steps the next cycle for real when anything could do
     /// observable work, otherwise jumps the clock to the earliest wakeup.
+    /// Always moves time forward.
     ///
     /// The skip is sound because every component's [`Wakeup`] answer is a
     /// promise that stepping it before the wakeup is a no-op absent new
     /// input — and inside the window there is no new input: the fabric is
     /// empty (else it reports `Now`), no NIC acts, and the only processor
     /// activity is empty polling, which is replayed in batch.
-    fn event_burst(&mut self, until: Cycle) {
+    fn burst(&mut self, until: Cycle) {
         let now = self.fab.now();
         debug_assert!(now < until);
         // An active fabric (worms in flight or packets awaiting ejection)
-        // can make progress every cycle.
-        if self.fab.next_event().is_due(now) {
-            self.step_cycle();
-            return;
-        }
-        // Barrier release is a driver-level event: it fires the first
-        // cycle every participant is blocked or done.
-        let any_waiting = self.procs.iter().any(|p| p.in_barrier());
-        if any_waiting && self.procs.iter().all(|p| p.in_barrier() || p.is_done()) {
+        // can make progress every cycle; a barrier release is a
+        // driver-level event that fires the first cycle every participant
+        // is blocked or done.
+        if self.fab.next_event().is_due(now) || self.barrier_ready() {
             self.step_cycle();
             return;
         }
@@ -490,7 +430,7 @@ impl Driver {
             }
         }
         // Stall-detection deadlines are explicit wakeups: a wedged node is
-        // caught at the same cycle the per-cycle engine would catch it.
+        // caught at the same cycle stepping every cycle would catch it.
         if let Some(dog) = &self.watchdog {
             if let Some(t) = dog.next_deadline() {
                 wake = wake.earliest(Wakeup::at_or_now(t, now));
@@ -550,18 +490,18 @@ impl Driver {
     /// Runs until every workload has finished and the network has drained,
     /// or `limit` cycles elapse. Returns `true` on completion.
     ///
-    /// Both engines return with the same final clock: quiescence is
-    /// observed after a stepped cycle, and event-engine bursts only skip
-    /// windows in which the quiet predicate cannot change.
+    /// Quiescence is observed between bursts, and a burst only jumps
+    /// windows in which the quiet predicate cannot change, so the final
+    /// clock is the cycle after the one that made the simulation quiet.
     pub fn run_until_quiet(&mut self, limit: u64) -> bool {
         if self.fab.now().as_u64() < limit && self.is_quiet() {
-            // Already quiet on entry: the cycle engine still steps once
-            // before observing it, so match that clock.
+            // Already quiet on entry: one cycle passes before that is
+            // observed, not a jump to `limit`.
             self.step();
             return true;
         }
         while self.fab.now().as_u64() < limit {
-            self.advance_burst(Cycle::new(limit));
+            self.burst(Cycle::new(limit));
             if self.is_quiet() {
                 return true;
             }
@@ -585,6 +525,9 @@ fn flight_recorder_dump(trace: &TraceHandle, node: NodeId) -> String {
     }
     s
 }
+
+#[cfg(test)]
+mod equivalence;
 
 #[cfg(test)]
 mod tests {

@@ -1,23 +1,88 @@
-//! Differential tests of the two stepping engines.
+//! Differential tests of [`Driver`] against ungated per-cycle stepping.
 //!
-//! The event-driven skip-ahead engine must be *observationally identical*
-//! to cycle stepping: same delivery orders and timestamps, same processor
-//! / interface / fabric statistics, same typed failures, same gauge
-//! samples, same trace streams, same final clock — across workloads,
-//! topologies, interface choices, seeds, and fault configurations. Every
-//! test here builds the same simulation twice, runs one copy per engine,
-//! and compares full observation records.
+//! Skip-ahead and the per-node gate must be *observationally identical*
+//! to stepping every node every cycle: same delivery orders and
+//! timestamps, same processor / interface / fabric statistics, same typed
+//! failures, same gauge samples, same trace streams, same final clock —
+//! across workloads, topologies, interface choices, seeds, and fault
+//! configurations. Every test here builds the same simulation twice, runs
+//! one copy through `Driver`'s public entry points and one through
+//! [`Driver::reference_step`], and compares full observation records.
 
 use std::sync::{Arc, Mutex};
 
-use nifdy::{Delivered, DeliveryFailure, Nic, NifdyConfig, OutboundPacket};
+use nifdy::{Delivered, OutboundPacket};
 use nifdy_net::topology::Mesh;
-use nifdy_net::{Fabric, FabricConfig, FaultConfig, GilbertElliott, LinkWindow, UserData};
-use nifdy_sim::{Cycle, NodeId, Wakeup};
-use nifdy_traffic::{
-    Action, CoalesceConfig, Driver, Engine, NetworkKind, NicChoice, NodeWorkload, ScanConfig,
-    Scenario, SoftwareModel, SyntheticConfig,
-};
+use nifdy_net::{FabricConfig, FaultConfig, GilbertElliott, LinkWindow, UserData};
+
+use super::*;
+use crate::{Action, CoalesceConfig, NetworkKind, ScanConfig, Scenario, SyntheticConfig};
+
+impl Driver {
+    /// The reference semantics: every processor, the barrier release,
+    /// every interface, the fabric — each cycle, for every node. No
+    /// `node_due` gate, no skip.
+    fn reference_step(&mut self) {
+        let now = self.fab.now();
+        if self.metrics.is_some() && now.as_u64().is_multiple_of(self.gauge_period) {
+            self.emit_gauges(now);
+        }
+        for i in 0..self.procs.len() {
+            self.procs[i].step(self.nics[i].as_mut(), self.wls[i].as_mut(), now);
+        }
+        if self.barrier_ready() {
+            for p in self.procs.iter_mut().filter(|p| p.in_barrier()) {
+                p.release_barrier(now, self.barrier_cost);
+            }
+        }
+        for i in 0..self.nics.len() {
+            self.step_nic(i, now);
+        }
+        self.fab.step();
+    }
+}
+
+/// How a case drives its simulation, on either leg.
+#[derive(Clone, Copy)]
+enum Run {
+    Cycles(u64),
+    UntilQuiet(u64),
+}
+
+impl Run {
+    /// Through `Driver`'s public entry points.
+    fn driver(self, d: &mut Driver) -> Option<bool> {
+        match self {
+            Run::Cycles(n) => {
+                d.run_cycles(n);
+                None
+            }
+            Run::UntilQuiet(limit) => Some(d.run_until_quiet(limit)),
+        }
+    }
+
+    /// One [`Driver::reference_step`] per cycle, quiescence observed after
+    /// each.
+    fn reference(self, d: &mut Driver) -> Option<bool> {
+        match self {
+            Run::Cycles(n) => {
+                for _ in 0..n {
+                    d.reference_step();
+                }
+                None
+            }
+            Run::UntilQuiet(limit) => {
+                while d.fab.now().as_u64() < limit {
+                    d.reference_step();
+                    if d.is_quiet() {
+                        return Some(true);
+                    }
+                }
+                Some(false)
+            }
+        }
+    }
+}
 
 /// One received packet: (cycle, receiver, sender, msg_id, pkt_index).
 type Delivery = (u64, usize, usize, u64, u32);
@@ -161,34 +226,43 @@ fn observe(d: &Driver, completed: Option<bool>, log: &Arc<Mutex<Vec<Delivery>>>)
     }
 }
 
-/// Runs the simulation described by `build` under both engines and
-/// asserts the full observation records match. `run` drives the finished
-/// driver and reports an optional completion flag.
-fn assert_engines_agree<B, R>(label: &str, build: B, run: R)
+/// Runs the simulation described by `build` through [`Driver`] and
+/// through the reference and asserts the full observation records match.
+/// Returns the driver leg's `(elapsed, stepped)` cycles.
+fn assert_matches_reference<B>(label: &str, build: B, run: Run) -> (u64, u64)
 where
     B: Fn(&Arc<Mutex<Vec<Delivery>>>) -> Driver,
-    R: Fn(&mut Driver) -> Option<bool>,
 {
-    let run_one = |engine: Engine| {
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let mut d = build(&log).with_engine(engine);
-        let completed = run(&mut d);
-        (observe(&d, completed, &log), d.cycles_stepped())
-    };
-    let (cycle, cycle_stepped) = run_one(Engine::Cycle);
-    let (event, event_stepped) = run_one(Engine::Event);
-    assert_eq!(cycle, event, "engines diverged on {label}");
-    assert!(
-        event_stepped <= cycle_stepped,
-        "{label}: event engine stepped more cycles ({event_stepped}) than the \
-         cycle engine ({cycle_stepped})"
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let mut reference = build(&log);
+    let completed = run.reference(&mut reference);
+    let expected = observe(&reference, completed, &log);
+
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let mut d = build(&log);
+    let completed = run.driver(&mut d);
+    assert_eq!(
+        observe(&d, completed, &log),
+        expected,
+        "driver diverged from the reference on {label}"
     );
+    assert_eq!(
+        reference.cycles_stepped(),
+        0,
+        "the reference leg went through step_cycle"
+    );
+    let (elapsed, stepped) = (d.fabric().now().as_u64(), d.cycles_stepped());
+    assert!(
+        stepped <= elapsed,
+        "{label}: stepped {stepped} of {elapsed} cycles"
+    );
+    (elapsed, stepped)
 }
 
 #[test]
-fn synthetic_patterns_match_across_engines() {
+fn synthetic_patterns_match_the_reference() {
     // RNG-driven workloads: their `next_action` draws randomness, so they
-    // keep the conservative `Now` wakeup — the event engine may only skip
+    // keep the conservative `Now` wakeup — the driver may only skip
     // compute/barrier gaps, and must stay byte-identical doing so.
     for (kind, nodes, heavy) in [
         (NetworkKind::Mesh2D, 16, true),
@@ -196,7 +270,7 @@ fn synthetic_patterns_match_across_engines() {
         (NetworkKind::Torus2D, 16, false),
     ] {
         let label = format!("synthetic on {kind:?}");
-        assert_engines_agree(
+        assert_matches_reference(
             &label,
             |log| {
                 Scenario::new(kind)
@@ -214,10 +288,7 @@ fn synthetic_patterns_match_across_engines() {
                     })
                     .expect("valid scenario")
             },
-            |d| {
-                d.run_cycles(25_000);
-                None
-            },
+            Run::Cycles(25_000),
         );
     }
 }
@@ -226,42 +297,39 @@ fn synthetic_patterns_match_across_engines() {
 fn scan_pipeline_matches_and_actually_skips() {
     // The serialized scan pipeline is the skip-friendly workload: most
     // nodes idle reactively (Quiescent) while the token crawls the ring.
-    // The event engine must produce identical results *and* step far
-    // fewer cycles.
+    // The driver must produce identical results *and* step far fewer
+    // cycles than elapse.
     for choice in [
         NicChoice::Plain,
         NicChoice::BuffersOnly(NifdyConfig::mesh()),
         NicChoice::Nifdy(NifdyConfig::mesh()),
     ] {
         let label = format!("scan with {}", choice.label());
-        let run_one = |engine: Engine| {
-            let log = Arc::new(Mutex::new(Vec::new()));
-            let mut d = Scenario::new(NetworkKind::Mesh2D)
-                .nodes(4)
-                .seed(5)
-                .nic(choice.clone())
-                .metrics(1_000)
-                .build_with(|sc| {
-                    record_all(
-                        ScanConfig::radix8(sc.sw())
-                            .with_delay(400)
-                            .build(sc.nodes()),
-                        &log,
-                    )
-                })
-                .expect("valid scenario")
-                .with_engine(engine);
-            let done = d.run_until_quiet(5_000_000);
-            assert!(done, "{label}: scan never finished");
-            (observe(&d, Some(done), &log), d.cycles_stepped())
-        };
-        let (cycle, cycle_stepped) = run_one(Engine::Cycle);
-        let (event, event_stepped) = run_one(Engine::Event);
-        assert_eq!(cycle, event, "engines diverged on {label}");
+        let (elapsed, stepped) = assert_matches_reference(
+            &label,
+            |log| {
+                Scenario::new(NetworkKind::Mesh2D)
+                    .nodes(4)
+                    .seed(5)
+                    .nic(choice.clone())
+                    .metrics(1_000)
+                    .build_with(|sc| {
+                        record_all(
+                            ScanConfig::radix8(sc.sw())
+                                .with_delay(400)
+                                .build(sc.nodes()),
+                            log,
+                        )
+                    })
+                    .expect("valid scenario")
+            },
+            Run::UntilQuiet(5_000_000),
+        );
+        assert!(elapsed < 5_000_000, "{label}: scan never finished");
         assert!(
-            event_stepped * 2 < cycle_stepped,
-            "{label}: expected a real skip win, got {event_stepped} stepped \
-             of {cycle_stepped} cycles"
+            stepped * 2 < elapsed,
+            "{label}: expected a real skip win, got {stepped} stepped of \
+             {elapsed} cycles"
         );
     }
 }
@@ -279,7 +347,7 @@ fn coalesce_and_random_sweep_match() {
                     NicChoice::Plain
                 };
                 let label = format!("coalesce seed {seed} on {kind:?} with {}", choice.label());
-                assert_engines_agree(
+                assert_matches_reference(
                     &label,
                     |log| {
                         Scenario::new(kind)
@@ -296,7 +364,7 @@ fn coalesce_and_random_sweep_match() {
                             })
                             .expect("valid scenario")
                     },
-                    |d| Some(d.run_until_quiet(5_000_000)),
+                    Run::UntilQuiet(5_000_000),
                 );
             }
         }
@@ -307,7 +375,7 @@ fn coalesce_and_random_sweep_match() {
 fn chaos_faults_and_typed_failures_match() {
     // The §6.2 chaos path: uniform drops, bursty loss, a permanently dead
     // link, a retry budget. Retransmission timers, failure surfacing, and
-    // the drop lottery's RNG stream must all line up across engines.
+    // the drop lottery's RNG stream must all line up with the reference.
     let dead = NodeId::new(3);
     let build_fabric = || {
         Fabric::new(
@@ -330,7 +398,7 @@ fn chaos_faults_and_typed_failures_match() {
             }),
         )
     };
-    assert_engines_agree(
+    assert_matches_reference(
         "chaos faults",
         |log| {
             let wls: Vec<Box<dyn NodeWorkload>> = (0..4usize)
@@ -359,13 +427,13 @@ fn chaos_faults_and_typed_failures_match() {
             .expect("driver builds")
             .with_stall_watchdog(200_000)
         },
-        |d| Some(d.run_until_quiet(2_000_000)),
+        Run::UntilQuiet(2_000_000),
     );
 }
 
 #[test]
 fn run_sampled_observes_identical_intermediate_states() {
-    let sample_one = |engine: Engine| {
+    let sample_one = |reference: bool| {
         let log = Arc::new(Mutex::new(Vec::new()));
         let mut d = Scenario::new(NetworkKind::Mesh2D)
             .nodes(16)
@@ -377,29 +445,40 @@ fn run_sampled_observes_identical_intermediate_states() {
                     &log,
                 )
             })
-            .expect("valid scenario")
-            .with_engine(engine);
+            .expect("valid scenario");
         let mut samples = Vec::new();
-        d.run_sampled(120_000, 10_000, |d| {
+        let mut sample = |d: &Driver| {
             samples.push((
                 d.fabric().now().as_u64(),
                 d.packets_received(),
                 d.user_words_received(),
             ));
-        });
+        };
+        if reference {
+            for c in 0..120_000u64 {
+                if c % 10_000 == 0 {
+                    sample(&d);
+                }
+                d.reference_step();
+            }
+        } else {
+            d.run_sampled(120_000, 10_000, sample);
+        }
         (samples, observe(&d, None, &log))
     };
-    let cycle = sample_one(Engine::Cycle);
-    let event = sample_one(Engine::Event);
-    assert_eq!(cycle, event, "sampled states diverged");
+    assert_eq!(
+        sample_one(false),
+        sample_one(true),
+        "sampled states diverged"
+    );
 }
 
 #[test]
-fn watchdog_trips_at_the_same_cycle_in_both_engines() {
+fn watchdog_trips_at_the_reference_cycle() {
     // Total loss with no retransmission wedges the sender; the stall
-    // watchdog must catch it at the same cycle even when the event engine
-    // is skipping — its deadline is an explicit wakeup.
-    let trip_message = |engine: Engine| -> String {
+    // watchdog must catch it at the same cycle even when the driver is
+    // skipping — its deadline is an explicit wakeup.
+    let trip_message = |run: fn(Run, &mut Driver) -> Option<bool>| -> String {
         let result = std::panic::catch_unwind(move || {
             let fab = Fabric::new(
                 Box::new(Mesh::d2(2, 2)),
@@ -424,21 +503,20 @@ fn watchdog_trips_at_the_same_cycle_in_both_engines() {
                 wls,
             )
             .expect("driver builds")
-            .with_stall_watchdog(5_000)
-            .with_engine(engine);
-            let _ = d.run_until_quiet(1_000_000);
+            .with_stall_watchdog(5_000);
+            let _ = run(Run::UntilQuiet(1_000_000), &mut d);
         });
         let err = result.expect_err("watchdog must trip");
         err.downcast_ref::<String>()
             .cloned()
             .unwrap_or_else(|| "non-string panic".to_string())
     };
-    let cycle_msg = trip_message(Engine::Cycle);
-    let event_msg = trip_message(Engine::Event);
-    assert!(cycle_msg.contains("stall watchdog tripped"), "{cycle_msg}");
+    let expected = trip_message(Run::reference);
+    assert!(expected.contains("stall watchdog tripped"), "{expected}");
     assert_eq!(
-        cycle_msg, event_msg,
-        "watchdog reports differ between engines"
+        trip_message(Run::driver),
+        expected,
+        "watchdog report differs from the reference"
     );
 }
 
@@ -465,12 +543,12 @@ impl NodeWorkload for Script {
 #[cfg(feature = "trace")]
 mod trace_parity {
     use super::*;
-    use nifdy_trace::{TraceConfig, TraceHandle};
+    use nifdy_trace::TraceConfig;
 
     /// Trace streams and journey-analysis reports must be byte-identical.
     #[test]
     fn trace_streams_and_journey_reports_match() {
-        let run_one = |engine: Engine| {
+        let run_one = |run: fn(Run, &mut Driver) -> Option<bool>| {
             let log = Arc::new(Mutex::new(Vec::new()));
             let trace = TraceHandle::recording(TraceConfig::new().with_capacity_per_node(1 << 14));
             let mut d = Scenario::new(NetworkKind::Mesh2D)
@@ -488,10 +566,9 @@ mod trace_parity {
                         &log,
                     )
                 })
-                .expect("valid scenario")
-                .with_engine(engine);
-            let done = d.run_until_quiet(5_000_000);
-            assert!(done, "scan never finished");
+                .expect("valid scenario");
+            let done = run(Run::UntilQuiet(5_000_000), &mut d);
+            assert_eq!(done, Some(true), "scan never finished");
             let events = trace.snapshot();
             let report = nifdy_analyze::analyze(
                 &events,
@@ -499,21 +576,17 @@ mod trace_parity {
                 &nifdy_analyze::ExternalCounts::default(),
                 &nifdy_analyze::AnomalyConfig::default(),
             );
-            (
-                events,
-                report.to_json().render(),
-                observe(&d, Some(done), &log),
-            )
+            (events, report.to_json().render(), observe(&d, done, &log))
         };
-        let (cycle_events, cycle_json, cycle_rec) = run_one(Engine::Cycle);
-        let (event_events, event_json, event_rec) = run_one(Engine::Event);
+        let (ref_events, ref_json, ref_rec) = run_one(Run::reference);
+        let (events, json, rec) = run_one(Run::driver);
         assert_eq!(
-            cycle_events.len(),
-            event_events.len(),
+            events.len(),
+            ref_events.len(),
             "trace stream lengths differ"
         );
-        assert_eq!(cycle_events, event_events, "trace streams differ");
-        assert_eq!(cycle_json, event_json, "journey analysis JSON differs");
-        assert_eq!(cycle_rec, event_rec, "observation records differ");
+        assert_eq!(events, ref_events, "trace streams differ");
+        assert_eq!(json, ref_json, "journey analysis JSON differs");
+        assert_eq!(rec, ref_rec, "observation records differ");
     }
 }

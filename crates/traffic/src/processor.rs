@@ -32,9 +32,8 @@ pub enum Action {
     ///
     /// Contract: once a workload returns `Done`, every later
     /// [`next_action`](NodeWorkload::next_action) call must return `Done`
-    /// again without observable side effects — the event-driven driver
-    /// batches the post-completion polling without re-consulting the
-    /// workload.
+    /// again without observable side effects — the driver batches the
+    /// post-completion polling without re-consulting the workload.
     Done,
 }
 
@@ -57,9 +56,9 @@ pub trait NodeWorkload: Send {
     /// Overriding with `At(t)` / `Quiescent` promises that every
     /// `next_action` call strictly before the wakeup returns
     /// [`Action::Idle`] *and has no side effects* (no RNG draws, no state
-    /// changes) — the event-driven driver replaces those calls with
-    /// batched empty polls. `Quiescent` additionally promises the workload
-    /// only becomes ready again through [`on_receive`]. Workloads whose
+    /// changes) — the driver replaces those calls with batched empty
+    /// polls. `Quiescent` additionally promises the workload only becomes
+    /// ready again through [`on_receive`]. Workloads whose
     /// `next_action` mutates internal state on idle paths (e.g. drawing
     /// randomness) must keep the default `Now`.
     ///
@@ -80,12 +79,12 @@ pub enum ProcEvent {
     EnteredBarrier,
 }
 
-/// How the event-driven driver should treat a processor for the coming
-/// cycles (computed by [`Processor::classify`]).
+/// How the driver should treat a processor for the coming cycles
+/// (computed by [`Processor::classify`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ProcWake {
     /// Stepping this cycle may do observable work beyond an empty poll —
-    /// the driver must fall back to cycle stepping.
+    /// the driver must step the cycle.
     Step,
     /// Computing until the given cycle; does nothing before it.
     Busy(Cycle),
@@ -177,9 +176,9 @@ impl Processor {
         }
     }
 
-    /// Classifies what this processor needs from the driver at `now`, for
-    /// the event-driven engine. Conservative: anything that could do
-    /// observable work is [`ProcWake::Step`].
+    /// Classifies what this processor needs from the driver at `now`.
+    /// Conservative: anything that could do observable work is
+    /// [`ProcWake::Step`].
     pub(crate) fn classify(&self, nic: &dyn Nic, wl: &dyn NodeWorkload, now: Cycle) -> ProcWake {
         if self.busy_until > now {
             return ProcWake::Busy(self.busy_until);
@@ -220,9 +219,9 @@ impl Processor {
     /// Replays the empty polls this processor would have issued over
     /// `[now, until)` in one batch, without touching the NIC or workload.
     ///
-    /// Only valid inside an event-engine skip window, where nothing is
-    /// deliverable and nothing can arrive: each poll slot (spaced `t_poll`
-    /// from the previous `busy_until`) misses, charges `t_poll`, and bumps
+    /// Only valid inside a skip window, where nothing is deliverable and
+    /// nothing can arrive: each poll slot (spaced `t_poll` from the
+    /// previous `busy_until`) misses, charges `t_poll`, and bumps
     /// `empty_polls` — exactly what per-cycle stepping would have done.
     pub(crate) fn batch_idle_polls(&mut self, now: Cycle, until: Cycle) {
         let start = if self.busy_until > now {

@@ -7,7 +7,7 @@
 
 use nifdy_trace::TraceHandle;
 
-use crate::driver::{BuildError, Driver, Engine, NicChoice};
+use crate::driver::{BuildError, Driver, NicChoice};
 use crate::network::NetworkKind;
 use crate::processor::NodeWorkload;
 use crate::SoftwareModel;
@@ -44,7 +44,6 @@ pub struct Scenario {
     stall_limit: Option<u64>,
     trace: Option<TraceHandle>,
     metrics_period: Option<u64>,
-    engine: Engine,
 }
 
 impl Scenario {
@@ -60,15 +59,7 @@ impl Scenario {
             stall_limit: None,
             trace: None,
             metrics_period: None,
-            engine: Engine::default(),
         }
-    }
-
-    /// Selects the stepping engine (default [`Engine::Cycle`]; see
-    /// [`Driver::with_engine`]).
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
     }
 
     /// Machine size in nodes (default 64).
@@ -144,7 +135,6 @@ impl Scenario {
         if let Some(period) = self.metrics_period {
             driver = driver.with_metrics(period)?;
         }
-        driver = driver.with_engine(self.engine);
         Ok(driver)
     }
 

@@ -91,7 +91,12 @@ impl Default for WorkloadSpec {
 impl WorkloadSpec {
     /// The partner node `i` sends to: a rotation by `1 + seed mod (n-1)`,
     /// which is a fixed-point-free permutation for any seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec has fewer than 2 nodes.
     pub fn partner(&self, i: usize) -> usize {
+        assert!(self.nodes >= 2, "the permutation needs at least 2 nodes");
         let shift = 1 + (self.seed as usize) % (self.nodes - 1);
         (i + shift) % self.nodes
     }
@@ -108,7 +113,12 @@ impl WorkloadSpec {
 
     /// The delivery log every conforming run must produce: each pair sees
     /// its packets in exact send order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec has fewer than 2 nodes.
     pub fn expected_log(&self) -> DeliveryLog {
+        assert!(self.nodes >= 2, "the permutation needs at least 2 nodes");
         let mut log = DeliveryLog::new();
         for src in 0..self.nodes {
             let dst = self.partner(src);
@@ -317,8 +327,10 @@ fn trace_handle() -> TraceHandle {
     TraceHandle::recording(TraceConfig::new().with_capacity_per_node(1 << 16))
 }
 
-/// Mesh dimensions for `nodes`: the most square factorization.
-fn mesh_dims(nodes: usize) -> (usize, usize) {
+/// Mesh dimensions for `nodes`: the most square factorization. Every
+/// simulated-fabric reference run (here and in `nifdy-node`) lays its
+/// nodes out on this mesh.
+pub fn mesh_dims(nodes: usize) -> (usize, usize) {
     let mut w = (nodes as f64).sqrt() as usize;
     while w > 1 && !nodes.is_multiple_of(w) {
         w -= 1;
@@ -704,6 +716,16 @@ mod tests {
                 seen[p] = true;
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "the permutation needs at least 2 nodes")]
+    fn a_one_node_spec_is_rejected_by_name() {
+        let spec = WorkloadSpec {
+            nodes: 1,
+            ..WorkloadSpec::default()
+        };
+        let _ = spec.expected_log();
     }
 
     #[test]

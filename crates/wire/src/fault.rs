@@ -394,21 +394,10 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         // Advance the burst chain first so its trajectory is independent of
         // the deterministic rules firing (same discipline as the fabric's
         // FaultPlane::judge).
-        let burst_says_drop = if let Some(ge) = self.cfg.burst {
-            let loss = if self.in_burst {
-                ge.loss_bad
-            } else {
-                ge.loss_good
-            };
-            let drop = loss > 0.0 && self.rng.gen_bool(loss);
-            let flip = if self.in_burst { ge.p_exit } else { ge.p_enter };
-            if flip > 0.0 && self.rng.gen_bool(flip) {
-                self.in_burst = !self.in_burst;
-            }
-            drop
-        } else {
-            false
-        };
+        let burst_says_drop = self
+            .cfg
+            .burst
+            .is_some_and(|ge| ge.advance(&mut self.in_burst, &mut self.rng));
         if self
             .cfg
             .partitions
