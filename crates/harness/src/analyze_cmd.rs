@@ -24,7 +24,9 @@ use nifdy_analyze::{analyze, enrich_chrome_trace, AnalysisReport, AnomalyConfig,
 use nifdy_net::{FaultConfig, GilbertElliott};
 use nifdy_trace::json::Json;
 use nifdy_trace::{TraceConfig, TraceEvent, TraceHandle, TraceLoss};
-use nifdy_wire::conformance::{run_fabric_chaos_traced, run_loopback_chaos_traced, WorkloadSpec};
+use nifdy_wire::conformance::{
+    self, chaos_config, FabricSet, LoopbackSet, SwarmPlan, CHAOS_QUIESCE_GRACE,
+};
 use nifdy_wire::WireFaultConfig;
 
 use crate::Scale;
@@ -43,19 +45,15 @@ pub const HUB_LATENCY: u64 = 2;
 /// Loopback-hub jitter bound for the wire carrier, in cycles.
 pub const HUB_JITTER: u64 = 1;
 
-/// The seeded workload both carriers run: the chaos-conformance rotation
-/// traffic, with the message count (and the drain deadline) scaled.
-pub fn spec(scale: Scale, seed: u64) -> WorkloadSpec {
-    let messages = scale.count(10);
-    WorkloadSpec {
-        nodes: 4,
-        messages,
-        packets_per_message: 6,
-        size_words: 6,
-        want_bulk: true,
-        seed,
-        max_cycles: 400_000 + 200_000 * messages,
-    }
+/// Nodes in the rotation both carriers run.
+pub const NODES: usize = 4;
+
+/// Packets per message.
+pub const PACKETS_PER_MESSAGE: u32 = 6;
+
+/// Messages each node sends at `scale`.
+pub fn messages(scale: Scale) -> u64 {
+    scale.count(10)
 }
 
 fn fabric_faults() -> FaultConfig {
@@ -111,8 +109,10 @@ impl CarrierAnalysis {
 
 /// Both carriers analyzed, plus the cross-carrier equivalence verdict.
 pub struct AnalyzeRun {
-    /// The workload both carriers ran.
-    pub spec: WorkloadSpec,
+    /// The seed both carriers ran at.
+    pub seed: u64,
+    /// Messages each node sent.
+    pub messages: u64,
     /// The simulated-fabric carrier.
     pub fabric: CarrierAnalysis,
     /// The byte-stack loopback carrier.
@@ -144,11 +144,7 @@ impl AnalyzeRun {
             out.push_str(&format!(
                 "=== trace:analyze [{}] seed {} ({} nodes, {} messages x {} packets, \
                  mean loss {MEAN_LOSS}) ===\n",
-                c.carrier,
-                self.spec.seed,
-                self.spec.nodes,
-                self.spec.messages,
-                self.spec.packets_per_message,
+                c.carrier, self.seed, NODES, self.messages, PACKETS_PER_MESSAGE,
             ));
             out.push_str(&format!(
                 "delivered (ground truth): {}, journeys accepted: {}\n",
@@ -181,13 +177,13 @@ impl AnalyzeRun {
             (
                 "workload",
                 Json::obj([
-                    ("nodes", Json::u64(self.spec.nodes as u64)),
-                    ("messages", Json::u64(self.spec.messages)),
+                    ("nodes", Json::u64(NODES as u64)),
+                    ("messages", Json::u64(self.messages)),
                     (
                         "packets_per_message",
-                        Json::u64(u64::from(self.spec.packets_per_message)),
+                        Json::u64(u64::from(PACKETS_PER_MESSAGE)),
                     ),
-                    ("seed", Json::u64(self.spec.seed)),
+                    ("seed", Json::u64(self.seed)),
                     ("mean_loss", Json::Num(MEAN_LOSS)),
                     ("retx_budget", Json::u64(u64::from(RETX_BUDGET))),
                 ]),
@@ -220,67 +216,52 @@ fn carrier_json(c: &CarrierAnalysis) -> Json {
 /// (default) — with it off the recorder captures nothing and every
 /// invariant that needs events fails.
 pub fn run(scale: Scale, seed: u64) -> AnalyzeRun {
-    let spec = spec(scale, seed);
+    let messages = messages(scale);
+    let plan = SwarmPlan::rotation(NODES, messages, PACKETS_PER_MESSAGE, 6, true, seed);
+    let max_ticks = 400_000 + 200_000 * messages;
+    let cfg = chaos_config(RETX_BUDGET);
     // Unsampled, amply sized: journey stitching wants the whole story.
     let recorder = || TraceHandle::recording(TraceConfig::new().with_capacity_per_node(1 << 16));
+    let analysis = |carrier, trace: TraceHandle, delivered, counts: ExternalCounts| {
+        let (events, loss) = (trace.snapshot(), trace.loss());
+        let report = analyze(&events, &loss, &counts, &AnomalyConfig::default());
+        CarrierAnalysis {
+            carrier,
+            events,
+            loss,
+            delivered,
+            report,
+        }
+    };
 
-    let fab_trace = recorder();
-    let fab = run_fabric_chaos_traced(&spec, fabric_faults(), RETX_BUDGET, &fab_trace);
-    let fab_events = fab_trace.snapshot();
-    let fab_loss = fab_trace.loss();
-    let fab_report = analyze(
-        &fab_events,
-        &fab_loss,
-        &ExternalCounts {
-            delivered: Some(fab.delivered()),
-            retransmitted: Some(fab.retransmitted),
-            delivery_failures: Some(fab.failure_total()),
-            fabric_drops: Some(fab.fabric_dropped),
-            wire_faults: None,
-        },
-        &AnomalyConfig::default(),
-    );
+    let trace = recorder();
+    let mut set = FabricSet::new(&plan, cfg.clone(), fabric_faults(), &trace);
+    let fab = conformance::run(&mut set, &plan, CHAOS_QUIESCE_GRACE, max_ticks);
+    let fab_counts = ExternalCounts {
+        delivered: Some(fab.delivered()),
+        retransmitted: Some(set.retransmitted()),
+        delivery_failures: Some(fab.failure_total()),
+        fabric_drops: Some(set.fabric_dropped()),
+        wire_faults: None,
+    };
+    let fabric = analysis("fabric", trace, fab.delivered(), fab_counts);
 
-    let wire_trace = recorder();
-    let wire = run_loopback_chaos_traced(
-        &spec,
-        HUB_LATENCY,
-        HUB_JITTER,
-        &wire_faults(),
-        RETX_BUDGET,
-        &wire_trace,
-    );
-    let wire_events = wire_trace.snapshot();
-    let wire_loss = wire_trace.loss();
-    let wire_report = analyze(
-        &wire_events,
-        &wire_loss,
-        &ExternalCounts {
-            delivered: Some(wire.delivered()),
-            retransmitted: Some(wire.retransmitted),
-            delivery_failures: Some(wire.failure_total()),
-            fabric_drops: None,
-            wire_faults: Some(wire.wire_fault_total()),
-        },
-        &AnomalyConfig::default(),
-    );
-
+    let trace = recorder();
+    let hub = (HUB_LATENCY, HUB_JITTER);
+    let mut set = LoopbackSet::new(&plan, hub, cfg, &wire_faults(), &trace);
+    let wire = conformance::run(&mut set, &plan, CHAOS_QUIESCE_GRACE, max_ticks);
+    let wire_counts = ExternalCounts {
+        delivered: Some(wire.delivered()),
+        retransmitted: Some(set.retransmitted()),
+        delivery_failures: Some(wire.failure_total()),
+        fabric_drops: None,
+        wire_faults: Some(set.fault_total()),
+    };
     AnalyzeRun {
-        spec,
-        fabric: CarrierAnalysis {
-            carrier: "fabric",
-            events: fab_events,
-            loss: fab_loss,
-            delivered: fab.delivered(),
-            report: fab_report,
-        },
-        wire: CarrierAnalysis {
-            carrier: "wire",
-            events: wire_events,
-            loss: wire_loss,
-            delivered: wire.delivered(),
-            report: wire_report,
-        },
+        seed,
+        messages,
+        fabric,
+        wire: analysis("wire", trace, wire.delivered(), wire_counts),
     }
 }
 

@@ -10,7 +10,7 @@
 //!   processes of this very binary, connects them over real UDP sockets,
 //!   runs the planned workload, and gates the aggregated per-destination
 //!   delivery order byte-for-byte against the flit-level simulator
-//!   ([`run_sim_reference`]). With `--kill` it SIGKILLs one child
+//!   (the same plan on a [`FabricSet`]). With `--kill` it SIGKILLs one child
 //!   mid-workload, respawns it with a bumped epoch, and gates completeness
 //!   plus recovery evidence instead of order parity.
 //!
@@ -38,12 +38,14 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use nifdy::NifdyConfig;
-use nifdy_node::workload::{run_local, run_sim_reference, PlanFeeder, SwarmPlan};
+use nifdy_net::FaultConfig;
+use nifdy_node::workload::{em3d_plan, DaemonSet, PlanFeeder, SwarmPlan};
 use nifdy_node::{NifdyNode, NodeConfig};
 use nifdy_sim::NodeId;
 use nifdy_trace::json::{self, Json};
+use nifdy_trace::TraceHandle;
 use nifdy_traffic::Em3dParams;
-use nifdy_wire::conformance::DeliveryLog;
+use nifdy_wire::conformance::{run, DeliveryLog, FabricSet};
 use nifdy_wire::{PeerEvent, SupervisorConfig, UdpTransport};
 
 use crate::wire_cmd::SIZE_WORDS;
@@ -199,8 +201,19 @@ fn build_plan(o: &NodeOpts, scale: Scale, seed: u64, total: usize) -> SwarmPlan 
         WorkloadKind::Rotation => {
             SwarmPlan::rotation(total, o.messages, o.packets, SIZE_WORDS, bulk, seed)
         }
-        WorkloadKind::Em3d => SwarmPlan::em3d(total, em3d_params(seed, scale), SIZE_WORDS, bulk),
+        WorkloadKind::Em3d => em3d_plan(total, em3d_params(seed, scale), SIZE_WORDS, bulk),
     }
+}
+
+/// Tick limit of the in-process runs: a wedge guard, never reached.
+const MAX_TICKS: u64 = 50_000_000;
+
+/// The plan's delivery log on the flit-level simulated fabric — the
+/// reference a daemon or swarm run must match byte for byte.
+fn sim_reference(plan: &SwarmPlan) -> DeliveryLog {
+    let (cfg, faults) = (NodeConfig::default().protocol, FaultConfig::default());
+    let mut set = FabricSet::new(plan, cfg, faults, &TraceHandle::off());
+    run(&mut set, plan, 0, MAX_TICKS).log
 }
 
 fn scale_flag(scale: Scale) -> &'static str {
@@ -263,15 +276,13 @@ pub fn run_serve(scale: Scale, seed: u64, extra: &[String]) -> Result<ServeOutco
         .with_batch(opts.batch)
         .with_seed(seed);
     let start = Instant::now();
-    let run = run_local(&plan, cfg, 50_000_000);
+    let mut set = DaemonSet::new(plan.nodes, 1, &cfg);
+    let served = run(&mut set, &plan, 0, MAX_TICKS);
     let millis = start.elapsed().as_millis().max(1);
-    let order_ok = run.log == plan.expected_log();
-    let sim_parity = if opts.parity {
-        Some(run.log == run_sim_reference(&plan, 50_000_000))
-    } else {
-        None
-    };
-    let frames_per_sec = run.stats.frames_in as f64 * 1_000.0 / millis as f64;
+    let order_ok = served.log == plan.expected_log();
+    let sim_parity = opts.parity.then(|| served.log == sim_reference(&plan));
+    let stats = set.daemons[0].stats();
+    let frames_per_sec = stats.frames_in as f64 * 1_000.0 / millis as f64;
     let packets = plan.total_packets();
     let mut summary = Table::new(
         format!(
@@ -294,14 +305,14 @@ pub fn run_serve(scale: Scale, seed: u64, extra: &[String]) -> Result<ServeOutco
     summary.row(vec![
         opts.nodes.to_string(),
         packets.to_string(),
-        run.rounds.to_string(),
+        served.ticks.to_string(),
         millis.to_string(),
         format!("{frames_per_sec:.0}"),
         format!("{:.0}", packets as f64 * 1_000.0 / millis as f64),
         match (order_ok, sim_parity) {
             (true, Some(true)) => "plan+sim".into(),
             (true, None) => "plan".into(),
-            _ => "DIVERGED".into(),
+            _ => format!("DIVERGED ({} failures)", served.failure_total()),
         },
     ]);
     let mut shards = Table::new(
@@ -314,7 +325,7 @@ pub fn run_serve(scale: Scale, seed: u64, extra: &[String]) -> Result<ServeOutco
             "failures".into(),
         ],
     );
-    for (i, s) in run.stats.shards.iter().enumerate() {
+    for (i, s) in stats.shards.iter().enumerate() {
         shards.row(vec![
             i.to_string(),
             s.frames_in.to_string(),
@@ -920,7 +931,7 @@ pub fn run_swarm(scale: Scale, seed: u64, extra: &[String]) -> Result<SwarmRepor
         };
         (ok, verdict)
     } else {
-        let sim = run_sim_reference(&plan, 50_000_000);
+        let sim = sim_reference(&plan);
         let parity = agg == sim && sim == expected;
         let ok = parity && dups == 0 && hygiene;
         let verdict = if ok {

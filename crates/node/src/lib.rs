@@ -15,9 +15,10 @@
 //! * [`MuxPort`] — the in-memory per-endpoint transport the daemon
 //!   demultiplexes frames into and drains sends out of;
 //! * [`workload`] — seeded swarm workloads (the conformance rotation and the
-//!   paper's EM3D kernel) with expected per-destination delivery logs and a
-//!   flit-level simulator reference run, so a daemon run — even a
-//!   multi-process swarm over real UDP sockets — can be checked for
+//!   paper's EM3D kernel) with expected per-destination delivery logs, and
+//!   the [`DaemonSet`](workload::DaemonSet) that puts daemons under the
+//!   same scenario runner as the flit-level simulator, so a daemon run —
+//!   even a multi-process swarm over real UDP sockets — can be checked for
 //!   delivery-order parity against the cycle-accurate simulation.
 //!
 //! The protocol state machine is untouched: each logical node is a plain

@@ -1,115 +1,106 @@
-//! Daemon-level integration: delivery-order parity against the flit-level
-//! simulator, multi-daemon exchange over a shared carrier, and supervised
-//! crash recovery inside a running daemon.
+//! Daemon-level integration: the whole scenario table (the rotation rows
+//! plus the EM3D rows added here) on every carrier that can express each
+//! row — flit-level fabric, byte stack over loopback, one sharded daemon,
+//! two daemons over a shared hub — and supervised crash recovery inside a
+//! running daemon.
 
 use std::collections::BTreeSet;
 
 use nifdy::NifdyConfig;
-use nifdy_node::workload::{run_local, run_sim_reference, PlanFeeder, SwarmPlan};
+use nifdy_node::workload::{em3d_plan, DaemonSet, PlanFeeder, PlannedPacket, SwarmPlan};
 use nifdy_node::{NifdyNode, NodeConfig};
 use nifdy_sim::NodeId;
+use nifdy_trace::TraceHandle;
 use nifdy_traffic::Em3dParams;
-use nifdy_wire::conformance::DeliveryLog;
-use nifdy_wire::{LoopbackHub, LoopbackTransport, PeerEvent, SupervisorConfig};
+use nifdy_wire::conformance::{chaos_config, run, RunReport};
+use nifdy_wire::scenarios::{delivers_the_plan, Faults, Scenario, ROWS};
+use nifdy_wire::{LoopbackTransport, PeerEvent, SupervisorConfig};
+
+/// The paper's EM3D kernel (§4.4): many-to-many bulk traffic, where the
+/// rotation rows are all pairwise.
+const EM3D: Scenario = Scenario {
+    name: "em3d",
+    plan: |seed| {
+        let params = Em3dParams {
+            iters: 2,
+            ..Em3dParams::more_communication(seed)
+        };
+        em3d_plan(8, params, 6, true)
+    },
+    seeds: &[5],
+    hub: (2, 1),
+    faults: Faults::Clean,
+    expect: delivers_the_plan,
+};
+
+const EM3D_UNDER_CHAOS: Scenario = Scenario {
+    name: "em3d under recoverable chaos",
+    faults: Faults::Recoverable,
+    ..EM3D
+};
 
 #[test]
-fn daemon_rotation_matches_the_flit_level_sim() {
-    let plan = SwarmPlan::rotation(12, 2, 4, 6, true, 3);
-    let expected = plan.expected_log();
-    let sim = run_sim_reference(&plan, 400_000);
-    assert_eq!(sim, expected, "sim leg must equal send order");
-    let local = run_local(&plan, NodeConfig::default().with_shards(4), 200_000);
-    assert_eq!(local.log, sim, "daemon delivery order diverges from sim");
-    assert_eq!(local.stats.unroutable, 0);
-    assert_eq!(local.stats.foreign, 0);
+fn every_row_holds_on_every_carrier() {
+    let off = TraceHandle::off();
+    for row in ROWS.iter().chain(&[EM3D, EM3D_UNDER_CHAOS]) {
+        for &seed in row.seeds {
+            let plan = (row.plan)(seed);
+            let sim = row.run(&plan, &mut row.fabric(&plan, &off), "fabric");
+            let wire = row.run(&plan, &mut row.loopback(&plan, &off), "loopback");
+            sim.assert_matches(&wire, &format!("{}, seed {seed}, loopback", row.name));
+            // The daemons have no fault plane to express a fault preset with.
+            if row.faults != Faults::Clean {
+                continue;
+            }
+            let mut one = DaemonSet::new(plan.nodes, 1, &NodeConfig::default().with_shards(3));
+            let local = row.run(&plan, &mut one, "3-shard daemon");
+            sim.assert_matches(&local, &format!("{}, seed {seed}, daemon", row.name));
+
+            let mut pair = DaemonSet::new(plan.nodes, 2, &NodeConfig::default().with_shards(2));
+            let split = row.run(&plan, &mut pair, "two daemons over a hub");
+            sim.assert_matches(&split, &format!("{}, seed {seed}, two daemons", row.name));
+            for d in &pair.daemons {
+                assert!(d.stats().frames_out > 0, "{}: carrier unused", row.name);
+                // The batched paths actually ran.
+                assert!(d.metrics().histogram("node.send_batch").is_some());
+                assert!(d.metrics().histogram("node.recv_batch").is_some());
+            }
+        }
+    }
 }
 
 #[test]
-fn daemon_em3d_matches_the_flit_level_sim() {
-    let params = Em3dParams {
-        iters: 2,
-        ..Em3dParams::more_communication(5)
-    };
-    let plan = SwarmPlan::em3d(8, params, 6, true);
-    let expected = plan.expected_log();
-    let sim = run_sim_reference(&plan, 600_000);
-    assert_eq!(sim, expected);
-    let local = run_local(&plan, NodeConfig::default().with_shards(3), 400_000);
-    assert_eq!(local.log, sim, "EM3D daemon order diverges from sim");
-}
-
-#[test]
-fn many_endpoint_daemon_drains_a_wide_rotation() {
-    let plan = SwarmPlan::rotation(96, 1, 2, 6, false, 7);
-    let local = run_local(&plan, NodeConfig::default().with_shards(8), 200_000);
-    assert_eq!(local.log, plan.expected_log());
-    // Sharding actually spread the endpoints.
-    let busy = local
-        .stats
-        .shards
-        .iter()
-        .filter(|s| s.delivered > 0)
-        .count();
+fn many_endpoint_daemon_spreads_a_wide_rotation_over_its_shards() {
+    let row = ROWS.iter().find(|r| r.name == "wide rotation").unwrap();
+    let plan = (row.plan)(row.seeds[0]);
+    let mut set = DaemonSet::new(plan.nodes, 1, &NodeConfig::default().with_shards(8));
+    row.run(&plan, &mut set, "8-shard daemon");
+    let shards = &set.daemons[0].stats().shards;
+    let busy = shards.iter().filter(|s| s.delivered > 0).count();
     assert!(busy >= 4, "only {busy}/8 shards saw deliveries");
 }
 
+/// A typed failure must end the run quiet with the failure in the report —
+/// not spin the loop to its tick limit waiting for a delivery that cannot
+/// happen.
 #[test]
-fn two_daemons_exchange_over_a_shared_carrier() {
-    let plan = SwarmPlan::rotation(6, 2, 3, 6, true, 1);
-    let expected = plan.expected_log();
-    let hub = LoopbackHub::new(2, 1);
-    let cfg = NodeConfig::default().with_shards(2);
-    let build = |carrier_id: usize, hosted: std::ops::Range<usize>| {
-        let mut d: NifdyNode<LoopbackTransport> = NifdyNode::new(cfg.clone());
-        let c = d.add_carrier(hub.endpoint(NodeId::new(carrier_id)));
-        for n in hosted.clone() {
-            d.add_endpoint(NodeId::new(n), Vec::new());
-        }
-        for n in 0..plan.nodes {
-            if !hosted.contains(&n) {
-                d.set_route(NodeId::new(n), c, NodeId::new(1 - carrier_id));
-            }
-        }
-        d
-    };
-    let mut d0 = build(0, 0..3);
-    let mut d1 = build(1, 3..6);
-    let mut feeders: Vec<PlanFeeder> = (0..plan.nodes).map(|i| PlanFeeder::new(&plan, i)).collect();
-    let mut log = DeliveryLog::new();
-    let mut delivered = 0u64;
-    for round in 0.. {
-        assert!(round < 100_000, "swarm pair wedged at {delivered} packets");
-        for (i, feeder) in feeders.iter_mut().enumerate() {
-            let d = if i < 3 { &mut d0 } else { &mut d1 };
-            feeder.pump(|pkt| d.try_send(NodeId::new(i), pkt));
-        }
-        d0.poll_round();
-        d1.poll_round();
-        hub.tick();
-        for d in [&mut d0, &mut d1] {
-            while let Some((dst, del)) = d.next_delivery() {
-                log.entry((del.src.index(), dst.index()))
-                    .or_default()
-                    .push((del.user.msg_id, del.user.pkt_index));
-                delivered += 1;
-            }
-        }
-        if delivered >= plan.total_packets()
-            && feeders.iter().all(PlanFeeder::done)
-            && d0.is_idle()
-            && d1.is_idle()
-            && hub.in_flight() == 0
-        {
-            break;
-        }
+fn packets_to_a_node_hosted_nowhere_end_in_typed_failures_not_a_wedge() {
+    let mut plan = SwarmPlan::rotation(2, 1, 3, 6, false, 0);
+    let nowhere = NodeId::new(5);
+    for pkt in &mut plan.sends[0] {
+        *pkt = PlannedPacket {
+            dst: nowhere,
+            ..*pkt
+        };
     }
-    assert_eq!(log, expected, "cross-daemon delivery order diverges");
-    assert!(d0.stats().frames_out > 0, "daemon 0 used the carrier");
-    assert!(d1.stats().frames_out > 0, "daemon 1 used the carrier");
-    assert_eq!(d0.stats().unroutable + d1.stats().unroutable, 0);
-    // The batched paths actually ran.
-    assert!(d0.metrics().histogram("node.send_batch").is_some());
-    assert!(d1.metrics().histogram("node.recv_batch").is_some());
+    let cfg = NodeConfig::default().with_protocol(chaos_config(3));
+    let mut set = DaemonSet::new(2, 1, &cfg);
+    let report = run(&mut set, &plan, 0, 100_000);
+    assert_eq!(report.failure_total(), 3, "{:?}", report.failures);
+    assert_eq!(report.failures[&(0, 5)]["scalar"], 3);
+    assert_eq!(report.log.len(), 1, "only 1 -> 0 can deliver");
+    assert_eq!(report.log[&(1, 0)], plan.expected_log()[&(1, 0)]);
+    assert!(set.daemons[0].stats().unroutable > 0);
 }
 
 #[test]
@@ -138,20 +129,25 @@ fn killed_endpoint_restarts_and_the_workload_completes() {
     let mut feeders: Vec<PlanFeeder> = (0..2).map(|i| PlanFeeder::new(&plan, i)).collect();
     // Duplicate deliveries are legitimate across the crash (the restarted
     // incarnation lost its duplicate bits), so completeness is the gate.
-    let mut seen: BTreeSet<(usize, usize, u64, u32)> = BTreeSet::new();
+    let mut report = RunReport::default();
+    let unique = |r: &RunReport| -> usize {
+        let distinct = |order: &Vec<(u64, u32)>| order.iter().collect::<BTreeSet<_>>().len();
+        r.log.values().map(distinct).sum()
+    };
+    let total = plan.total_packets() as usize;
     let mut killed = false;
     let mut refed = false;
     let mut events = Vec::new();
-    for round in 0..50_000u64 {
+    for _round in 0..50_000u64 {
         for (i, feeder) in feeders.iter_mut().enumerate() {
             feeder.pump(|pkt| node.try_send(NodeId::new(i), pkt));
         }
         node.poll_round();
         while let Some((dst, d)) = node.next_delivery() {
-            seen.insert((d.src.index(), dst.index(), d.user.msg_id, d.user.pkt_index));
+            report.deliver(dst.index(), &d);
         }
         events.extend(node.take_peer_events());
-        if !killed && seen.len() >= 2 {
+        if !killed && unique(&report) >= 2 {
             node.kill(NodeId::new(1));
             killed = true;
         }
@@ -163,19 +159,14 @@ fn killed_endpoint_restarts_and_the_workload_completes() {
             feeders[1] = PlanFeeder::new(&plan, 1);
             refed = true;
         }
-        if killed
-            && refed
-            && seen.len() == plan.total_packets() as usize
-            && feeders.iter().all(PlanFeeder::done)
-            && node.is_idle()
-        {
+        let offered = feeders.iter().all(PlanFeeder::done);
+        if killed && refed && unique(&report) == total && offered && node.is_idle() {
             break;
         }
-        let _ = round;
     }
     assert_eq!(
-        seen.len(),
-        plan.total_packets() as usize,
+        unique(&report),
+        total,
         "workload incomplete after crash recovery"
     );
     assert_eq!(

@@ -9,8 +9,9 @@
 //!
 //! * [`LoopbackHub`] — a deterministic in-process exchange with fixed
 //!   latency and optional seeded jitter, used by the differential
-//!   conformance suite ([`conformance`]) to prove the wire stack delivers
-//!   exactly what the simulated fabric delivers;
+//!   conformance suite (one [`conformance::run`] loop over any
+//!   [`conformance::NodeSet`], fed by the [`scenarios`] table) to prove the
+//!   wire stack delivers exactly what the simulated fabric delivers;
 //! * [`UdpTransport`] — one real UDP socket per node, so OS-level loss,
 //!   duplication, and reordering exercise the §6 retransmission and
 //!   duplicate-bit machinery.
@@ -29,6 +30,7 @@ pub mod conformance;
 mod endpoint;
 pub mod fault;
 mod port;
+pub mod scenarios;
 mod supervisor;
 mod transport;
 mod udp;

@@ -1,157 +1,44 @@
-//! Differential chaos conformance: the same seeded workload driven through
-//! the simulated fabric's flit-level fault plane and through the byte
-//! stack's [`FaultyTransport`] chaos plane must uphold the same protocol
-//! guarantees — identical per-destination delivery orders, zero misordered
-//! or corrupted deliveries ever, and matching typed [`DeliveryFailure`]
-//! accounting when retry budgets exhaust.
+//! Differential chaos conformance: every fault-preset row of the scenario
+//! table driven through the simulated fabric's flit-level fault plane and
+//! through the byte stack's [`FaultyTransport`] chaos plane must uphold
+//! the same protocol guarantees — identical per-destination delivery
+//! orders, zero misordered or corrupted deliveries ever, and matching
+//! typed [`DeliveryFailure`] accounting when retry budgets exhaust.
 //!
 //! The two planes draw from independent RNG streams, so *which* frame each
 //! one drops differs; the point of the suite is that this difference is
 //! invisible above the retransmission layer.
 //!
+//! [`FaultyTransport`]: nifdy_wire::FaultyTransport
 //! [`DeliveryFailure`]: nifdy::DeliveryFailure
 
-use nifdy_net::{FaultConfig, GilbertElliott, LinkWindow};
-use nifdy_sim::NodeId;
-use nifdy_wire::conformance::{run_fabric_chaos, run_loopback_chaos, ChaosReport, WorkloadSpec};
-use nifdy_wire::WireFaultConfig;
+use nifdy_trace::{TraceHandle, WireFaultCause};
+use nifdy_wire::scenarios::{Faults, Scenario, ROWS};
 
-const SEEDS: [u64; 3] = [1, 7, 23];
-
-fn spec(seed: u64) -> WorkloadSpec {
-    WorkloadSpec {
-        nodes: 4,
-        messages: 2,
-        packets_per_message: 6,
-        size_words: 6,
-        want_bulk: true,
-        seed,
-        max_cycles: 400_000,
-    }
+fn recoverable() -> &'static Scenario {
+    let row = ROWS.iter().find(|r| r.faults == Faults::Recoverable);
+    row.expect("the table has a recoverable-chaos row")
 }
 
-/// Moderate recoverable chaos: bursty loss on both planes; the wire plane
-/// additionally corrupts, duplicates, delays, and reorders frames.
-fn recoverable_wire_faults() -> WireFaultConfig {
-    WireFaultConfig::default()
-        .with_burst(GilbertElliott::with_mean_loss(0.02))
-        .with_corrupt_prob(0.05)
-        .with_duplicate_prob(0.05)
-        .with_delay(0.05, 8)
-        .with_reorder_prob(0.05)
-}
-
-fn recoverable_fabric_faults() -> FaultConfig {
-    FaultConfig::default().with_burst(GilbertElliott::with_mean_loss(0.02))
-}
-
+/// The row's expectation (the exact clean log under recoverable chaos;
+/// typed scalar failures toward a permanent partition) and the codec
+/// audit (`decode_errors >= corruptions`) hold on each plane, and the two
+/// reports agree exactly: same surviving log, same per-pair failure kinds
+/// and counts.
 #[test]
-fn recoverable_chaos_delivers_the_exact_clean_log() {
-    for seed in SEEDS {
-        let spec = spec(seed);
-        let budget = 30;
-        let expected = spec.expected_log();
-
-        let fabric = run_fabric_chaos(&spec, recoverable_fabric_faults(), budget);
-        assert_eq!(
-            fabric.log, expected,
-            "seed {seed}: fabric chaos must deliver the clean log"
-        );
-        assert!(
-            fabric.failures.is_empty(),
-            "seed {seed}: recoverable fabric loss must not fail deliveries: {:?}",
-            fabric.failures
-        );
-
-        let wire = run_loopback_chaos(&spec, 2, 1, &recoverable_wire_faults(), budget);
-        assert_eq!(
-            wire.log, expected,
-            "seed {seed}: wire chaos must deliver the clean log"
-        );
-        assert!(
-            wire.failures.is_empty(),
-            "seed {seed}: recoverable wire faults must not fail deliveries: {:?}",
-            wire.failures
-        );
-        // The checksum trailer is what keeps corrupted frames out of the
-        // log above: every corruption must have been caught, never decoded
-        // into a plausible frame.
-        let corrupted = wire
-            .fault_counts
-            .iter()
-            .find(|(label, _)| *label == "corrupt")
-            .map(|&(_, n)| n)
-            .unwrap_or(0);
-        assert!(
-            corrupted > 0,
-            "seed {seed}: the corruption model never fired — weak test"
-        );
-        assert!(
-            wire.decode_errors >= corrupted,
-            "seed {seed}: {corrupted} corruptions but only {} codec rejects — \
-             a corrupted frame decoded successfully",
-            wire.decode_errors
-        );
-
-        fabric.assert_matches(&wire, &format!("recoverable chaos, seed {seed}"));
-    }
-}
-
-/// A permanent partition with a tight retry budget: deliveries to the
-/// blackholed node become typed failures, and the silent side's own sends
-/// fail too (its acks are swallowed). Both planes judge partitions
-/// deterministically against the destination, so the reports must agree
-/// exactly — same surviving log, same per-pair failure kinds and counts.
-#[test]
-fn partition_failure_accounting_is_carrier_independent() {
-    for seed in SEEDS {
-        let spec = spec(seed);
-        let budget = 3;
-        let dead = spec.partner(0);
-        let window = LinkWindow::edge(NodeId::new(dead), 0, u64::MAX);
-
-        let fabric = run_fabric_chaos(
-            &spec,
-            FaultConfig::default().with_link_window(window.clone()),
-            budget,
-        );
-        let wire = run_loopback_chaos(
-            &spec,
-            2,
-            1,
-            &WireFaultConfig::default().with_partition(window),
-            budget,
-        );
-
-        fabric.assert_matches(&wire, &format!("partition parity, seed {seed}"));
-
-        // The blackholed pair must be wholly absent from the log…
-        assert!(
-            !wire.log.contains_key(&(0, dead)),
-            "seed {seed}: packets crossed a permanent partition"
-        );
-        // …and surface as typed scalar failures at the sender (bulk never
-        // opens: the grant would have to cross the partition).
-        let to_dead = wire
-            .failures
-            .get(&(0, dead))
-            .unwrap_or_else(|| panic!("seed {seed}: no failures recorded toward the dead node"));
-        assert_eq!(
-            to_dead.get("scalar").copied().unwrap_or(0),
-            spec.messages * u64::from(spec.packets_per_message),
-            "seed {seed}: every packet toward the partition must fail scalar"
-        );
-        // Pairs not touching the dead node deliver cleanly.
-        for src in 0..spec.nodes {
-            let dst = spec.partner(src);
-            if src == 0 || dst == dead {
-                continue;
-            }
-            let expected = spec.expected_log();
-            assert_eq!(
-                wire.log.get(&(src, dst)),
-                expected.get(&(src, dst)),
-                "seed {seed}: untouched pair ({src},{dst}) must deliver in clean order"
+fn chaos_rows_hold_on_both_fault_planes() {
+    let off = TraceHandle::off();
+    for row in ROWS.iter().filter(|r| r.faults != Faults::Clean) {
+        for &seed in row.seeds {
+            let plan = (row.plan)(seed);
+            let fabric = row.run(&plan, &mut row.fabric(&plan, &off), "fabric");
+            let mut set = row.loopback(&plan, &off);
+            let wire = row.run(&plan, &mut set, "loopback");
+            fabric.assert_matches(&wire, &format!("{}, seed {seed}", row.name));
+            assert!(
+                row.faults != Faults::Recoverable || set.fault_count(WireFaultCause::Corrupt) > 0,
+                "{}, seed {seed}: the corruption model never fired — weak test",
+                row.name
             );
         }
     }
@@ -161,16 +48,21 @@ fn partition_failure_accounting_is_carrier_independent() {
 /// corruption positions, delays, reorders — is a pure function of the seed.
 #[test]
 fn chaos_runs_are_deterministic_per_seed() {
-    let spec = spec(7);
-    let run = || run_loopback_chaos(&spec, 2, 1, &recoverable_wire_faults(), 30);
-    let a: ChaosReport = run();
-    let b: ChaosReport = run();
+    let row = recoverable();
+    let plan = (row.plan)(7);
+    let run = || {
+        let mut set = row.loopback(&plan, &TraceHandle::off());
+        let report = row.run(&plan, &mut set, "loopback");
+        let faults = WireFaultCause::ALL.map(|c| set.fault_count(c));
+        let counters = (set.decode_errors(), faults, set.retransmitted());
+        (report, counters)
+    };
+    let (a, a_counters) = run();
+    let (b, b_counters) = run();
     assert_eq!(a.log, b.log);
     assert_eq!(a.failures, b.failures);
-    assert_eq!(a.decode_errors, b.decode_errors);
-    assert_eq!(a.fault_counts, b.fault_counts);
-    assert_eq!(a.cycles, b.cycles);
-    assert_eq!(a.retransmitted, b.retransmitted);
+    assert_eq!(a.ticks, b.ticks);
+    assert_eq!(a_counters, b_counters);
 }
 
 /// Journey-level sim/wire equivalence: the offline analyzer reconstructs
@@ -182,27 +74,26 @@ fn chaos_runs_are_deterministic_per_seed() {
 #[test]
 fn journey_reconstruction_is_carrier_equivalent() {
     use nifdy_analyze::{analyze, AnomalyConfig, ExternalCounts};
-    use nifdy_trace::{TraceConfig, TraceHandle};
-    use nifdy_wire::conformance::{run_fabric_chaos_traced, run_loopback_chaos_traced};
+    use nifdy_trace::TraceConfig;
 
     // Unsampled, amply sized: journey stitching wants the whole story.
     let recorder = || TraceHandle::recording(TraceConfig::new().with_capacity_per_node(1 << 16));
+    let row = recoverable();
 
-    for seed in SEEDS {
-        let spec = spec(seed);
-        let budget = 30;
+    for &seed in row.seeds {
+        let plan = (row.plan)(seed);
 
         let fab_trace = recorder();
-        let fabric =
-            run_fabric_chaos_traced(&spec, recoverable_fabric_faults(), budget, &fab_trace);
+        let mut set = row.fabric(&plan, &fab_trace);
+        let fabric = row.run(&plan, &mut set, "fabric");
         let fab_report = analyze(
             &fab_trace.snapshot(),
             &fab_trace.loss(),
             &ExternalCounts {
                 delivered: Some(fabric.delivered()),
-                retransmitted: Some(fabric.retransmitted),
+                retransmitted: Some(set.retransmitted()),
                 delivery_failures: Some(fabric.failure_total()),
-                fabric_drops: Some(fabric.fabric_dropped),
+                fabric_drops: Some(set.fabric_dropped()),
                 wire_faults: None,
             },
             &AnomalyConfig::default(),
@@ -214,17 +105,17 @@ fn journey_reconstruction_is_carrier_equivalent() {
         );
 
         let wire_trace = recorder();
-        let wire =
-            run_loopback_chaos_traced(&spec, 2, 1, &recoverable_wire_faults(), budget, &wire_trace);
+        let mut set = row.loopback(&plan, &wire_trace);
+        let wire = row.run(&plan, &mut set, "loopback");
         let wire_report = analyze(
             &wire_trace.snapshot(),
             &wire_trace.loss(),
             &ExternalCounts {
                 delivered: Some(wire.delivered()),
-                retransmitted: Some(wire.retransmitted),
+                retransmitted: Some(set.retransmitted()),
                 delivery_failures: Some(wire.failure_total()),
                 fabric_drops: None,
-                wire_faults: Some(wire.wire_fault_total()),
+                wire_faults: Some(set.fault_total()),
             },
             &AnomalyConfig::default(),
         );

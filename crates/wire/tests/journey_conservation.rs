@@ -14,24 +14,14 @@ use nifdy_analyze::{analyze, AnalysisReport, AnomalyConfig, ExternalCounts};
 use nifdy_net::{FaultConfig, GilbertElliott};
 use nifdy_trace::{TraceConfig, TraceHandle};
 use nifdy_wire::conformance::{
-    run_fabric_chaos_traced, run_loopback_chaos_traced, ChaosReport, WorkloadSpec,
+    chaos_config, run, FabricSet, LoopbackSet, RunReport, SwarmPlan, CHAOS_QUIESCE_GRACE,
 };
 use nifdy_wire::WireFaultConfig;
 use proptest::prelude::*;
 
 const BUDGET: u32 = 30;
 
-fn spec(nodes: usize, messages: u64, seed: u64) -> WorkloadSpec {
-    WorkloadSpec {
-        nodes,
-        messages,
-        packets_per_message: 5,
-        size_words: 6,
-        want_bulk: true,
-        seed,
-        max_cycles: 600_000,
-    }
-}
+const MAX_TICKS: u64 = 600_000;
 
 fn recorder() -> TraceHandle {
     // Unsampled and amply sized: the invariants need the whole story.
@@ -40,7 +30,7 @@ fn recorder() -> TraceHandle {
 
 /// The invariant bundle both carriers must satisfy against their own
 /// ground truth.
-fn assert_conserved(label: &str, report: &AnalysisReport, chaos: &ChaosReport) {
+fn assert_conserved(label: &str, report: &AnalysisReport, chaos: &RunReport, retransmitted: u64) {
     assert!(
         report.ok(),
         "{label}: conservation invariants violated:\n{}",
@@ -52,7 +42,7 @@ fn assert_conserved(label: &str, report: &AnalysisReport, chaos: &ChaosReport) {
         "{label}: every delivered packet must map to exactly one accepted journey"
     );
     assert_eq!(
-        report.set.retx_events, chaos.retransmitted,
+        report.set.retx_events, retransmitted,
         "{label}: traced retransmits must reconcile with NicStats"
     );
     assert_eq!(
@@ -75,7 +65,8 @@ proptest! {
         messages in 1u64..3,
         loss_pct in prop_oneof![Just(0u32), Just(1), Just(2), Just(4)],
     ) {
-        let spec = spec(nodes, messages, seed);
+        let plan = SwarmPlan::rotation(nodes, messages, 5, 6, true, seed);
+        let cfg = chaos_config(BUDGET);
         let mean_loss = f64::from(loss_pct) / 100.0;
 
         let fab_faults = if loss_pct == 0 {
@@ -84,22 +75,23 @@ proptest! {
             FaultConfig::default().with_burst(GilbertElliott::with_mean_loss(mean_loss))
         };
         let fab_trace = recorder();
-        let fab = run_fabric_chaos_traced(&spec, fab_faults, BUDGET, &fab_trace);
+        let mut set = FabricSet::new(&plan, cfg.clone(), fab_faults, &fab_trace);
+        let fab = run(&mut set, &plan, CHAOS_QUIESCE_GRACE, MAX_TICKS);
         let fab_report = analyze(
             &fab_trace.snapshot(),
             &fab_trace.loss(),
             &ExternalCounts {
                 delivered: Some(fab.delivered()),
-                retransmitted: Some(fab.retransmitted),
+                retransmitted: Some(set.retransmitted()),
                 delivery_failures: Some(fab.failure_total()),
-                fabric_drops: Some(fab.fabric_dropped),
+                fabric_drops: Some(set.fabric_dropped()),
                 wire_faults: None,
             },
             &AnomalyConfig::default(),
         );
-        assert_conserved("fabric", &fab_report, &fab);
+        assert_conserved("fabric", &fab_report, &fab, set.retransmitted());
         // Fabric drops reconcile: every FabricStats drop left a Drop event.
-        prop_assert_eq!(fab_report.set.drop_events, fab.fabric_dropped);
+        prop_assert_eq!(fab_report.set.drop_events, set.fabric_dropped());
 
         let wire_faults = if loss_pct == 0 {
             WireFaultConfig::default()
@@ -111,21 +103,22 @@ proptest! {
                 .with_reorder_prob(mean_loss)
         };
         let wire_trace = recorder();
-        let wire = run_loopback_chaos_traced(&spec, 2, 1, &wire_faults, BUDGET, &wire_trace);
+        let mut set = LoopbackSet::new(&plan, (2, 1), cfg, &wire_faults, &wire_trace);
+        let wire = run(&mut set, &plan, CHAOS_QUIESCE_GRACE, MAX_TICKS);
         let wire_report = analyze(
             &wire_trace.snapshot(),
             &wire_trace.loss(),
             &ExternalCounts {
                 delivered: Some(wire.delivered()),
-                retransmitted: Some(wire.retransmitted),
+                retransmitted: Some(set.retransmitted()),
                 delivery_failures: Some(wire.failure_total()),
                 fabric_drops: None,
-                wire_faults: Some(wire.wire_fault_total()),
+                wire_faults: Some(set.fault_total()),
             },
             &AnomalyConfig::default(),
         );
-        assert_conserved("wire", &wire_report, &wire);
+        assert_conserved("wire", &wire_report, &wire, set.retransmitted());
         // Wire faults reconcile: every injector count left a WireFault event.
-        prop_assert_eq!(wire_report.set.wire_fault_events, wire.wire_fault_total());
+        prop_assert_eq!(wire_report.set.wire_fault_events, set.fault_total());
     }
 }
