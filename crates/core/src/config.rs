@@ -381,48 +381,62 @@ impl NifdyConfig {
     /// Note that when `max_dialogs` is zero, bulk mode is disabled and the
     /// window parameter is ignored entirely — no window constraint applies.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.opt_entries == 0 {
+        // No `..`: a new field compiles only once constrained here or waived with `_`.
+        let Self {
+            opt_entries,
+            pool_entries,
+            max_dialogs,
+            window,
+            arrivals_capacity,
+            ack_proc_cycles: _,
+            ack_on_insert: _,
+            bulk_ack_every_packet: _,
+            piggyback_acks: _,
+            piggyback_hold_cycles: _,
+            retx_timeout,
+            adaptive_rto,
+            rto_min,
+            rto_max,
+            retx_budget,
+            retx_queue_cap,
+            bulk_request_min_backlog: _,
+        } = *self;
+        if opt_entries == 0 {
             return Err(ConfigError::ZeroOptEntries);
         }
-        if self.pool_entries == 0 {
+        if pool_entries == 0 {
             return Err(ConfigError::ZeroPoolEntries);
         }
-        if self.arrivals_capacity == 0 {
+        if arrivals_capacity == 0 {
             return Err(ConfigError::ZeroArrivalsCapacity);
         }
-        if self.max_dialogs > 0 {
-            if self.window < 2 {
-                return Err(ConfigError::WindowTooSmall {
-                    window: self.window,
-                });
+        if max_dialogs > 0 {
+            if window < 2 {
+                return Err(ConfigError::WindowTooSmall { window });
             }
-            if !self.window.is_multiple_of(2) {
-                return Err(ConfigError::WindowOdd {
-                    window: self.window,
-                });
+            if !window.is_multiple_of(2) {
+                return Err(ConfigError::WindowOdd { window });
             }
-            if self.window > 64 {
-                return Err(ConfigError::WindowTooLarge {
-                    window: self.window,
-                });
+            if window > 64 {
+                return Err(ConfigError::WindowTooLarge { window });
             }
         }
-        if self.retx_timeout == Some(0) {
+        if retx_timeout == Some(0) {
             return Err(ConfigError::ZeroRetxTimeout);
         }
-        if self.retx_budget == Some(0) {
+        if retx_budget == Some(0) {
             return Err(ConfigError::ZeroRetxBudget);
         }
-        if self.adaptive_rto && self.retx_timeout.is_none() {
+        if adaptive_rto && retx_timeout.is_none() {
             return Err(ConfigError::AdaptiveRtoWithoutTimeout);
         }
-        if self.rto_min == 0 || self.rto_min > self.rto_max {
+        if rto_min == 0 || rto_min > rto_max {
             return Err(ConfigError::BadRtoBounds {
-                min: self.rto_min,
-                max: self.rto_max,
+                min: rto_min,
+                max: rto_max,
             });
         }
-        if self.retx_queue_cap == 0 {
+        if retx_queue_cap == 0 {
             return Err(ConfigError::ZeroRetxQueueCap);
         }
         Ok(())

@@ -219,6 +219,7 @@ impl NifdyUnit {
     ///
     /// Panics if `cfg` fails [`NifdyConfig::validate`].
     pub fn new(node: NodeId, cfg: NifdyConfig) -> Self {
+        #[expect(clippy::panic, reason = "documented panic on an invalid config")]
         if let Err(e) = cfg.validate() {
             panic!("invalid NIFDY config: {e}");
         }
@@ -1401,7 +1402,7 @@ impl Nic for NifdyUnit {
         }
 
         // 2. Pull data packets from the fabric.
-        #[allow(clippy::while_let_loop)] // scalar branch breaks on backpressure
+        #[expect(clippy::while_let_loop, reason = "scalar arm breaks on backpressure")]
         loop {
             let Some(peek) = fab.peek_eject(self.node, Lane::Request) else {
                 break;

@@ -1,4 +1,4 @@
-#![allow(clippy::needless_range_loop)] // index loops mirror node ids
+#![allow(clippy::needless_range_loop, reason = "index loops mirror node ids")]
 
 //! Protocol-level integration tests for the NIFDY unit over real fabrics.
 

@@ -31,6 +31,13 @@
 //! All node-specific flags use `--key=value` form so the binary's global
 //! argument parser can forward them opaquely.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "orchestrates real child processes and UDP sockets: wall-clock deadlines bound \
+              handshakes and run phases and are reported as throughput, never fed into \
+              simulated time"
+)]
+
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};

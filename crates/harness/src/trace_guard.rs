@@ -15,6 +15,12 @@
 //! across repetitions — the standard low-noise estimator for "how fast
 //! can this code go".
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the guard measures the tracer's real elapsed wall time; it reports timings \
+              and never feeds simulated state"
+)]
+
 use std::time::Instant;
 
 use nifdy_trace::{TraceConfig, TraceHandle};

@@ -443,6 +443,11 @@ pub fn run_udp(scale: Scale, seed: u64) -> std::io::Result<UdpReport> {
     let cfg = config(8, true).with_retx_timeout(20_000);
     let mut tx = WireEndpoint::new(n0, cfg.clone(), t0);
     let mut rx = WireEndpoint::new(n1, cfg, t1);
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a wall-clock receive deadline bounds a real socket wait; it gates harness \
+                  I/O only, never simulated time"
+    )]
     let start = std::time::Instant::now();
     let mut sent = 0u32;
     let mut got = 0u32;

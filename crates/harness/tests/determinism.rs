@@ -57,6 +57,7 @@ proptest! {
             "fig9", "fig9.coalesce", "sweep:mesh-2d", "sweep:fat-tree",
             "ext:adaptive", "ext:loadsweep", "ext:lossy",
         ];
+        #[expect(clippy::disallowed_types, reason = "collision probe in a test, never iterated")]
         let mut seen = std::collections::HashMap::new();
         for exp in experiments {
             for index in 0..64u64 {

@@ -6,6 +6,10 @@
 //! carry latency percentiles and occupancy gauges.
 
 #![cfg(feature = "trace")]
+#![expect(
+    clippy::disallowed_types,
+    reason = "test tally keyed by span id; order never observed"
+)]
 
 use std::collections::HashMap;
 

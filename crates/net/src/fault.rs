@@ -166,6 +166,22 @@ impl LinkWindow {
     pub fn is_down_at(&self, now: u64) -> bool {
         self.down_from <= now && now < self.up_at
     }
+
+    /// Validates that the window is non-empty; `kind` names the plane's
+    /// word for it (`"link"`, `"partition"`) in the message.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the empty window.
+    pub fn validate(&self, kind: &str) -> Result<(), String> {
+        if self.down_from >= self.up_at {
+            return Err(format!(
+                "{kind} window {:?} is empty: down_from {} >= up_at {}",
+                self.name, self.down_from, self.up_at
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Elevated loss toward one destination node.
@@ -255,24 +271,27 @@ impl FaultConfig {
     /// Returns a description of the first violated constraint (probability
     /// out of `[0, 1]`, or an empty link window).
     pub fn validate(&self) -> Result<(), String> {
-        if !(0.0..=1.0).contains(&self.data_drop_prob) {
+        // No `..`: a new field compiles only once constrained here or waived with `_`.
+        let Self {
+            data_drop_prob,
+            ack_drop_prob,
+            burst,
+            link_windows,
+            targets,
+        } = self;
+        if !(0.0..=1.0).contains(data_drop_prob) {
             return Err("data_drop_prob must be within [0, 1]".into());
         }
-        if !(0.0..=1.0).contains(&self.ack_drop_prob) {
+        if !(0.0..=1.0).contains(ack_drop_prob) {
             return Err("ack_drop_prob must be within [0, 1]".into());
         }
-        if let Some(ge) = &self.burst {
+        if let Some(ge) = burst {
             ge.validate()?;
         }
-        for w in &self.link_windows {
-            if w.down_from >= w.up_at {
-                return Err(format!(
-                    "link window {:?} is empty: down_from {} >= up_at {}",
-                    w.name, w.down_from, w.up_at
-                ));
-            }
+        for w in link_windows {
+            w.validate("link")?;
         }
-        for t in &self.targets {
+        for t in targets {
             if !(0.0..=1.0).contains(&t.prob) {
                 return Err(format!("targeted drop for {} must be within [0, 1]", t.dst));
             }

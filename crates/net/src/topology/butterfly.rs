@@ -147,6 +147,10 @@ impl Topology for Butterfly {
                         } else if valid.len() >= self.dilation {
                             // Sample without replacement across copies.
                             loop {
+                                #[expect(
+                                    clippy::expect_used,
+                                    reason = "this branch holds valid.len() >= dilation >= 1"
+                                )]
                                 let cand = *rng.choose(&valid).expect("nonempty");
                                 let target = self.router_id(s + 1, cand);
                                 let dup = links[rid]

@@ -169,6 +169,10 @@ fn packets_are_conserved_under_random_stress() {
     let mut rng = SimRng::from_seed_stream(77, 0);
     let mut injected = 0u64;
     let mut ejected = 0u64;
+    #[expect(
+        clippy::disallowed_types,
+        reason = "membership-only set in a test, never iterated"
+    )]
     let mut ids = std::collections::HashSet::new();
     for _ in 0..30_000 {
         for n in 0..16 {

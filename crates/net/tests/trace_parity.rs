@@ -9,6 +9,10 @@
 //! parity check exists to catch.
 
 #![cfg(feature = "trace")]
+#![expect(
+    clippy::disallowed_types,
+    reason = "test tally keyed by cause, only looked up"
+)]
 
 use std::collections::HashMap;
 

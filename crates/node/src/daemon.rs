@@ -118,6 +118,7 @@ impl<C: BatchTransport> NifdyNode<C> {
     ///
     /// Panics if `cfg` fails [`NodeConfig::validate`].
     pub fn new(cfg: NodeConfig) -> Self {
+        #[expect(clippy::panic, reason = "documented panic on an invalid config")]
         if let Err(why) = cfg.validate() {
             panic!("invalid node config: {why}");
         }
@@ -423,6 +424,7 @@ impl<C: BatchTransport> NifdyNode<C> {
     }
 
     fn slot(&self, node: NodeId) -> &Slot {
+        #[expect(clippy::panic, reason = "hosting is the accessors' API precondition")]
         let &(s, i) = self
             .slot_of
             .get(&node.index())
@@ -431,6 +433,7 @@ impl<C: BatchTransport> NifdyNode<C> {
     }
 
     fn slot_mut(&mut self, node: NodeId) -> &mut Slot {
+        #[expect(clippy::panic, reason = "hosting is the accessors' API precondition")]
         let &(s, i) = self
             .slot_of
             .get(&node.index())

@@ -379,9 +379,9 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Number of `EventKind` variants. Kept next to the enum so a new
-    /// variant cannot land without updating it; `nifdy-lint` (rule R3) and
-    /// the exporter-coverage fixture both cross-check it against the enum.
+    /// Number of `EventKind` variants. Kept next to the enum; the
+    /// exporter-coverage fixture (`tests/exporter_coverage.rs`) matches
+    /// every variant exhaustively and cross-checks this count.
     pub const VARIANT_COUNT: usize = 28;
 
     /// Stable event name (JSONL `ev` field and Perfetto slice name).

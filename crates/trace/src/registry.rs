@@ -268,6 +268,11 @@ trait EntryOrDefault {
 }
 
 impl EntryOrDefault for BTreeMap<String, LogHistogram> {
+    #[expect(
+        clippy::expect_used,
+        reason = "the lookup follows an insert of the same key; the entry API would \
+                  allocate a String per record on the hit path"
+    )]
     fn entry_or_default(&mut self, name: &str) -> &mut LogHistogram {
         if !self.contains_key(name) {
             self.insert(name.to_string(), LogHistogram::new());

@@ -1,8 +1,11 @@
-//! Trace-parity fixture (`nifdy-lint` rule R3): constructs every
-//! [`EventKind`] variant once, runs both exporters over the set, and
-//! asserts each variant's stable wire name appears in both outputs. A new
-//! variant that is not added here (and to `EventKind::VARIANT_COUNT`)
-//! fails this test and the lint pass.
+//! Trace-parity fixture: constructs every [`EventKind`] variant once, runs
+//! both exporters over the set, and asserts each variant's stable wire name
+//! appears in both outputs. The compiler does the enumeration: `name()`
+//! and the JSONL `kind_args` match without a wildcard (clippy denies one),
+//! and [`fixture_index`] below matches exhaustively, so a new variant does
+//! not build until it has a name, an argument list and a slot in
+//! [`one_of_each`] — which `fixture_covers_every_variant` then checks it
+//! really occupies.
 
 use nifdy_sim::{Cycle, NodeId};
 use nifdy_trace::export::{
@@ -124,6 +127,41 @@ fn one_of_each() -> Vec<EventKind> {
     ]
 }
 
+/// Where each variant sits in [`one_of_each`]. No wildcard arm: adding a
+/// variant is a compile error here until it is given its fixture slot.
+fn fixture_index(kind: &EventKind) -> usize {
+    match kind {
+        EventKind::ScalarSend { .. } => 0,
+        EventKind::BulkSend { .. } => 1,
+        EventKind::AckSend { .. } => 2,
+        EventKind::OptInsert { .. } => 3,
+        EventKind::OptClear { .. } => 4,
+        EventKind::EligStall { .. } => 5,
+        EventKind::BulkRequest { .. } => 6,
+        EventKind::DialogOpen { .. } => 7,
+        EventKind::DialogGrant { .. } => 8,
+        EventKind::DialogReject { .. } => 9,
+        EventKind::WindowAdvance { .. } => 10,
+        EventKind::DialogClose { .. } => 11,
+        EventKind::Retransmit { .. } => 12,
+        EventKind::RttSample { .. } => 13,
+        EventKind::DeliveryFail { .. } => 14,
+        EventKind::Drop { .. } => 15,
+        EventKind::Deliver { .. } => 16,
+        EventKind::ScalarAccept { .. } => 17,
+        EventKind::BulkAccept { .. } => 18,
+        EventKind::FrameSend { .. } => 19,
+        EventKind::FrameRecv { .. } => 20,
+        EventKind::FrameReject { .. } => 21,
+        EventKind::WatchdogFire { .. } => 22,
+        EventKind::WireFault { .. } => 23,
+        EventKind::Heartbeat { .. } => 24,
+        EventKind::PeerDown { .. } => 25,
+        EventKind::PeerRestart { .. } => 26,
+        EventKind::EndpointRestart { .. } => 27,
+    }
+}
+
 fn events() -> Vec<TraceEvent> {
     one_of_each()
         .into_iter()
@@ -160,6 +198,9 @@ fn fixture_covers_every_variant() {
         "one_of_each() must construct every EventKind variant exactly once \
          (update it and VARIANT_COUNT together)"
     );
+    for (i, kind) in kinds.iter().enumerate() {
+        assert_eq!(fixture_index(kind), i, "{} is out of place", kind.name());
+    }
     // Names are the wire identity; a duplicate means a variant is missing.
     let mut names: Vec<&str> = kinds.iter().map(|k| k.name()).collect();
     names.sort_unstable();

@@ -143,7 +143,7 @@ impl Em3dPlan {
 pub struct Em3d {
     params: Em3dParams,
     sw: SoftwareModel,
-    #[allow(dead_code)]
+    #[expect(dead_code, reason = "kept for the derived Debug output")]
     node: NodeId,
     /// (dst, per-packet payload words) per neighbor.
     plan: Vec<(usize, Vec<u16>)>,

@@ -71,6 +71,9 @@
 //! `bits 2..4` = grant code (scalar); bytes 1–2 are `dialog` and
 //! `window`/`cum_seq` where the kind defines them, zero otherwise.
 
+// Bytes off the wire never choose an index: byte access here is `get`-based.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::fmt;
 
 use nifdy_net::{AckInfo, BulkGrant, BulkTag, Lane, Packet, PacketStamp, UserData, Wire};

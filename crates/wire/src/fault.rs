@@ -18,6 +18,9 @@
 //! byte-identical to the bare transport for any seed, which the property
 //! suite asserts.
 
+// Bytes off the wire never choose an index: byte access here is `get`-based.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::collections::BTreeMap;
 
 use nifdy_net::{GilbertElliott, Lane, LinkWindow};
@@ -144,31 +147,38 @@ impl WireFaultConfig {
     /// outside `[0, 1]`, a delay model with no bound, an invalid burst
     /// chain, or an empty partition window).
     pub fn validate(&self) -> Result<(), String> {
+        // No `..`: a new field compiles only once constrained here or waived with `_`.
+        let Self {
+            drop_prob,
+            ack_drop_prob,
+            corrupt_prob,
+            duplicate_prob,
+            delay_prob,
+            delay_max,
+            reorder_prob,
+            ref burst,
+            ref partitions,
+        } = *self;
         for (name, p) in [
-            ("drop_prob", self.drop_prob),
-            ("ack_drop_prob", self.ack_drop_prob),
-            ("corrupt_prob", self.corrupt_prob),
-            ("duplicate_prob", self.duplicate_prob),
-            ("delay_prob", self.delay_prob),
-            ("reorder_prob", self.reorder_prob),
+            ("drop_prob", drop_prob),
+            ("ack_drop_prob", ack_drop_prob),
+            ("corrupt_prob", corrupt_prob),
+            ("duplicate_prob", duplicate_prob),
+            ("delay_prob", delay_prob),
+            ("reorder_prob", reorder_prob),
         ] {
             if !(0.0..=1.0).contains(&p) {
                 return Err(format!("{name} must be within [0, 1]"));
             }
         }
-        if self.delay_prob > 0.0 && self.delay_max == 0 {
+        if delay_prob > 0.0 && delay_max == 0 {
             return Err("delay_prob > 0 needs delay_max >= 1".into());
         }
-        if let Some(ge) = &self.burst {
+        if let Some(ge) = burst {
             ge.validate()?;
         }
-        for w in &self.partitions {
-            if w.down_from >= w.up_at {
-                return Err(format!(
-                    "partition window {:?} is empty: down_from {} >= up_at {}",
-                    w.name, w.down_from, w.up_at
-                ));
-            }
+        for w in partitions {
+            w.validate("partition")?;
         }
         Ok(())
     }
@@ -286,6 +296,7 @@ impl<T: Transport> FaultyTransport<T> {
     ///
     /// Panics if `cfg` fails [`WireFaultConfig::validate`].
     pub fn new(inner: T, cfg: WireFaultConfig, seed: u64) -> Self {
+        #[expect(clippy::panic, reason = "documented panic on an invalid config")]
         if let Err(why) = cfg.validate() {
             panic!("invalid wire fault config: {why}");
         }

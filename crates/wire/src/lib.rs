@@ -24,6 +24,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Whole-crate panic-freedom and exhaustive matches (DESIGN.md §10): a deliberate
+// contract panic or open match carries `#[expect(<lint>, reason = "…")]` at the site.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
+#![cfg_attr(not(test), deny(clippy::match_wildcard_for_single_variants))]
 
 pub mod codec;
 pub mod conformance;

@@ -104,24 +104,32 @@ impl SupervisorConfig {
     /// cadence would trip, a backoff cap below its base, or a jitter
     /// wider than the cap.
     pub fn validate(&self) -> Result<(), String> {
-        if self.heartbeat_every == 0 {
+        // No `..`: a new field compiles only once constrained here or waived with `_`.
+        let Self {
+            heartbeat_every,
+            peer_timeout,
+            backoff_base,
+            backoff_max,
+            backoff_jitter,
+        } = *self;
+        if heartbeat_every == 0 {
             return Err("heartbeat_every must be at least 1 cycle".into());
         }
-        if self.peer_timeout <= 2 * self.heartbeat_every {
+        if peer_timeout <= 2 * heartbeat_every {
             return Err(format!(
                 "peer_timeout ({}) must exceed two heartbeat periods ({}): \
                  one lost beacon would otherwise flap the peer down",
-                self.peer_timeout,
-                2 * self.heartbeat_every
+                peer_timeout,
+                2 * heartbeat_every
             ));
         }
-        if self.backoff_base == 0 {
+        if backoff_base == 0 {
             return Err("backoff_base must be at least 1 cycle".into());
         }
-        if self.backoff_max < self.backoff_base {
+        if backoff_max < backoff_base {
             return Err("backoff_max must be >= backoff_base".into());
         }
-        if self.backoff_jitter > self.backoff_max {
+        if backoff_jitter > backoff_max {
             return Err("backoff_jitter must not exceed backoff_max: jitter \
                  wider than the cap makes the bound meaningless"
                 .into());
@@ -183,6 +191,11 @@ impl<T: Transport> SupervisedEndpoint<T> {
     ///
     /// Panics if `cfg` fails [`SupervisorConfig::validate`].
     pub fn new(ep: WireEndpoint<T>, cfg: SupervisorConfig, epoch: u32) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "documented contract; the Supervisor validates the same config before \
+                      its first incarnation, so a restart repeats a check that passed"
+        )]
         if let Err(why) = cfg.validate() {
             panic!("invalid supervisor config: {why}");
         }
