@@ -21,7 +21,7 @@
 //! carrier-level address of the process hosting it — the frame bytes still
 //! carry the logical destination, which is what the far daemon demuxes on).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use nifdy::{Delivered, DeliveryFailure, OutboundPacket};
 use nifdy_net::Lane;
@@ -47,6 +47,27 @@ struct Slot {
 struct Shard {
     slots: Vec<Slot>,
 }
+
+/// Where frames for one logical node id go. The table is indexed by node
+/// id and grown only by [`NifdyNode::add_endpoint`] and
+/// [`NifdyNode::set_route`]; an id off the wire only ever reads it.
+#[derive(Clone, Copy)]
+enum Dest {
+    Unknown,
+    /// A local endpoint, reached without touching a socket.
+    Hosted {
+        shard: usize,
+        slot: usize,
+    },
+    /// `via` is the carrier-level address of the process hosting it.
+    Routed {
+        carrier: usize,
+        via: NodeId,
+    },
+}
+
+/// Most spent frame buffers the daemon keeps between its ports.
+const POOL_CAP: usize = 1024;
 
 /// A many-endpoint NIFDY daemon: hosts logical nodes behind flow-affine
 /// shards and carries their frames over [`BatchTransport`] carriers.
@@ -78,11 +99,9 @@ struct Shard {
 pub struct NifdyNode<C: BatchTransport> {
     cfg: NodeConfig,
     shards: Vec<Shard>,
-    /// Logical node index -> (shard, slot-in-shard).
-    slot_of: BTreeMap<usize, (usize, usize)>,
+    /// Logical node index -> hosted slot or carrier route.
+    dests: Vec<Dest>,
     carriers: Vec<C>,
-    /// Logical destination index -> (carrier index, carrier-level address).
-    routes: BTreeMap<usize, (usize, NodeId)>,
     /// Per-carrier send accumulators, flushed once per round.
     outboxes: Vec<Vec<(NodeId, Lane, Vec<u8>)>>,
     /// Daemon-internal frames delivered at the start of the next round.
@@ -97,13 +116,16 @@ pub struct NifdyNode<C: BatchTransport> {
     scratch: Vec<(NodeId, Lane, Vec<u8>)>,
     /// Reused carrier recv-batch buffer.
     recv_buf: Vec<Vec<u8>>,
+    /// Spent frame buffers in transit between ports that receive more than
+    /// they send and ports that send more; at most [`POOL_CAP`].
+    pool: Vec<Vec<u8>>,
     trace: TraceHandle,
 }
 
 impl<C: BatchTransport> std::fmt::Debug for NifdyNode<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NifdyNode")
-            .field("endpoints", &self.slot_of.len())
+            .field("endpoints", &self.num_endpoints())
             .field("shards", &self.shards.len())
             .field("carriers", &self.carriers.len())
             .field("rounds", &self.stats.rounds)
@@ -129,9 +151,8 @@ impl<C: BatchTransport> NifdyNode<C> {
         NifdyNode {
             cfg,
             shards,
-            slot_of: BTreeMap::new(),
+            dests: Vec::new(),
             carriers: Vec::new(),
-            routes: BTreeMap::new(),
             outboxes: Vec::new(),
             pending_local: Vec::new(),
             deliveries: VecDeque::new(),
@@ -142,6 +163,7 @@ impl<C: BatchTransport> NifdyNode<C> {
             metrics: MetricsRegistry::new(),
             scratch: Vec::new(),
             recv_buf: Vec::new(),
+            pool: Vec::new(),
             trace: TraceHandle::off(),
         }
     }
@@ -166,7 +188,7 @@ impl<C: BatchTransport> NifdyNode<C> {
     /// Panics if `node` is already hosted.
     pub fn add_endpoint(&mut self, node: NodeId, watched: Vec<NodeId>) {
         assert!(
-            !self.slot_of.contains_key(&node.index()),
+            !matches!(self.dest(node), Dest::Hosted { .. }),
             "node {node} already hosted"
         );
         let s = shard_of(node, self.cfg.shards);
@@ -181,9 +203,9 @@ impl<C: BatchTransport> NifdyNode<C> {
             self.cfg.initial_epoch,
         );
         sup.attach_trace(self.trace.clone());
-        let slot_idx = self.shards[s].slots.len();
+        let slot = self.shards[s].slots.len();
         self.shards[s].slots.push(Slot { node, sup });
-        self.slot_of.insert(node.index(), (s, slot_idx));
+        *self.dest_mut(node) = Dest::Hosted { shard: s, slot };
     }
 
     /// Attaches a carrier, returning its index for [`set_route`](Self::set_route).
@@ -204,17 +226,23 @@ impl<C: BatchTransport> NifdyNode<C> {
             carrier < self.carriers.len(),
             "carrier {carrier} not attached"
         );
-        self.routes.insert(dst.index(), (carrier, via));
+        // A hosted destination stays hosted: local delivery wins.
+        if !matches!(self.dest(dst), Dest::Hosted { .. }) {
+            *self.dest_mut(dst) = Dest::Routed { carrier, via };
+        }
     }
 
     /// Hosted logical nodes, in id order.
     pub fn endpoints(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.slot_of.keys().map(|&i| NodeId::new(i))
+        let hosted = self.dests.iter().enumerate();
+        hosted
+            .filter(|(_, d)| matches!(d, Dest::Hosted { .. }))
+            .map(|(i, _)| NodeId::new(i))
     }
 
     /// Number of hosted logical nodes.
     pub fn num_endpoints(&self) -> usize {
-        self.slot_of.len()
+        self.shards.iter().map(|shard| shard.slots.len()).sum()
     }
 
     /// The daemon's round counter (one per [`poll_round`](Self::poll_round)).
@@ -321,10 +349,11 @@ impl<C: BatchTransport> NifdyNode<C> {
         let now = self.now;
 
         // Phase 1: frames routed daemon-internally last round.
-        let local = std::mem::take(&mut self.pending_local);
-        for (dst, lane, frame) in local {
+        let mut local = std::mem::take(&mut self.pending_local);
+        for (dst, lane, frame) in local.drain(..) {
             self.deliver_frame(dst, lane, frame);
         }
+        self.pending_local = local;
 
         // Phase 2: bounded batch drain of every carrier lane.
         for c in 0..self.carriers.len() {
@@ -367,7 +396,9 @@ impl<C: BatchTransport> NifdyNode<C> {
                             self.failures.push(f);
                             self.stats.shards[s].failures += 1;
                         }
-                        ep.transport_mut().take_outbound_into(&mut scratch);
+                        let port = ep.transport_mut();
+                        port.take_outbound_into(&mut scratch);
+                        port.level(&mut self.pool, POOL_CAP, !scratch.is_empty());
                     }
                 }
                 for (dst, lane, frame) in scratch.drain(..) {
@@ -392,53 +423,73 @@ impl<C: BatchTransport> NifdyNode<C> {
 
     /// Demultiplexes one frame to its hosted endpoint.
     fn deliver_frame(&mut self, dst: NodeId, lane: Lane, frame: Vec<u8>) {
-        match self.slot_of.get(&dst.index()) {
-            Some(&(s, i)) => match self.shards[s].slots[i].sup.endpoint_mut() {
-                Some(sup_ep) => {
-                    sup_ep
-                        .endpoint_mut()
-                        .transport_mut()
-                        .push_inbound(lane, frame);
-                    self.stats.frames_in += 1;
-                    self.stats.shards[s].frames_in += 1;
-                }
-                None => self.stats.dropped_down += 1,
-            },
-            None => self.stats.unroutable += 1,
+        let Dest::Hosted { shard: s, slot } = self.dest(dst) else {
+            self.stats.unroutable += 1;
+            return;
+        };
+        match self.shards[s].slots[slot].sup.endpoint_mut() {
+            Some(sup_ep) => {
+                sup_ep
+                    .endpoint_mut()
+                    .transport_mut()
+                    .push_inbound(lane, frame);
+                self.stats.frames_in += 1;
+                self.stats.shards[s].frames_in += 1;
+            }
+            None => self.stats.dropped_down += 1,
         }
     }
 
     /// Routes one endpoint-emitted frame: hosted destinations loop back
     /// daemon-internally, routed ones join their carrier's outbox.
     fn route_outbound(&mut self, from_shard: usize, dst: NodeId, lane: Lane, frame: Vec<u8>) {
-        if self.slot_of.contains_key(&dst.index()) {
-            self.pending_local.push((dst, lane, frame));
-            self.stats.local_frames += 1;
-        } else if let Some(&(c, via)) = self.routes.get(&dst.index()) {
-            self.outboxes[c].push((via, lane, frame));
-            self.stats.frames_out += 1;
-            self.stats.shards[from_shard].frames_out += 1;
-        } else {
-            self.stats.unroutable += 1;
+        match self.dest(dst) {
+            Dest::Hosted { .. } => {
+                self.pending_local.push((dst, lane, frame));
+                self.stats.local_frames += 1;
+            }
+            Dest::Routed { carrier, via } => {
+                self.outboxes[carrier].push((via, lane, frame));
+                self.stats.frames_out += 1;
+                self.stats.shards[from_shard].frames_out += 1;
+            }
+            Dest::Unknown => self.stats.unroutable += 1,
         }
     }
 
-    fn slot(&self, node: NodeId) -> &Slot {
+    /// Total over any id, including one peeked from wire bytes.
+    fn dest(&self, node: NodeId) -> Dest {
+        self.dests
+            .get(node.index())
+            .copied()
+            .unwrap_or(Dest::Unknown)
+    }
+
+    /// The table entry for a configured id, growing the table to hold it.
+    fn dest_mut(&mut self, node: NodeId) -> &mut Dest {
+        if self.dests.len() <= node.index() {
+            self.dests.resize(node.index() + 1, Dest::Unknown);
+        }
+        &mut self.dests[node.index()]
+    }
+
+    /// `(shard, slot)` of a hosted node.
+    fn hosted(&self, node: NodeId) -> (usize, usize) {
         #[expect(clippy::panic, reason = "hosting is the accessors' API precondition")]
-        let &(s, i) = self
-            .slot_of
-            .get(&node.index())
-            .unwrap_or_else(|| panic!("node {node} not hosted"));
-        &self.shards[s].slots[i]
+        let Dest::Hosted { shard, slot } = self.dest(node) else {
+            panic!("node {node} not hosted")
+        };
+        (shard, slot)
+    }
+
+    fn slot(&self, node: NodeId) -> &Slot {
+        let (shard, slot) = self.hosted(node);
+        &self.shards[shard].slots[slot]
     }
 
     fn slot_mut(&mut self, node: NodeId) -> &mut Slot {
-        #[expect(clippy::panic, reason = "hosting is the accessors' API precondition")]
-        let &(s, i) = self
-            .slot_of
-            .get(&node.index())
-            .unwrap_or_else(|| panic!("node {node} not hosted"));
-        &mut self.shards[s].slots[i]
+        let (shard, slot) = self.hosted(node);
+        &mut self.shards[shard].slots[slot]
     }
 }
 
@@ -532,6 +583,36 @@ mod tests {
             node.stats().dropped_down > 0,
             "frames for the dead node dropped"
         );
+    }
+
+    #[test]
+    fn a_burst_then_idleness_leaves_every_buffer_list_within_its_cap() {
+        use nifdy_net::Packet;
+        use nifdy_sim::PacketId;
+        use nifdy_wire::{encode, WirePacket};
+
+        let mut node = daemon(4);
+        let pkt = Packet::data(PacketId::new(1), NodeId::new(0), NodeId::new(1), 6);
+        let frame = encode(&WirePacket::from_packet(&pkt));
+        for _ in 0..10_000 {
+            node.deliver_frame(NodeId::new(1), pkt.lane, frame.clone());
+        }
+        for _ in 0..256 {
+            node.poll_round();
+            while node.next_delivery().is_some() {}
+        }
+        for n in node.endpoints().collect::<Vec<_>>() {
+            let port = node
+                .supervised(n)
+                .expect("up")
+                .endpoint()
+                .port()
+                .transport();
+            assert_eq!(port.inbound_len(), 0, "the burst was consumed");
+            assert!(port.free_len() <= crate::mux::FREE_CAP, "{n} free list");
+        }
+        assert!(node.pool.len() <= POOL_CAP);
+        assert!(!node.pool.is_empty(), "the burst's buffers were kept");
     }
 
     #[test]

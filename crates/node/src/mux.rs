@@ -35,6 +35,13 @@ pub fn flow_shard(src: NodeId, dst: NodeId, shards: usize) -> usize {
     shard_of(dst, shards)
 }
 
+/// Most spent frame buffers a [`MuxPort`] holds (a burst beyond it is
+/// freed as it is decoded).
+pub const FREE_CAP: usize = 16;
+/// What the daemon levels every port it steps back to: enough for the few
+/// frames an endpoint encodes per round (one per lane, plus heartbeats).
+const FREE_KEEP: usize = 4;
+
 /// One hosted endpoint's in-memory transport attachment.
 ///
 /// The daemon owns the real sockets; each logical endpoint sees only this
@@ -42,7 +49,9 @@ pub fn flow_shard(src: NodeId, dst: NodeId, shards: usize) -> usize {
 /// ([`push_inbound`](MuxPort::push_inbound)); outbound frames accumulate
 /// locally and are drained by the daemon's flush pass
 /// ([`take_outbound_into`](MuxPort::take_outbound_into)) into a per-carrier
-/// batch. The clock free-runs one cycle per daemon poll round, mirroring
+/// batch. The buffers of decoded frames wait on a free list (at most
+/// [`FREE_CAP`]) for the endpoint's next encode. The clock free-runs one
+/// cycle per daemon poll round, mirroring
 /// [`UdpTransport`](nifdy_wire::UdpTransport)'s per-node clock domain.
 #[derive(Debug)]
 pub struct MuxPort {
@@ -50,6 +59,7 @@ pub struct MuxPort {
     now: Cycle,
     inbound: [VecDeque<Vec<u8>>; 2],
     outbound: Vec<(NodeId, Lane, Vec<u8>)>,
+    free: Vec<Vec<u8>>,
 }
 
 impl MuxPort {
@@ -60,6 +70,7 @@ impl MuxPort {
             now: Cycle::ZERO,
             inbound: [VecDeque::new(), VecDeque::new()],
             outbound: Vec::new(),
+            free: Vec::new(),
         }
     }
 
@@ -77,6 +88,25 @@ impl MuxPort {
     /// Frames queued inbound and not yet consumed by the endpoint.
     pub fn inbound_len(&self) -> usize {
         self.inbound[0].len() + self.inbound[1].len()
+    }
+
+    /// Spent buffers waiting for this endpoint's next encode.
+    pub fn free_len(&self) -> usize {
+        self.free.len()
+    }
+
+    /// Levels the free list against the daemon's `pool`: the surplus of a
+    /// port that receives more than it sends moves out (and is freed once
+    /// the pool holds `pool_cap`), and a port that `refill`s — it sent this
+    /// round — draws back up while the pool lasts.
+    pub fn level(&mut self, pool: &mut Vec<Vec<u8>>, pool_cap: usize, refill: bool) {
+        if self.free.len() > FREE_KEEP {
+            let surplus = self.free.drain(FREE_KEEP..);
+            pool.extend(surplus.take(pool_cap.saturating_sub(pool.len())));
+        } else if refill {
+            let want = (FREE_KEEP - self.free.len()).min(pool.len());
+            self.free.extend(pool.drain(pool.len() - want..));
+        }
     }
 }
 
@@ -99,6 +129,16 @@ impl Transport for MuxPort {
 
     fn recv(&mut self, lane: Lane) -> Option<Vec<u8>> {
         self.inbound[lane.index()].pop_front()
+    }
+
+    fn take_buffer(&mut self) -> Vec<u8> {
+        self.free.pop().unwrap_or_default()
+    }
+
+    fn recycle(&mut self, frame: Vec<u8>) {
+        if self.free.len() < FREE_CAP {
+            self.free.push(frame);
+        }
     }
 }
 
@@ -160,5 +200,28 @@ mod tests {
         assert_eq!(port.now(), Cycle::ZERO);
         port.tick();
         assert_eq!(port.now().as_u64(), 1);
+    }
+
+    #[test]
+    fn free_list_is_capped_and_levels_through_the_pool() {
+        let mut port = MuxPort::new(NodeId::new(3));
+        for _ in 0..4 * FREE_CAP {
+            port.recycle(vec![0; 32]);
+        }
+        assert_eq!(port.free_len(), FREE_CAP, "a burst is freed past the cap");
+        let mut pool = Vec::new();
+        port.level(&mut pool, 5, false);
+        assert_eq!(port.free_len(), FREE_KEEP);
+        assert_eq!(pool.len(), 5, "surplus beyond the pool's cap is freed");
+        assert!(port.take_buffer().capacity() >= 32, "a recycled buffer");
+
+        // A port that ran dry and is sending draws from the pool; an idle
+        // one does not.
+        let mut dry = MuxPort::new(NodeId::new(4));
+        dry.level(&mut pool, 5, false);
+        assert_eq!((dry.free_len(), pool.len()), (0, 5));
+        dry.level(&mut pool, 5, true);
+        assert_eq!((dry.free_len(), pool.len()), (FREE_KEEP, 5 - FREE_KEEP));
+        assert_eq!(MuxPort::new(NodeId::new(5)).take_buffer().capacity(), 0);
     }
 }

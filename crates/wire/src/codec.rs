@@ -413,7 +413,16 @@ fn decode_ack_body(body: [u8; ACK_BODY_LEN], base: usize) -> Result<AckInfo, Wir
 /// See the module docs for the layout. The inverse of [`decode`]:
 /// `decode(&encode(&wp)) == Ok(wp)` for every encodable `wp`.
 pub fn encode(wp: &WirePacket) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(wp.encoded_len());
+    let mut buf = Vec::new();
+    encode_into(wp, &mut buf);
+    buf
+}
+
+/// [`encode`] into a recycled buffer: whatever `buf` held is discarded, its
+/// allocation is kept, and every byte of the frame is written afresh.
+pub fn encode_into(wp: &WirePacket, buf: &mut Vec<u8>) {
+    buf.clear();
+    buf.reserve(wp.encoded_len());
     match wp.wire {
         Wire::Ack(info) => {
             let src = match wp.src {
@@ -429,7 +438,7 @@ pub fn encode(wp: &WirePacket) -> Vec<u8> {
             buf.push(FLAG_ACK | lane_bit(wp.lane));
             buf.extend_from_slice(&node_bytes(wp.dst));
             buf.extend_from_slice(&node_bytes(src));
-            encode_ack_body(&mut buf, info);
+            encode_ack_body(buf, info);
         }
         Wire::Data {
             bulk_request,
@@ -477,24 +486,30 @@ pub fn encode(wp: &WirePacket) -> Vec<u8> {
             buf.extend_from_slice(&wp.user.msg_packets.to_le_bytes());
             buf.extend_from_slice(&wp.user.user_words.to_le_bytes());
             if let Some(info) = piggy_ack {
-                encode_ack_body(&mut buf, info);
+                encode_ack_body(buf, info);
             }
             buf.resize(wp.body_len(), 0);
         }
     }
-    append_checksum(&mut buf);
-    buf
+    append_checksum(buf);
 }
 
 /// Encodes a liveness heartbeat frame (checksum trailer included).
 pub fn encode_heartbeat(hb: &Heartbeat) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEARTBEAT_FRAME_LEN);
+    let mut buf = Vec::new();
+    encode_heartbeat_into(hb, &mut buf);
+    buf
+}
+
+/// [`encode_heartbeat`] into a recycled buffer, as [`encode_into`].
+pub fn encode_heartbeat_into(hb: &Heartbeat, buf: &mut Vec<u8>) {
+    buf.clear();
+    buf.reserve(HEARTBEAT_FRAME_LEN);
     buf.push(HEARTBEAT_FLAGS);
     buf.extend_from_slice(&node_bytes(hb.dst));
     buf.extend_from_slice(&node_bytes(hb.src));
     buf.extend_from_slice(&hb.epoch.to_le_bytes());
-    append_checksum(&mut buf);
-    buf
+    append_checksum(buf);
 }
 
 /// Decodes a byte frame into a protocol packet. Total over arbitrary
@@ -776,6 +791,85 @@ mod tests {
         let bytes = encode(&wp);
         assert_eq!(bytes.len(), wp.encoded_len());
         assert_eq!(decode(&bytes), Ok(wp), "frame: {bytes:02x?}");
+    }
+
+    /// No stale byte of a recycled buffer survives: encoding over a dirty,
+    /// longer buffer yields exactly the bytes a fresh encode does, for
+    /// every flag combination, ack shape and a spread of sizes.
+    #[test]
+    fn encode_into_a_dirty_longer_buffer_equals_a_fresh_encode() {
+        let acks = [
+            AckInfo::Scalar {
+                grant: BulkGrant::Granted {
+                    dialog: 7,
+                    window: 8,
+                },
+                echo: true,
+            },
+            AckInfo::Bulk {
+                dialog: 255,
+                cum_seq: 254,
+                terminate: true,
+            },
+        ];
+        let mut dirty = Vec::new();
+        let mut check = |wp: WirePacket| {
+            let fresh = encode(&wp);
+            dirty.clear();
+            dirty.resize(fresh.len() + 41, 0xA5);
+            encode_into(&wp, &mut dirty);
+            assert_eq!(dirty, fresh, "{wp:?}");
+        };
+        for bits in 0u8..64 {
+            let flag = |b: u8| bits & (1 << b) != 0;
+            for size_words in [1u16, 6, 7, 8, 64] {
+                check(WirePacket {
+                    src: if flag(0) {
+                        WireSource::Dialog
+                    } else {
+                        WireSource::Node(NodeId::new(0xBEEF))
+                    },
+                    dst: NodeId::new(0x1234),
+                    lane: Lane::Request,
+                    size_words,
+                    wire: Wire::Data {
+                        bulk_request: flag(1),
+                        bulk_exit: flag(2),
+                        bulk: flag(0).then_some(BulkTag {
+                            dialog: 200,
+                            seq: 255,
+                        }),
+                        needs_ack: flag(3),
+                        dup_bit: flag(4),
+                        piggy_ack: flag(5).then_some(acks[usize::from(bits & 1)]),
+                    },
+                    user: UserData {
+                        msg_id: u64::MAX - u64::from(bits),
+                        pkt_index: u32::from(size_words),
+                        msg_packets: 9,
+                        user_words: 5,
+                    },
+                });
+            }
+        }
+        for info in acks {
+            check(WirePacket {
+                src: WireSource::Node(NodeId::new(4)),
+                dst: NodeId::new(0),
+                lane: Lane::Reply,
+                size_words: nifdy_net::ACK_WORDS,
+                wire: Wire::Ack(info),
+                user: UserData::default(),
+            });
+        }
+        let hb = Heartbeat {
+            src: NodeId::new(9),
+            dst: NodeId::new(65_535),
+            epoch: 0xDEAD_BEEF,
+        };
+        let mut buf = vec![0xA5; 64];
+        encode_heartbeat_into(&hb, &mut buf);
+        assert_eq!(buf, encode_heartbeat(&hb));
     }
 
     #[test]

@@ -42,8 +42,8 @@ mod transport;
 mod udp;
 
 pub use codec::{
-    decode, decode_frame, encode, encode_heartbeat, peek_route, Heartbeat, WireError, WireFrame,
-    WirePacket, WireSource,
+    decode, decode_frame, encode, encode_heartbeat, encode_heartbeat_into, encode_into, peek_route,
+    Heartbeat, WireError, WireFrame, WirePacket, WireSource,
 };
 pub use endpoint::WireEndpoint;
 pub use fault::{FaultyTransport, WireFaultConfig, WireFaultStats};

@@ -23,10 +23,10 @@ pub struct TransportPort<T: Transport> {
     transport: T,
     /// Decoded packets awaiting ejection, per lane.
     pending: [VecDeque<Packet>; 2],
-    /// Liveness beacons received since the last [`take_heartbeats`] drain.
+    /// Liveness beacons received and not yet [`pop_heartbeat`]ed.
     ///
-    /// [`take_heartbeats`]: TransportPort::take_heartbeats
-    heartbeats: Vec<Heartbeat>,
+    /// [`pop_heartbeat`]: TransportPort::pop_heartbeat
+    heartbeats: VecDeque<Heartbeat>,
     /// The cycle at which each lane's transmitter frees up.
     tx_busy_until: [Cycle; 2],
     pkt_counter: u64,
@@ -41,7 +41,7 @@ impl<T: Transport> TransportPort<T> {
         TransportPort {
             transport,
             pending: [VecDeque::new(), VecDeque::new()],
-            heartbeats: Vec::new(),
+            heartbeats: VecDeque::new(),
             tx_busy_until: [Cycle::ZERO; 2],
             pkt_counter: 0,
             decode_errors: 0,
@@ -90,10 +90,10 @@ impl<T: Transport> TransportPort<T> {
         &mut self.transport
     }
 
-    /// Drains the liveness beacons decoded since the last call. The
-    /// supervisor layer consumes these to track peer epochs and silence.
-    pub fn take_heartbeats(&mut self) -> Vec<Heartbeat> {
-        std::mem::take(&mut self.heartbeats)
+    /// Removes the oldest liveness beacon decoded and not yet consumed.
+    /// The supervisor layer drains these to track peer epochs and silence.
+    pub fn pop_heartbeat(&mut self) -> Option<Heartbeat> {
+        self.heartbeats.pop_front()
     }
 
     /// Sends a liveness beacon on the reply lane.
@@ -110,7 +110,8 @@ impl<T: Transport> TransportPort<T> {
             dst,
             epoch,
         };
-        let frame = codec::encode_heartbeat(&hb);
+        let mut frame = self.transport.take_buffer();
+        codec::encode_heartbeat_into(&hb, &mut frame);
         trace_event!(
             self.trace,
             now,
@@ -125,7 +126,8 @@ impl<T: Transport> TransportPort<T> {
     }
 
     /// One cycle of port work: tick the transport's clock view and decode
-    /// every frame it delivered. Call once per cycle, before the unit's
+    /// every frame it delivered, handing each consumed buffer back to the
+    /// transport. Call once per cycle, before the unit's
     /// [`Nic::step`](nifdy::Nic::step).
     pub fn tick(&mut self) {
         self.transport.tick();
@@ -133,79 +135,54 @@ impl<T: Transport> TransportPort<T> {
         let me = self.transport.node();
         for lane in Lane::ALL {
             while let Some(frame) = self.transport.recv(lane) {
-                let wp = match codec::decode_frame(&frame) {
-                    Ok(WireFrame::Packet(wp)) => wp,
-                    Ok(WireFrame::Heartbeat(hb)) => {
-                        if hb.dst != me {
-                            self.foreign += 1;
-                            trace_event!(
-                                self.trace,
-                                now,
-                                me,
-                                EventKind::FrameReject {
-                                    bytes: frame.len() as u32,
-                                }
-                            );
-                            continue;
-                        }
-                        trace_event!(
-                            self.trace,
-                            now,
-                            me,
-                            EventKind::FrameRecv {
-                                src: hb.src,
-                                ack: true,
-                                bytes: frame.len() as u32,
-                            }
-                        );
-                        self.heartbeats.push(hb);
-                        continue;
-                    }
-                    Err(_) => {
-                        self.decode_errors += 1;
-                        trace_event!(
-                            self.trace,
-                            now,
-                            me,
-                            EventKind::FrameReject {
-                                bytes: frame.len() as u32,
-                            }
-                        );
-                        continue;
-                    }
-                };
-                if wp.dst != me || wp.lane != lane {
-                    self.foreign += 1;
-                    trace_event!(
-                        self.trace,
-                        now,
-                        me,
-                        EventKind::FrameReject {
-                            bytes: frame.len() as u32,
-                        }
-                    );
-                    continue;
-                }
+                self.accept(now, me, lane, &frame);
+                self.transport.recycle(frame);
+            }
+        }
+    }
+
+    /// Decodes one received frame: a packet for this node joins `pending`,
+    /// a heartbeat joins `heartbeats`, anything else is counted and traced
+    /// as a reject.
+    fn accept(&mut self, now: Cycle, me: NodeId, lane: Lane, frame: &[u8]) {
+        let bytes = frame.len() as u32;
+        match codec::decode_frame(frame) {
+            Ok(WireFrame::Packet(wp)) if wp.dst == me && wp.lane == lane => {
                 self.pkt_counter += 1;
                 let id = PacketId::new(((me.index() as u64) << 40) | self.pkt_counter);
-                // Bulk frames carry no source bits; the unit re-substitutes
-                // the dialog peer in `receive_bulk`, so the placeholder is
-                // only ever visible to bookkeeping.
-                let pkt = wp.into_packet(id, me, now);
+                let src = match wp.src {
+                    WireSource::Node(n) => n,
+                    WireSource::Dialog => me,
+                };
+                let ack = wp.wire.is_ack();
                 trace_event!(
                     self.trace,
                     now,
                     me,
-                    EventKind::FrameRecv {
-                        src: match wp.src {
-                            WireSource::Node(n) => n,
-                            WireSource::Dialog => me,
-                        },
-                        ack: wp.wire.is_ack(),
-                        bytes: frame.len() as u32,
-                    }
+                    EventKind::FrameRecv { src, ack, bytes }
                 );
-                self.pending[lane.index()].push_back(pkt);
+                // Bulk frames carry no source bits; the unit re-substitutes
+                // the dialog peer in `receive_bulk`, so the placeholder is
+                // only ever visible to bookkeeping.
+                self.pending[lane.index()].push_back(wp.into_packet(id, me, now));
+            }
+            Ok(WireFrame::Heartbeat(hb)) if hb.dst == me => {
+                let (src, ack) = (hb.src, true);
+                trace_event!(
+                    self.trace,
+                    now,
+                    me,
+                    EventKind::FrameRecv { src, ack, bytes }
+                );
+                self.heartbeats.push_back(hb);
+            }
+            Ok(WireFrame::Packet(_) | WireFrame::Heartbeat(_)) => {
+                self.foreign += 1;
+                trace_event!(self.trace, now, me, EventKind::FrameReject { bytes });
+            }
+            Err(_) => {
+                self.decode_errors += 1;
+                trace_event!(self.trace, now, me, EventKind::FrameReject { bytes });
             }
         }
     }
@@ -229,7 +206,8 @@ impl<T: Transport> NetPort for TransportPort<T> {
             "injection slot busy at {node} lane {lane:?}"
         );
         let now = self.transport.now();
-        let frame = codec::encode(&WirePacket::from_packet(&packet));
+        let mut frame = self.transport.take_buffer();
+        codec::encode_into(&WirePacket::from_packet(&packet), &mut frame);
         trace_event!(
             self.trace,
             now,

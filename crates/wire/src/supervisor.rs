@@ -288,7 +288,7 @@ impl<T: Transport> SupervisedEndpoint<T> {
 
     /// Applies every heartbeat the port decoded this cycle.
     fn consume_heartbeats(&mut self, now: Cycle, me: NodeId) {
-        for hb in self.ep.port_mut().take_heartbeats() {
+        while let Some(hb) = self.ep.port_mut().pop_heartbeat() {
             trace_event!(
                 self.trace,
                 now,

@@ -8,7 +8,8 @@
 //! can be configured with seeded delivery jitter precisely to exercise the
 //! reorder machinery while staying bit-for-bit reproducible.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
 
 use nifdy_net::Lane;
@@ -39,6 +40,17 @@ pub trait Transport: Send {
 
     /// The next frame delivered to this node on `lane`, if any.
     fn recv(&mut self, lane: Lane) -> Option<Vec<u8>>;
+
+    /// A buffer to encode the next outgoing frame into (contents
+    /// unspecified: encoders overwrite it). Transports that keep spent
+    /// buffers hand one back; the default allocates nothing until written.
+    fn take_buffer(&mut self) -> Vec<u8> {
+        Vec::new()
+    }
+
+    /// Returns a buffer from [`recv`](Self::recv) once its frame has been
+    /// consumed, so a pooling transport can reuse the allocation.
+    fn recycle(&mut self, _frame: Vec<u8>) {}
 }
 
 /// Batched frame I/O for carriers that serve many logical endpoints at
@@ -78,9 +90,11 @@ pub trait BatchTransport: Transport {
     }
 }
 
-/// In-flight frames for one destination: ordered by (delivery cycle, global
-/// send sequence), so iteration order is deterministic even under jitter.
-type DeliveryQueue = BTreeMap<(u64, u64), Vec<u8>>;
+/// In-flight frames for one destination: a min-heap on (delivery cycle,
+/// global send sequence) — the sequence is unique, so delivery order is
+/// total and deterministic even under jitter — that keeps its storage
+/// across rounds.
+type DeliveryQueue = BinaryHeap<Reverse<(u64, u64, Vec<u8>)>>;
 
 #[derive(Debug)]
 struct HubInner {
@@ -90,6 +104,29 @@ struct HubInner {
     seq: u64,
     /// `queues[node][lane]`.
     queues: Vec<[DeliveryQueue; 2]>,
+}
+
+impl HubInner {
+    fn enqueue(&mut self, dst: NodeId, lane: Lane, frame: Vec<u8>) {
+        let mut deliver_at = self.now.as_u64() + self.latency;
+        if let Some((rng, max_extra)) = &mut self.jitter {
+            deliver_at += rng.next_u64() % (*max_extra + 1);
+        }
+        let seq = self.seq;
+        self.seq += 1;
+        self.queues[dst.index()][lane.index()].push(Reverse((deliver_at, seq, frame)));
+    }
+
+    /// The earliest frame for `node` on `lane`, once it is due.
+    fn dequeue(&mut self, node: NodeId, lane: Lane) -> Option<Vec<u8>> {
+        let now = self.now.as_u64();
+        let queue = &mut self.queues[node.index()][lane.index()];
+        let Reverse((at, _, _)) = queue.peek()?;
+        if *at > now {
+            return None;
+        }
+        queue.pop().map(|Reverse((_, _, frame))| frame)
+    }
 }
 
 /// A deterministic in-process frame exchange shared by N [`LoopbackTransport`]
@@ -133,7 +170,7 @@ impl LoopbackHub {
                 jitter: None,
                 seq: 0,
                 queues: (0..nodes)
-                    .map(|_| [BTreeMap::new(), BTreeMap::new()])
+                    .map(|_| [BinaryHeap::new(), BinaryHeap::new()])
                     .collect(),
             })),
         }
@@ -172,7 +209,7 @@ impl LoopbackHub {
             .queues
             .iter()
             .flat_map(|lanes| lanes.iter())
-            .filter_map(|q| q.first_key_value().map(|(&(at, _), _)| at))
+            .filter_map(|q| q.peek().map(|Reverse((at, _, _))| *at))
             .min()
     }
 
@@ -234,25 +271,12 @@ impl Transport for LoopbackTransport {
     }
 
     fn send(&mut self, dst: NodeId, lane: Lane, frame: Vec<u8>) {
-        let mut inner = self.lock();
-        let mut deliver_at = inner.now.as_u64() + inner.latency;
-        if let Some((rng, max_extra)) = &mut inner.jitter {
-            deliver_at += rng.next_u64() % (*max_extra + 1);
-        }
-        let seq = inner.seq;
-        inner.seq += 1;
-        inner.queues[dst.index()][lane.index()].insert((deliver_at, seq), frame);
+        self.lock().enqueue(dst, lane, frame);
     }
 
     fn recv(&mut self, lane: Lane) -> Option<Vec<u8>> {
-        let mut inner = self.lock();
-        let now = inner.now.as_u64();
-        let queue = &mut inner.queues[self.node.index()][lane.index()];
-        let (&key, _) = queue.first_key_value()?;
-        if key.0 > now {
-            return None;
-        }
-        queue.remove(&key)
+        let node = self.node;
+        self.lock().dequeue(node, lane)
     }
 }
 
@@ -261,19 +285,13 @@ impl BatchTransport for LoopbackTransport {
     /// of one per frame.
     fn recv_batch(&mut self, lane: Lane, max: usize, out: &mut Vec<Vec<u8>>) -> usize {
         let mut inner = self.lock();
-        let now = inner.now.as_u64();
-        let queue = &mut inner.queues[self.node.index()][lane.index()];
         let mut n = 0;
         while n < max {
-            match queue.first_key_value() {
-                Some((&key, _)) if key.0 <= now => {
-                    if let Some(frame) = queue.remove(&key) {
-                        out.push(frame);
-                        n += 1;
-                    }
-                }
-                _ => break,
+            match inner.dequeue(self.node, lane) {
+                Some(frame) => out.push(frame),
+                None => break,
             }
+            n += 1;
         }
         n
     }
@@ -282,13 +300,7 @@ impl BatchTransport for LoopbackTransport {
     fn send_batch(&mut self, frames: &mut Vec<(NodeId, Lane, Vec<u8>)>) {
         let mut inner = self.lock();
         for (dst, lane, frame) in frames.drain(..) {
-            let mut deliver_at = inner.now.as_u64() + inner.latency;
-            if let Some((rng, max_extra)) = &mut inner.jitter {
-                deliver_at += rng.next_u64() % (*max_extra + 1);
-            }
-            let seq = inner.seq;
-            inner.seq += 1;
-            inner.queues[dst.index()][lane.index()].insert((deliver_at, seq), frame);
+            inner.enqueue(dst, lane, frame);
         }
     }
 }

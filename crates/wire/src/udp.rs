@@ -27,6 +27,9 @@ use crate::transport::{BatchTransport, Transport};
 /// encodable frame for the packet sizes any experiment uses.
 const MAX_DATAGRAM: usize = 64 * 1024;
 
+/// Spent frame buffers kept for reuse; beyond this they are freed.
+const POOL_CAP: usize = 256;
+
 /// Linux `EMSGSIZE`: the datagram exceeds what the socket can carry. The
 /// std `ErrorKind` has no stable variant for it, so classification falls
 /// back to the raw errno.
@@ -87,12 +90,21 @@ pub struct UdpTransport {
     peers: HashMap<usize, SocketAddr>,
     now: Cycle,
     queues: [VecDeque<Vec<u8>>; 2],
+    /// The one buffer `recv_from` writes into, allocated at bind and never
+    /// re-zeroed: only the `len` bytes the kernel just wrote are ever read.
+    rx: Box<[u8]>,
+    /// Buffers of frames already put on the wire (or handed back through
+    /// [`Transport::recycle`]), reused for received frames; at most
+    /// [`POOL_CAP`].
+    pool: Vec<Vec<u8>>,
     send_errors: u64,
     unknown_peer: u64,
     refused: u64,
     oversize: u64,
+    runt: u64,
     /// Datagrams [`pump`](Self::pump) reads per tick, bounding how long one
-    /// busy socket can monopolize a poll round. `usize::MAX` = unbounded.
+    /// busy socket can monopolize a poll round, and the most frames either
+    /// lane queue holds before pumping pauses. `usize::MAX` = unbounded.
     pump_limit: usize,
     last_error: Option<TransportError>,
     transport_errors: u64,
@@ -111,10 +123,13 @@ impl UdpTransport {
             peers: HashMap::new(),
             now: Cycle::ZERO,
             queues: [VecDeque::new(), VecDeque::new()],
+            rx: vec![0u8; MAX_DATAGRAM].into_boxed_slice(),
+            pool: Vec::new(),
             send_errors: 0,
             unknown_peer: 0,
             refused: 0,
             oversize: 0,
+            runt: 0,
             pump_limit: usize::MAX,
             last_error: None,
             transport_errors: 0,
@@ -123,9 +138,12 @@ impl UdpTransport {
     }
 
     /// Caps how many datagrams one [`Transport::tick`] reads off the
-    /// socket. A daemon multiplexing many endpoints over few sockets sets
-    /// this so a flooded socket cannot starve the rest of its poll round;
-    /// undrained datagrams stay in the OS buffer for the next tick.
+    /// socket, and how many received frames either lane may queue unread
+    /// before ticks stop reading. A daemon multiplexing many endpoints over
+    /// few sockets sets this so a flooded socket can neither starve the rest
+    /// of its poll round nor grow this queue without bound; undrained
+    /// datagrams stay in the OS buffer (and overflow there, as ordinary
+    /// loss the §6.2 retransmission recovers).
     pub fn with_pump_limit(mut self, limit: usize) -> Self {
         self.pump_limit = limit.max(1);
         self
@@ -162,6 +180,12 @@ impl UdpTransport {
     /// Datagrams rejected for exceeding the socket's maximum size.
     pub fn oversize(&self) -> u64 {
         self.oversize
+    }
+
+    /// Zero-length datagrams received and discarded (no NIFDY frame is
+    /// empty; each still counts toward the per-tick pump limit).
+    pub fn runt(&self) -> u64 {
+        self.runt
     }
 
     /// Takes the *first* unclassified socket failure observed since the
@@ -203,8 +227,9 @@ impl UdpTransport {
 
     /// Fires one datagram at a resolved address, classifying any failure
     /// (refused and oversize are network weather; the rest surface).
-    fn send_to_addr(&mut self, addr: SocketAddr, frame: &[u8]) {
-        match self.socket.send_to(frame, addr) {
+    /// The spent buffer joins the pool.
+    fn send_to_addr(&mut self, addr: SocketAddr, frame: Vec<u8>) {
+        match self.socket.send_to(&frame, addr) {
             Ok(_) => {}
             Err(e) if e.kind() == ErrorKind::ConnectionRefused => {
                 self.refused += 1;
@@ -217,23 +242,27 @@ impl UdpTransport {
                 self.stash_error("send", &e);
             }
         }
+        self.recycle(frame);
     }
 
     fn pump(&mut self) {
-        let mut buf = [0u8; MAX_DATAGRAM];
         let mut read = 0usize;
-        while read < self.pump_limit {
-            match self.socket.recv_from(&mut buf) {
+        while read < self.pump_limit && self.queues.iter().all(|q| q.len() < self.pump_limit) {
+            match self.socket.recv_from(&mut self.rx) {
                 Ok((len, _from)) => {
+                    read += 1;
                     if len == 0 {
+                        self.runt += 1;
                         continue;
                     }
                     // Classify by the lane bit; the codec re-validates the
                     // whole frame later, so a garbage byte merely picks a
                     // queue for a frame that will then fail to decode.
-                    let lane = usize::from(buf[0] & 0b10 != 0);
-                    self.queues[lane].push_back(buf[..len].to_vec());
-                    read += 1;
+                    let lane = usize::from(self.rx[0] & 0b10 != 0);
+                    let mut frame = self.take_buffer();
+                    frame.clear();
+                    frame.extend_from_slice(&self.rx[..len]);
+                    self.queues[lane].push_back(frame);
                 }
                 // Quiescence: nothing more to read this tick.
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -275,11 +304,21 @@ impl Transport for UdpTransport {
             self.unknown_peer += 1;
             return;
         };
-        self.send_to_addr(addr, &frame);
+        self.send_to_addr(addr, frame);
     }
 
     fn recv(&mut self, lane: Lane) -> Option<Vec<u8>> {
         self.queues[lane.index()].pop_front()
+    }
+
+    fn take_buffer(&mut self) -> Vec<u8> {
+        self.pool.pop().unwrap_or_default()
+    }
+
+    fn recycle(&mut self, frame: Vec<u8>) {
+        if self.pool.len() < POOL_CAP {
+            self.pool.push(frame);
+        }
     }
 }
 
@@ -304,7 +343,7 @@ impl BatchTransport for UdpTransport {
                     }
                 },
             };
-            self.send_to_addr(addr, &frame);
+            self.send_to_addr(addr, frame);
         }
     }
 }
@@ -394,6 +433,90 @@ mod tests {
             std::thread::yield_now();
         }
         assert_eq!(got, vec![0, 1, 2, 3, 4, 5], "bounded pump keeps order");
+    }
+
+    /// Ticks `b` until a frame arrives on the request lane.
+    fn recv_request(b: &mut UdpTransport) -> Vec<u8> {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        loop {
+            b.tick();
+            if let Some(frame) = b.recv(Lane::Request) {
+                return frame;
+            }
+            assert!(std::time::Instant::now() < deadline, "datagram lost");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn empty_datagrams_count_toward_the_pump_limit() {
+        let limit = 4usize;
+        let mut b = UdpTransport::bind(NodeId::new(1), "127.0.0.1:0")
+            .expect("bind b")
+            .with_pump_limit(limit);
+        let raw = UdpSocket::bind("127.0.0.1:0").expect("bind raw");
+        let total = limit as u64 + 8;
+        for _ in 0..total {
+            raw.send_to(&[], b.local_addr().expect("addr b"))
+                .expect("send empty");
+        }
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while b.runt() < total {
+            let before = b.runt();
+            b.tick();
+            assert!(
+                b.runt() - before <= limit as u64,
+                "one tick read past the limit"
+            );
+            assert!(std::time::Instant::now() < deadline, "datagrams lost");
+            std::thread::yield_now();
+        }
+        assert!(b.recv(Lane::Request).is_none() && b.recv(Lane::Reply).is_none());
+    }
+
+    #[test]
+    fn an_undrained_lane_queue_stops_growing_at_the_pump_limit() {
+        let limit = 8usize;
+        let mut a = UdpTransport::bind(NodeId::new(0), "127.0.0.1:0").expect("bind a");
+        let mut b = UdpTransport::bind(NodeId::new(1), "127.0.0.1:0")
+            .expect("bind b")
+            .with_pump_limit(limit);
+        a.add_peer(NodeId::new(1), b.local_addr().expect("addr b"));
+        // Sustained overload of one lane, never drained: the excess stays
+        // in (and overflows) the kernel's buffer, not this process's heap.
+        for i in 0..1_000u32 {
+            for _ in 0..2 {
+                a.send(NodeId::new(1), Lane::Request, vec![0b00, i as u8, 7]);
+            }
+            b.tick();
+            assert!(b.queues[0].len() <= limit, "queue grew past the bound");
+        }
+        assert_eq!(b.queues[0].len(), limit, "the flood did fill the queue");
+        assert_eq!(a.send_errors(), 0);
+    }
+
+    #[test]
+    fn reused_buffers_never_leak_stale_bytes() {
+        let mut a = UdpTransport::bind(NodeId::new(0), "127.0.0.1:0").expect("bind a");
+        let mut b = UdpTransport::bind(NodeId::new(1), "127.0.0.1:0").expect("bind b");
+        a.add_peer(NodeId::new(1), b.local_addr().expect("addr b"));
+        // A long datagram, a shorter one, then an ack-sized one, each
+        // received into the buffer the previous frame gave back.
+        let long: Vec<u8> = (0..200u8).collect();
+        for (i, sent) in [long, vec![0xE1; 50], vec![0x11; 10]]
+            .into_iter()
+            .enumerate()
+        {
+            a.send(NodeId::new(1), Lane::Request, sent.clone());
+            let got = recv_request(&mut b);
+            assert_eq!(got, sent, "frame differs from the bytes sent");
+            assert!(
+                i == 0 || got.capacity() >= 200,
+                "the long frame's buffer was reused"
+            );
+            b.recycle(got);
+        }
+        assert_eq!(b.pool.len(), 1, "one buffer served all three frames");
     }
 
     #[test]
