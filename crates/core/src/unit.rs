@@ -28,8 +28,14 @@
 //!   jittered cap, and — when a [`retx_budget`](NifdyConfig::retx_budget) is
 //!   configured — abandons undeliverable transfers with a typed
 //!   [`DeliveryFailure`] instead of retrying forever.
+//!
+//! Storage is the paper's: every queue, the OPT and the `D × W` reorder
+//! buffers are sized once in [`NifdyUnit::new`]. Only first use grows
+//! anything afterwards: the per-peer table gains a record per new peer, and
+//! the deque of the outgoing window's §6.2 copies reaches the granted
+//! window during the first dialog and is reused by every later one.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use nifdy_net::{AckInfo, BulkGrant, BulkTag, Lane, NetPort, Packet, Wire};
 use nifdy_sim::{Cycle, NodeId, PacketId, SimRng, Wakeup};
@@ -50,24 +56,46 @@ const SEQ_SPACE: u64 = 256;
 /// node index, so units never share a jitter sequence).
 const JITTER_STREAM: u64 = 0x717;
 
+/// The §6.2 retransmission timer of one unacknowledged packet, scalar or
+/// bulk; [`NifdyUnit::fire_timer`] is the only code that runs one.
+#[derive(Debug)]
+struct RetxTimer {
+    /// When the original transmission was staged (RTT sampling base).
+    first_sent: Cycle,
+    /// When the packet — or its most recent retransmission — was staged.
+    last_sent: Cycle,
+    /// Retransmissions so far (Karn's rule: sample RTT only when zero).
+    retries: u32,
+    /// Cycles after `last_sent` at which the timer fires.
+    wait: u64,
+    /// Copy kept for retransmission (§6.2 only: a unit without a
+    /// `retx_timeout` clones nothing, and a timer without a copy never
+    /// fires).
+    copy: Option<Packet>,
+}
+
+impl RetxTimer {
+    /// The timer of a packet staged for the first time at `now`.
+    fn start(now: Cycle, wait: u64, copy: Option<Packet>) -> Self {
+        RetxTimer {
+            first_sent: now,
+            last_sent: now,
+            retries: 0,
+            wait,
+            copy,
+        }
+    }
+}
+
 /// An entry in the outstanding packet table.
 #[derive(Debug)]
 struct OptEntry {
     dst: NodeId,
-    /// When the packet — or its most recent retransmission — was staged.
-    sent_at: Cycle,
-    /// When the original transmission was staged (RTT sampling base).
-    first_sent: Cycle,
-    /// Retransmissions so far (Karn's rule: sample RTT only when zero).
-    retries: u32,
-    /// Cycles after `sent_at` at which the retransmission timer fires.
-    wait: u64,
     /// The packet's alternating duplicate bit; an arriving scalar ack clears
     /// this entry only when its echo matches (stale re-acks for an earlier
     /// packet must not release a newer, possibly-lost one).
     dup_bit: bool,
-    /// Copy kept for retransmission (§6.2 only).
-    copy: Option<Packet>,
+    timer: RetxTimer,
 }
 
 /// An unacknowledged bulk packet held for retransmission.
@@ -75,18 +103,11 @@ struct OptEntry {
 struct BulkCopy {
     /// Absolute sequence number.
     seq: u64,
-    pkt: Packet,
-    /// When the original transmission was staged (RTT sampling base).
-    first_sent: Cycle,
-    /// When the packet was last (re)staged.
-    last_sent: Cycle,
-    /// Retransmissions so far.
-    retries: u32,
-    /// Cycles after `last_sent` at which the retransmission timer fires.
-    wait: u64,
+    timer: RetxTimer,
 }
 
-/// Sender-side state of the single outgoing bulk dialog.
+/// Sender-side state of the single outgoing bulk dialog. Its unacked
+/// copies live in [`NifdyUnit::copies`].
 #[derive(Debug)]
 struct OutDialog {
     peer: NodeId,
@@ -99,31 +120,67 @@ struct OutDialog {
     /// The exit packet has been sent; no further traffic to `peer` until the
     /// dialog fully drains (preserves pairwise order).
     exiting: bool,
-    /// Unacked copies for retransmission, in sequence order.
-    copies: VecDeque<BulkCopy>,
 }
 
-/// Receiver-side state of one granted dialog slot.
+/// One of the `D` receive slots.
+#[derive(Debug)]
+enum Slot {
+    Free,
+    Live(InDialog),
+    /// Tombstone of a recently closed dialog (lossy-network robustness: late
+    /// retransmissions of the tail still get their final ack re-sent). The
+    /// slot is free for a new grant once `until` has passed.
+    Closed {
+        peer: NodeId,
+        final_count: u64,
+        until: Cycle,
+    },
+}
+
+impl Slot {
+    fn live(&self) -> Option<&InDialog> {
+        match self {
+            Slot::Live(d) => Some(d),
+            Slot::Free | Slot::Closed { .. } => None,
+        }
+    }
+}
+
+/// Receiver-side state of one granted dialog slot. Slot `s` buffers its
+/// out-of-order packets in `NifdyUnit::window[s·W .. (s+1)·W]`, absolute
+/// sequence `n` at offset `n mod W`.
 #[derive(Debug)]
 struct InDialog {
     peer: NodeId,
     /// Absolute count of packets delivered in order (== next expected seq).
     expected: u64,
-    /// Out-of-order packets buffered in the window, by absolute seq.
-    buf: BTreeMap<u64, Packet>,
+    /// `expected mod W`, advanced by compare-and-wrap so the datapath
+    /// never divides.
+    head: usize,
     /// Delivered count as of the last window ack sent.
     last_acked: u64,
     /// Last cycle any packet of this dialog arrived (reclaim watchdog).
     last_activity: Cycle,
 }
 
-/// Tombstone for a recently closed dialog slot (lossy-network robustness:
-/// late retransmissions of the tail still get their final ack re-sent).
-#[derive(Debug, Clone, Copy)]
-struct ClosedDialog {
-    peer: NodeId,
-    final_count: u64,
-    until: Cycle,
+/// Everything the unit remembers about one peer, in both roles.
+#[derive(Debug, Default)]
+struct Peer {
+    /// Sender: the §6.2 alternating bit of the last scalar packet launched
+    /// to the peer.
+    alt_bit: bool,
+    /// Sender: the outgoing bulk dialog to the peer was torn down by the
+    /// retry budget, so traffic stays scalar (a fresh dialog against the
+    /// receiver's stale slot state could not resynchronize).
+    bulk_poisoned: bool,
+    /// Sender: round-trip estimator (adaptive RTO only).
+    rtt: RttEstimator,
+    /// Receiver: the dialog slot granted to the peer.
+    dialog: Option<u8>,
+    /// Receiver: duplicate bit of the last scalar packet inserted from the
+    /// peer, and of the last one acknowledged (§6.2 only).
+    last_insert_bit: Option<bool>,
+    last_acked_bit: Option<bool>,
 }
 
 /// A queued acknowledgment, charged the NIFDY processing latency.
@@ -167,20 +224,17 @@ pub struct NifdyUnit {
     cfg: NifdyConfig,
     now: Cycle,
     pkt_counter: u64,
+    peers: BTreeMap<NodeId, Peer>,
 
     // Sender side.
     pool: VecDeque<OutboundPacket>,
     opt: Vec<OptEntry>,
     out_dialog: Option<OutDialog>,
+    /// Unacked copies of the outgoing dialog, in sequence order; empty
+    /// whenever `out_dialog` is `None` (the storage is kept for the next).
+    copies: VecDeque<BulkCopy>,
     bulk_request_pending: Option<NodeId>,
     retx_queue: VecDeque<Packet>,
-    alt_bits: BTreeMap<NodeId, bool>,
-    /// Peers whose outgoing bulk dialog was torn down by the retry budget:
-    /// traffic to them stays scalar (a fresh dialog against the receiver's
-    /// stale slot state could not resynchronize).
-    bulk_poisoned: BTreeSet<NodeId>,
-    /// Per-destination round-trip estimators (adaptive RTO only).
-    rtt: BTreeMap<NodeId, RttEstimator>,
     /// Jitter source for the retransmission backoff.
     jitter: SimRng,
     /// Typed failures awaiting [`Nic::take_failures`].
@@ -188,13 +242,11 @@ pub struct NifdyUnit {
 
     // Receiver side.
     arrivals: VecDeque<Packet>,
-    dialogs: Vec<Option<InDialog>>,
-    closed: Vec<Option<ClosedDialog>>,
-    peer_dialog: BTreeMap<NodeId, u8>,
+    dialogs: Vec<Slot>,
+    /// The `D × W` reorder buffers (see [`InDialog`]).
+    window: Vec<Option<Packet>>,
     ack_queue: VecDeque<PendingAck>,
     ack_delay: VecDeque<(Cycle, NodeId, AckInfo)>,
-    last_insert_bit: BTreeMap<NodeId, bool>,
-    last_acked_bit: BTreeMap<NodeId, bool>,
 
     trace: TraceHandle,
     /// True while an eligibility stall episode is in progress (the stall
@@ -206,9 +258,6 @@ pub struct NifdyUnit {
     /// Set whenever unit state changes outside `step` (a send, a poll, a
     /// peer reset) — the cached `next_wake` may then be too late.
     wake_stale: bool,
-    /// Disables the cached-wakeup early-out in `step` (differential
-    /// testing only; production paths always keep the cache on).
-    wake_cache_enabled: bool,
     stats: NicStats,
 }
 
@@ -223,34 +272,29 @@ impl NifdyUnit {
         if let Err(e) = cfg.validate() {
             panic!("invalid NIFDY config: {e}");
         }
-        let d = cfg.max_dialogs as usize;
+        let (d, w) = (usize::from(cfg.max_dialogs), usize::from(cfg.window));
         NifdyUnit {
             node,
             now: Cycle::ZERO,
             pkt_counter: 0,
+            peers: BTreeMap::new(),
             pool: VecDeque::with_capacity(cfg.pool_entries as usize),
             opt: Vec::with_capacity(cfg.opt_entries as usize),
             out_dialog: None,
+            copies: VecDeque::new(),
             bulk_request_pending: None,
             retx_queue: VecDeque::with_capacity(cfg.retx_queue_cap as usize),
-            alt_bits: BTreeMap::new(),
-            bulk_poisoned: BTreeSet::new(),
-            rtt: BTreeMap::new(),
             jitter: SimRng::from_seed_stream(node.index() as u64, JITTER_STREAM),
             failures: Vec::new(),
             arrivals: VecDeque::with_capacity(cfg.arrivals_capacity as usize),
-            dialogs: (0..d).map(|_| None).collect(),
-            closed: (0..d).map(|_| None).collect(),
-            peer_dialog: BTreeMap::new(),
+            dialogs: (0..d).map(|_| Slot::Free).collect(),
+            window: (0..d * w).map(|_| None).collect(),
             ack_queue: VecDeque::with_capacity(2 * cfg.arrivals_capacity as usize),
             ack_delay: VecDeque::with_capacity(2 * cfg.arrivals_capacity as usize),
-            last_insert_bit: BTreeMap::new(),
-            last_acked_bit: BTreeMap::new(),
             trace: TraceHandle::off(),
             elig_stalled: false,
             next_wake: Wakeup::Now,
             wake_stale: true,
-            wake_cache_enabled: true,
             stats: NicStats::default(),
             cfg,
         }
@@ -282,35 +326,33 @@ impl NifdyUnit {
     /// Smoothed round-trip estimate to `dst` in cycles, once adaptive RTO
     /// has collected at least one sample.
     pub fn srtt(&self, dst: NodeId) -> Option<u64> {
-        self.rtt.get(&dst).and_then(RttEstimator::srtt)
+        self.peers.get(&dst).and_then(|p| p.rtt.srtt())
     }
 
     /// True when a torn-down bulk dialog has downgraded traffic to `dst` to
     /// scalar-only mode.
     pub fn bulk_poisoned(&self, dst: NodeId) -> bool {
-        self.bulk_poisoned.contains(&dst)
+        self.peers.get(&dst).is_some_and(|p| p.bulk_poisoned)
     }
 
-    /// Timeout for a *fresh* transmission to `dst`: the configured fixed
+    /// Timeout for a *fresh* transmission to `peer`: the configured fixed
     /// value, or the per-destination RFC 6298-style estimate clamped to
-    /// `[rto_min, rto_max]` when adaptive RTO is on.
-    fn fresh_rto(&self, dst: NodeId) -> u64 {
-        let base = self.cfg.retx_timeout.unwrap_or(0);
-        if !self.cfg.adaptive_rto {
+    /// `[rto_min, rto_max]` when adaptive RTO is on. (Takes the record, not
+    /// the id, so a caller that already looked the peer up does not again.)
+    fn fresh_rto(cfg: &NifdyConfig, peer: Option<&Peer>) -> u64 {
+        let base = cfg.retx_timeout.unwrap_or(0);
+        if !cfg.adaptive_rto {
             return base;
         }
-        self.rtt
-            .get(&dst)
-            .and_then(RttEstimator::rto)
-            .map(|r| r.clamp(self.cfg.rto_min, self.cfg.rto_max))
-            .unwrap_or(base)
+        peer.and_then(|p| p.rtt.rto())
+            .map_or(base, |r| r.clamp(cfg.rto_min, cfg.rto_max))
     }
 
     /// Timeout for the retransmission after `retries` attempts: exponential
     /// backoff saturating at `rto_max`, plus up to 1/8 jitter so synchronized
     /// senders de-correlate. The legacy fixed-timeout path has neither.
     fn backoff_rto(&mut self, dst: NodeId, retries: u32) -> u64 {
-        let rto = self.fresh_rto(dst);
+        let rto = Self::fresh_rto(&self.cfg, self.peers.get(&dst));
         if !self.cfg.adaptive_rto {
             return rto;
         }
@@ -320,24 +362,47 @@ impl NifdyUnit {
         capped + self.jitter.gen_range_u64(0..capped / 8 + 1)
     }
 
-    /// Feeds one RTT sample for `dst`; callers enforce Karn's rule.
-    fn sample_rtt(&mut self, dst: NodeId, rtt: u64) {
-        if self.cfg.adaptive_rto {
-            let est = self.rtt.entry(dst).or_default();
-            est.sample(rtt);
-            let (srtt, rto) = (est.srtt().unwrap_or(0), est.rto().unwrap_or(0));
-            trace_event!(
-                self.trace,
-                self.now,
-                self.node,
-                EventKind::RttSample {
-                    dst,
-                    rtt,
-                    srtt,
-                    rto,
-                }
-            );
+    /// Feeds the round trip of a just-acknowledged packet to `dst`'s
+    /// estimator — unless the packet was ever retransmitted (Karn's rule:
+    /// such an ack is ambiguous).
+    fn sample_rtt(&mut self, dst: NodeId, acked: &RetxTimer) {
+        if !self.cfg.adaptive_rto || acked.retries > 0 {
+            return;
         }
+        let rtt = self.now.saturating_since(acked.first_sent);
+        let est = &mut self.peers.entry(dst).or_default().rtt;
+        est.sample(rtt);
+        let (srtt, rto) = (est.srtt().unwrap_or(0), est.rto().unwrap_or(0));
+        trace_event!(
+            self.trace,
+            self.now,
+            self.node,
+            EventKind::RttSample {
+                dst,
+                rtt,
+                srtt,
+                rto,
+            }
+        );
+    }
+
+    /// The longest a sender lets one packet go without a (re)transmission:
+    /// adaptive senders back off as far as `rto_max`, fixed ones never past
+    /// the timeout; zero without §6.2 (which adaptive RTO requires).
+    fn retx_horizon(&self) -> u64 {
+        if self.cfg.adaptive_rto {
+            self.cfg.rto_max
+        } else {
+            self.cfg.retx_timeout.unwrap_or(0)
+        }
+    }
+
+    /// Silence after which a granted dialog is reclaimed — longer than any
+    /// retransmission schedule could span. `None` without both a timeout
+    /// and a retry budget (an unbudgeted sender never gives up).
+    fn reclaim_limit(&self) -> Option<u64> {
+        let budget = self.cfg.retx_timeout.and(self.cfg.retx_budget)?;
+        Some(self.retx_horizon().saturating_mul(u64::from(budget) + 4))
     }
 
     fn next_packet_id(&mut self) -> PacketId {
@@ -345,17 +410,9 @@ impl NifdyUnit {
         PacketId::new(((self.node.index() as u64) << 40) | self.pkt_counter)
     }
 
-    fn opt_contains(&self, dst: NodeId) -> bool {
-        self.opt.iter().any(|e| e.dst == dst)
-    }
-
-    /// Queued pool packets destined to `dst`, excluding index `skip`.
-    fn backlog_for(&self, dst: NodeId, skip: usize) -> usize {
-        self.pool
-            .iter()
-            .enumerate()
-            .filter(|(i, p)| *i != skip && p.dst == dst)
-            .count()
+    /// Queued pool packets destined to `dst`.
+    fn backlog_for(&self, dst: NodeId) -> usize {
+        self.pool.iter().filter(|p| p.dst == dst).count()
     }
 
     fn queue_ack(&mut self, dst: NodeId, info: AckInfo) {
@@ -366,59 +423,114 @@ impl NifdyUnit {
         });
     }
 
+    /// Queues the cumulative ack for `count` packets delivered in `dialog`.
+    /// With nothing delivered yet there is nothing to acknowledge.
+    fn queue_bulk_ack(&mut self, peer: NodeId, dialog: u8, count: u64, terminate: bool) {
+        if count > 0 {
+            let info = AckInfo::Bulk {
+                dialog,
+                cum_seq: ((count - 1) % SEQ_SPACE) as u8,
+                terminate,
+            };
+            self.queue_ack(peer, info);
+        }
+    }
+
+    /// Feeds an arriving acknowledgment into the processing delay line.
+    fn delay_ack(&mut self, from: NodeId, info: AckInfo) {
+        let ready = self.now + u64::from(self.cfg.ack_proc_cycles);
+        self.ack_delay.push_back((ready, from, info));
+    }
+
     /// Receiver-side bulk-grant decision for a scalar packet from `src` with
     /// the given request bit.
     fn decide_grant(&mut self, requested: bool, src: NodeId) -> BulkGrant {
         if !requested {
             return BulkGrant::NotRequested;
         }
-        if let Some(&slot) = self.peer_dialog.get(&src) {
-            // Idempotent re-grant (duplicate request after a lost ack).
-            return BulkGrant::Granted {
-                dialog: slot,
-                window: self.cfg.window,
-            };
-        }
-        let free = self
-            .dialogs
-            .iter()
-            .enumerate()
-            .find(|(i, d)| d.is_none() && self.closed[*i].is_none_or(|c| c.until <= self.now));
-        match free {
-            Some((slot, _)) => {
-                self.dialogs[slot] = Some(InDialog {
+        // A peer that already holds a slot is re-granted it (duplicate
+        // request after a lost ack); anyone else needs a free one.
+        let held = self.peers.get(&src).and_then(|p| p.dialog);
+        let dialog = match held {
+            Some(dialog) => dialog,
+            None => {
+                let free = self.dialogs.iter().position(|s| match s {
+                    Slot::Free => true,
+                    Slot::Live(_) => false,
+                    Slot::Closed { until, .. } => *until <= self.now,
+                });
+                let Some(slot) = free else {
+                    trace_event!(
+                        self.trace,
+                        self.now,
+                        self.node,
+                        EventKind::DialogReject { peer: src }
+                    );
+                    return BulkGrant::Rejected;
+                };
+                self.dialogs[slot] = Slot::Live(InDialog {
                     peer: src,
                     expected: 0,
-                    buf: BTreeMap::new(),
+                    head: 0,
                     last_acked: 0,
                     last_activity: self.now,
                 });
-                self.closed[slot] = None;
-                self.peer_dialog.insert(src, slot as u8);
+                let dialog = slot as u8;
+                self.peers.entry(src).or_default().dialog = Some(dialog);
                 self.stats.dialogs_granted.incr();
                 trace_event!(
                     self.trace,
                     self.now,
                     self.node,
-                    EventKind::DialogGrant {
-                        peer: src,
-                        dialog: slot as u8,
-                    }
+                    EventKind::DialogGrant { peer: src, dialog }
                 );
-                BulkGrant::Granted {
+                dialog
+            }
+        };
+        BulkGrant::Granted {
+            dialog,
+            window: self.cfg.window,
+        }
+    }
+
+    /// Closes receive slot `slot`. `reclaimed` marks a close the sender
+    /// did not ask for (counted and traced as such); `tombstone` leaves a
+    /// [`Slot::Closed`] behind so late retransmissions of the tail are
+    /// still re-acked. Out-of-order packets still buffered are dropped —
+    /// their gap can never be filled — so the next dialog granted this slot
+    /// finds its `W` buffers empty.
+    fn close_slot(&mut self, slot: usize, reclaimed: bool, tombstone: bool) {
+        let Some(d) = self.dialogs.get(slot).and_then(Slot::live) else {
+            return;
+        };
+        let (peer, final_count) = (d.peer, d.expected);
+        if reclaimed {
+            self.stats.dialogs_reclaimed.incr();
+            trace_event!(
+                self.trace,
+                self.now,
+                self.node,
+                EventKind::DialogClose {
+                    peer,
                     dialog: slot as u8,
-                    window: self.cfg.window,
+                    end: DialogEnd::Reclaimed,
                 }
+            );
+        }
+        self.dialogs[slot] = if tombstone {
+            // The tombstone outlives four times the sender's longest silence.
+            Slot::Closed {
+                peer,
+                final_count,
+                until: self.now + 4 * self.retx_horizon(),
             }
-            None => {
-                trace_event!(
-                    self.trace,
-                    self.now,
-                    self.node,
-                    EventKind::DialogReject { peer: src }
-                );
-                BulkGrant::Rejected
-            }
+        } else {
+            Slot::Free
+        };
+        let w = usize::from(self.cfg.window);
+        self.window[slot * w..(slot + 1) * w].fill(None);
+        if let Some(p) = self.peers.get_mut(&peer) {
+            p.dialog = None;
         }
     }
 
@@ -437,7 +549,9 @@ impl NifdyUnit {
             return;
         }
         let grant = self.decide_grant(bulk_request, pkt.src);
-        self.last_acked_bit.insert(pkt.src, dup_bit);
+        if self.cfg.retx_timeout.is_some() {
+            self.peers.entry(pkt.src).or_default().last_acked_bit = Some(dup_bit);
+        }
         self.queue_ack(
             pkt.src,
             AckInfo::Scalar {
@@ -467,45 +581,36 @@ impl NifdyUnit {
                             occupancy: self.opt.len() as u32,
                         }
                     );
-                    if e.retries == 0 {
-                        let rtt = self.now.saturating_since(e.first_sent);
-                        self.sample_rtt(from, rtt);
-                    }
+                    self.sample_rtt(from, &e.timer);
                 }
+                if grant == BulkGrant::NotRequested || self.bulk_request_pending != Some(from) {
+                    return;
+                }
+                // The answer to the request this unit is waiting on.
+                self.bulk_request_pending = None;
                 match grant {
-                    BulkGrant::Granted { dialog, window } => {
-                        if self.bulk_request_pending == Some(from) && self.out_dialog.is_none() {
-                            self.out_dialog = Some(OutDialog {
+                    BulkGrant::Granted { dialog, window } if self.out_dialog.is_none() => {
+                        self.out_dialog = Some(OutDialog {
+                            peer: from,
+                            dialog,
+                            window,
+                            next_seq: 0,
+                            acked: 0,
+                            exiting: false,
+                        });
+                        trace_event!(
+                            self.trace,
+                            self.now,
+                            self.node,
+                            EventKind::DialogOpen {
                                 peer: from,
                                 dialog,
                                 window,
-                                next_seq: 0,
-                                acked: 0,
-                                exiting: false,
-                                copies: VecDeque::with_capacity(usize::from(window)),
-                            });
-                            trace_event!(
-                                self.trace,
-                                self.now,
-                                self.node,
-                                EventKind::DialogOpen {
-                                    peer: from,
-                                    dialog,
-                                    window,
-                                }
-                            );
-                        }
-                        if self.bulk_request_pending == Some(from) {
-                            self.bulk_request_pending = None;
-                        }
+                            }
+                        );
                     }
-                    BulkGrant::Rejected => {
-                        if self.bulk_request_pending == Some(from) {
-                            self.bulk_request_pending = None;
-                            self.stats.dialogs_rejected.incr();
-                        }
-                    }
-                    BulkGrant::NotRequested => {}
+                    BulkGrant::Granted { .. } | BulkGrant::NotRequested => {}
+                    BulkGrant::Rejected => self.stats.dialogs_rejected.incr(),
                 }
             }
             AckInfo::Bulk {
@@ -513,32 +618,26 @@ impl NifdyUnit {
                 cum_seq,
                 terminate,
             } => {
-                let now = self.now;
-                // Detach the dialog so RTT sampling below can borrow `self`
-                // freely; it goes back unless this ack closed the dialog.
-                let Some(mut d) = self.out_dialog.take() else {
+                let Some(d) = self
+                    .out_dialog
+                    .as_mut()
+                    .filter(|d| d.peer == from && d.dialog == dialog)
+                else {
                     return; // stale ack after the dialog closed
                 };
-                if d.peer != from || d.dialog != dialog {
-                    self.out_dialog = Some(d);
-                    return;
-                }
                 // Reconstruct the absolute delivered count from the wire
                 // residue: the smallest count > acked congruent to cum+1.
                 let target = (u64::from(cum_seq) + 1) % SEQ_SPACE;
                 let delta = (target + SEQ_SPACE - (d.acked % SEQ_SPACE)) % SEQ_SPACE;
                 let count = d.acked + delta;
                 if count > d.next_seq {
-                    self.out_dialog = Some(d); // acknowledges packets never sent: ignore
-                    return;
+                    return; // acknowledges packets never sent: ignore
                 }
-                let mut advance = None;
-                if count > d.acked {
-                    d.acked = count;
-                    advance = Some((count, d.next_seq - count));
-                }
-                let closed = terminate || (d.exiting && d.acked == d.next_seq);
-                if let Some((acked, outstanding)) = advance {
+                let advanced = count > d.acked;
+                d.acked = count;
+                let outstanding = d.next_seq - count;
+                let closed = terminate || (d.exiting && outstanding == 0);
+                if advanced {
                     trace_event!(
                         self.trace,
                         self.now,
@@ -546,12 +645,13 @@ impl NifdyUnit {
                         EventKind::WindowAdvance {
                             peer: from,
                             dialog,
-                            acked,
+                            acked: count,
                             outstanding,
                         }
                     );
                 }
                 if closed {
+                    self.out_dialog = None;
                     trace_event!(
                         self.trace,
                         self.now,
@@ -563,17 +663,14 @@ impl NifdyUnit {
                         }
                     );
                 }
-                if advance.is_some() {
-                    while d.copies.front().is_some_and(|c| c.seq < count) {
-                        let Some(c) = d.copies.pop_front() else { break };
-                        // Karn's rule: retransmitted copies give no sample.
-                        if c.retries == 0 {
-                            self.sample_rtt(from, now.saturating_since(c.first_sent));
-                        }
-                    }
+                while self.copies.front().is_some_and(|c| c.seq < count) {
+                    let Some(c) = self.copies.pop_front() else {
+                        break;
+                    };
+                    self.sample_rtt(from, &c.timer);
                 }
-                if !closed {
-                    self.out_dialog = Some(d);
+                if closed {
+                    self.copies.clear();
                 }
             }
         }
@@ -584,39 +681,25 @@ impl NifdyUnit {
     /// carry `{seq, dialog}` *in place of* the source-identifier bits (§3),
     /// so on a real wire this lookup — not the header — names the sender.
     fn dialog_peer(&self, slot: usize) -> Option<NodeId> {
-        if let Some(d) = self.dialogs.get(slot).and_then(Option::as_ref) {
-            return Some(d.peer);
+        match self.dialogs.get(slot)? {
+            Slot::Free => None,
+            Slot::Live(InDialog { peer, .. }) | Slot::Closed { peer, .. } => Some(*peer),
         }
-        self.closed
-            .get(slot)
-            .copied()
-            .flatten()
-            .map(|c: ClosedDialog| c.peer)
     }
 
     /// Handles an arriving bulk-mode data packet (receiver side).
     fn receive_bulk(&mut self, mut pkt: Packet, tag: BulkTag) {
         let slot = tag.dialog as usize;
-        if slot >= self.dialogs.len() || self.dialogs[slot].is_none() {
+        let Some(Slot::Live(d)) = self.dialogs.get_mut(slot) else {
             // Late retransmission for a closed dialog: re-send the final ack.
-            if let Some(c) = self.closed.get(slot).copied().flatten() {
-                if c.final_count > 0 {
-                    let cum = ((c.final_count - 1) % SEQ_SPACE) as u8;
-                    self.queue_ack(
-                        c.peer,
-                        AckInfo::Bulk {
-                            dialog: tag.dialog,
-                            cum_seq: cum,
-                            terminate: true,
-                        },
-                    );
-                }
+            if let Some(&Slot::Closed {
+                peer, final_count, ..
+            }) = self.dialogs.get(slot)
+            {
+                self.queue_bulk_ack(peer, tag.dialog, final_count, true);
             }
             self.stats.duplicates_dropped.incr();
             return;
-        }
-        let Some(d) = self.dialogs.get_mut(slot).and_then(Option::as_mut) else {
-            return; // guarded above; kept total for the datapath
         };
         d.last_activity = self.now;
         // Re-substitute the source identifier from the dialog slot. Over the
@@ -624,46 +707,42 @@ impl NifdyUnit {
         // over a byte transport the bulk header genuinely lacks the source
         // bits and the decoder fills in a placeholder.
         pkt.src = d.peer;
-        let delta = (u64::from(tag.seq) + SEQ_SPACE - (d.expected % SEQ_SPACE)) % SEQ_SPACE;
-        if delta >= u64::from(self.cfg.window) {
+        let w = usize::from(self.cfg.window);
+        let delta =
+            ((u64::from(tag.seq) + SEQ_SPACE - (d.expected % SEQ_SPACE)) % SEQ_SPACE) as usize;
+        if delta >= w {
             // Duplicate or out-of-window: discard, refresh the cumulative ack.
             self.stats.duplicates_dropped.incr();
-            if d.expected > 0 {
-                let cum = ((d.expected - 1) % SEQ_SPACE) as u8;
-                let (peer, dialog) = (d.peer, tag.dialog);
-                self.queue_ack(
-                    peer,
-                    AckInfo::Bulk {
-                        dialog,
-                        cum_seq: cum,
-                        terminate: false,
-                    },
-                );
-            }
+            let (peer, expected) = (d.peer, d.expected);
+            self.queue_bulk_ack(peer, tag.dialog, expected, false);
             return;
         }
-        let abs = d.expected + delta;
         if delta > 0 {
             self.stats.bulk_out_of_order.incr();
         }
-        d.buf.entry(abs).or_insert(pkt);
+        let at = d.head + delta;
+        let buf = &mut self.window[slot * w + if at < w { at } else { at - w }];
+        if buf.is_none() {
+            *buf = Some(pkt); // a retransmission keeps the first copy
+        }
     }
 
     /// Streams in-order bulk packets to the arrivals FIFO and emits window
     /// acks at half-window boundaries and on dialog exit.
     fn drain_dialogs(&mut self) {
+        let w = usize::from(self.cfg.window);
         for slot in 0..self.dialogs.len() {
             loop {
                 if self.arrivals.len() >= self.cfg.arrivals_capacity as usize {
                     return;
                 }
-                let Some(d) = self.dialogs[slot].as_mut() else {
+                let Slot::Live(d) = &mut self.dialogs[slot] else {
                     break;
                 };
-                let expected = d.expected;
-                let Some(pkt) = d.buf.remove(&expected) else {
+                let Some(pkt) = self.window[slot * w + d.head].take() else {
                     break;
                 };
+                d.head = if d.head + 1 < w { d.head + 1 } else { 0 };
                 d.expected += 1;
                 let exit = matches!(
                     pkt.wire,
@@ -695,44 +774,13 @@ impl NifdyUnit {
                         exit,
                     }
                 );
+                if exit || boundary {
+                    self.queue_bulk_ack(peer, slot as u8, delivered, false);
+                }
                 if exit {
-                    // Final cumulative ack; free the slot with a tombstone.
-                    let cum = ((delivered - 1) % SEQ_SPACE) as u8;
-                    self.queue_ack(
-                        peer,
-                        AckInfo::Bulk {
-                            dialog: slot as u8,
-                            cum_seq: cum,
-                            terminate: false,
-                        },
-                    );
-                    let linger = self.cfg.retx_timeout.map_or(0, |t| {
-                        // Adaptive senders may back off as far as rto_max, so
-                        // the tombstone must outlive that schedule too.
-                        4 * if self.cfg.adaptive_rto {
-                            self.cfg.rto_max
-                        } else {
-                            t
-                        }
-                    });
-                    self.closed[slot] = Some(ClosedDialog {
-                        peer,
-                        final_count: delivered,
-                        until: self.now + linger,
-                    });
-                    self.dialogs[slot] = None;
-                    self.peer_dialog.remove(&peer);
+                    // The ack above was the final one: free the slot.
+                    self.close_slot(slot, false, true);
                     break;
-                } else if boundary {
-                    let cum = ((delivered - 1) % SEQ_SPACE) as u8;
-                    self.queue_ack(
-                        peer,
-                        AckInfo::Bulk {
-                            dialog: slot as u8,
-                            cum_seq: cum,
-                            terminate: false,
-                        },
-                    );
                 }
             }
         }
@@ -756,14 +804,15 @@ impl NifdyUnit {
             debug_assert!(false, "receive_scalar called with a non-data packet");
             return true;
         };
+        let src = pkt.src;
         if self.cfg.retx_timeout.is_some() && needs_ack {
-            if self.last_insert_bit.get(&pkt.src) == Some(&dup_bit) {
+            let peer = self.peers.entry(src).or_default();
+            if peer.last_insert_bit == Some(dup_bit) {
                 // Duplicate of a packet already inserted; re-ack only if the
                 // original was already accepted, otherwise stay silent (the
                 // original's ack is still coming).
                 self.stats.duplicates_dropped.incr();
-                if self.last_acked_bit.get(&pkt.src) == Some(&dup_bit) {
-                    let src = pkt.src;
+                if peer.last_acked_bit == Some(dup_bit) {
                     let grant = self.decide_grant(bulk_request, src);
                     self.queue_ack(
                         src,
@@ -775,12 +824,11 @@ impl NifdyUnit {
                 }
                 return true;
             }
-            self.last_insert_bit.insert(pkt.src, dup_bit);
+            peer.last_insert_bit = Some(dup_bit);
         }
         if self.cfg.ack_on_insert {
             self.ack_scalar(&pkt);
         }
-        let src = pkt.src;
         self.arrivals.push_back(pkt);
         trace_event!(
             self.trace,
@@ -816,7 +864,8 @@ impl NifdyUnit {
             if !p.needs_ack {
                 return Some(i); // §6.1 bypass: no OPT interaction
             }
-            if self.opt_contains(p.dst) || self.opt.len() >= self.cfg.opt_entries as usize {
+            let outstanding = self.opt.iter().any(|e| e.dst == p.dst);
+            if outstanding || self.opt.len() >= self.cfg.opt_entries as usize {
                 continue;
             }
             return Some(i);
@@ -833,6 +882,7 @@ impl NifdyUnit {
         let mut pkt = Packet::data(id, self.node, out.dst, out.size_words);
         pkt.user = out.user;
         pkt.stamp.created = self.now;
+        let retx = self.cfg.retx_timeout.is_some();
 
         // §6.1: carry a pending ack for this destination instead of sending
         // a standalone ack packet. No readiness check: the ack fields are
@@ -855,14 +905,14 @@ impl NifdyUnit {
         // sequence number are all the rest of the branch needs.
         let bulk_fields = match self.out_dialog.as_mut() {
             Some(d) if d.peer == out.dst && !d.exiting => {
-                let seq = (d.next_seq % SEQ_SPACE) as u8;
                 d.next_seq += 1;
-                Some((d.dialog, seq))
+                d.exiting = self.pool.iter().all(|q| q.dst != out.dst);
+                Some((d.dialog, d.next_seq - 1, d.exiting))
             }
             _ => None,
         };
-        if let Some((dialog, seq)) = bulk_fields {
-            let exit = self.pool.iter().all(|q| q.dst != out.dst);
+        if let Some((dialog, abs, exit)) = bulk_fields {
+            let seq = (abs % SEQ_SPACE) as u8;
             pkt.wire = Wire::Data {
                 bulk_request: false,
                 bulk_exit: exit,
@@ -871,29 +921,14 @@ impl NifdyUnit {
                 dup_bit: false,
                 piggy_ack: piggy,
             };
-            let wait = if self.cfg.retx_timeout.is_some() {
-                Some(self.fresh_rto(out.dst))
-            } else {
-                None
-            };
-            if let Some(d) = self.out_dialog.as_mut() {
-                if exit {
-                    d.exiting = true;
-                }
-                if let Some(wait) = wait {
-                    // The window admitted this send, and acked copies are
-                    // pruned on ack receipt, so outstanding copies stay
-                    // strictly under the window.
-                    debug_assert!(d.copies.len() < usize::from(d.window));
-                    d.copies.push_back(BulkCopy {
-                        seq: d.next_seq - 1,
-                        pkt: pkt.clone(),
-                        first_sent: self.now,
-                        last_sent: self.now,
-                        retries: 0,
-                        wait,
-                    });
-                }
+            if retx {
+                // The window admitted this send, and acked copies are
+                // pruned on ack receipt, so the copies fit the window.
+                let wait = Self::fresh_rto(&self.cfg, self.peers.get(&out.dst));
+                self.copies.push_back(BulkCopy {
+                    seq: abs,
+                    timer: RetxTimer::start(self.now, wait, Some(pkt.clone())),
+                });
             }
             self.stats.sent_bulk.incr();
             trace_event!(
@@ -908,19 +943,18 @@ impl NifdyUnit {
                 }
             );
         } else {
+            let peer = self.peers.entry(out.dst).or_default();
+            let wait = Self::fresh_rto(&self.cfg, Some(&*peer));
+            let poisoned = peer.bulk_poisoned;
+            if retx {
+                peer.alt_bit = !peer.alt_bit;
+            }
+            let dup_bit = retx && peer.alt_bit;
             let request = out.want_bulk
                 && self.out_dialog.is_none()
                 && self.bulk_request_pending.is_none()
-                && !self.bulk_poisoned.contains(&out.dst)
-                && self.backlog_for(out.dst, usize::MAX)
-                    >= usize::from(self.cfg.bulk_request_min_backlog);
-            let dup_bit = if self.cfg.retx_timeout.is_some() {
-                let bit = self.alt_bits.entry(out.dst).or_insert(false);
-                *bit = !*bit;
-                *bit
-            } else {
-                false
-            };
+                && !poisoned
+                && self.backlog_for(out.dst) >= usize::from(self.cfg.bulk_request_min_backlog);
             pkt.wire = Wire::Data {
                 bulk_request: request,
                 bulk_exit: false,
@@ -930,15 +964,10 @@ impl NifdyUnit {
                 piggy_ack: piggy,
             };
             if out.needs_ack {
-                let wait = self.fresh_rto(out.dst);
                 self.opt.push(OptEntry {
                     dst: out.dst,
-                    sent_at: self.now,
-                    first_sent: self.now,
-                    retries: 0,
-                    wait,
                     dup_bit,
-                    copy: self.cfg.retx_timeout.map(|_| pkt.clone()),
+                    timer: RetxTimer::start(self.now, wait, retx.then(|| pkt.clone())),
                 });
                 trace_event!(
                     self.trace,
@@ -973,99 +1002,74 @@ impl NifdyUnit {
         Some(pkt)
     }
 
-    /// Fires retransmission timers (§6.2), applying the adaptive-RTO backoff,
-    /// the bounded staging queue, and the retry budget.
+    /// Runs one §6.2 timer for a packet to `dst` (`bulk_seq` names a bulk
+    /// copy's absolute sequence). Returns `true` when the timer is due with
+    /// its retry budget spent: the caller abandons the transfer. Otherwise
+    /// a due timer stages its copy, backs off and is traced — unless the
+    /// staging queue is full, which leaves the timer untouched: the firing
+    /// is deferred, not lost, and re-fires as soon as the queue drains.
+    fn fire_timer(&mut self, t: &mut RetxTimer, dst: NodeId, bulk_seq: Option<u64>) -> bool {
+        let Some(copy) = &t.copy else {
+            return false;
+        };
+        if self.now.saturating_since(t.last_sent) < t.wait {
+            return false;
+        }
+        if self.cfg.retx_budget.is_some_and(|b| t.retries >= b) {
+            return true;
+        }
+        if self.retx_queue.len() >= self.cfg.retx_queue_cap as usize {
+            self.stats.retx_queue_overflow.incr();
+            return false;
+        }
+        self.retx_queue.push_back(copy.clone());
+        self.stats.retransmitted.incr();
+        t.retries += 1;
+        t.last_sent = self.now;
+        t.wait = self.backoff_rto(dst, t.retries);
+        trace_event!(
+            self.trace,
+            self.now,
+            self.node,
+            EventKind::Retransmit {
+                dst,
+                rto: t.wait,
+                retries: t.retries,
+                bulk: bulk_seq.is_some(),
+                seq: bulk_seq.map_or(0, |s| (s % SEQ_SPACE) as u8),
+            }
+        );
+        false
+    }
+
+    /// Fires retransmission timers (§6.2): a scalar entry whose budget is
+    /// spent is failed on its own, a spent bulk copy tears the whole dialog
+    /// down. Each timer set is detached while it runs so `fire_timer` can
+    /// borrow the rest of the unit.
     fn check_retx(&mut self) {
         if self.cfg.retx_timeout.is_none() {
             return;
         }
-        let budget = self.cfg.retx_budget;
-        let cap = self.cfg.retx_queue_cap as usize;
-
-        // Scalar OPT entries.
+        let mut opt = std::mem::take(&mut self.opt);
         let mut i = 0;
-        while i < self.opt.len() {
-            if self.now.saturating_since(self.opt[i].sent_at) < self.opt[i].wait {
-                i += 1;
-                continue;
-            }
-            if budget.is_some_and(|b| self.opt[i].retries >= b) {
-                let e = self.opt.swap_remove(i);
-                self.fail_scalar(e);
-                continue; // swap_remove moved a new entry into index i
-            }
-            if self.retx_queue.len() >= cap {
-                // Timer state untouched: the firing is deferred, not lost,
-                // and re-fires as soon as the staging queue drains.
-                self.stats.retx_queue_overflow.incr();
-                i += 1;
-                continue;
-            }
-            if let Some(copy) = self.opt[i].copy.clone() {
-                self.retx_queue.push_back(copy);
-                self.stats.retransmitted.incr();
-                let (dst, retries) = (self.opt[i].dst, self.opt[i].retries + 1);
-                let wait = self.backoff_rto(dst, retries);
-                trace_event!(
-                    self.trace,
-                    self.now,
-                    self.node,
-                    EventKind::Retransmit {
-                        dst,
-                        rto: wait,
-                        retries,
-                        bulk: false,
-                        seq: 0,
-                    }
-                );
-                let e = &mut self.opt[i];
-                e.retries = retries;
-                e.sent_at = self.now;
-                e.wait = wait;
+        while i < opt.len() {
+            let dst = opt[i].dst;
+            if self.fire_timer(&mut opt[i].timer, dst, None) {
+                self.fail_scalar(opt.swap_remove(i)); // moves a new entry into `i`
             } else {
-                self.opt[i].sent_at = self.now;
+                i += 1;
             }
-            i += 1;
         }
+        self.opt = opt;
 
-        // Bulk dialog copies; one exhausted copy tears the whole dialog down.
-        if let Some(mut d) = self.out_dialog.take() {
-            let peer = d.peer;
-            let mut dead = false;
-            for c in &mut d.copies {
-                if self.now.saturating_since(c.last_sent) < c.wait {
-                    continue;
-                }
-                if budget.is_some_and(|b| c.retries >= b) {
-                    dead = true;
-                    break;
-                }
-                if self.retx_queue.len() >= cap {
-                    self.stats.retx_queue_overflow.incr();
-                    continue;
-                }
-                self.retx_queue.push_back(c.pkt.clone());
-                self.stats.retransmitted.incr();
-                c.retries += 1;
-                c.last_sent = self.now;
-                c.wait = self.backoff_rto(peer, c.retries);
-                trace_event!(
-                    self.trace,
-                    self.now,
-                    self.node,
-                    EventKind::Retransmit {
-                        dst: peer,
-                        rto: c.wait,
-                        retries: c.retries,
-                        bulk: true,
-                        seq: (c.seq % SEQ_SPACE) as u8,
-                    }
-                );
-            }
-            if dead {
-                self.teardown_dialog(d);
-            } else {
-                self.out_dialog = Some(d);
+        if let Some(peer) = self.out_dialog.as_ref().map(|d| d.peer) {
+            let mut copies = std::mem::take(&mut self.copies);
+            let spent = copies
+                .iter_mut()
+                .any(|c| self.fire_timer(&mut c.timer, peer, Some(c.seq)));
+            self.copies = copies;
+            if spent {
+                self.teardown_dialog();
             }
         }
     }
@@ -1079,7 +1083,7 @@ impl NifdyUnit {
             self.node,
             EventKind::DeliveryFail {
                 dst: e.dst,
-                retries: e.retries,
+                retries: e.timer.retries,
             }
         );
         if self.bulk_request_pending == Some(e.dst) {
@@ -1092,20 +1096,29 @@ impl NifdyUnit {
             src: self.node,
             dst: e.dst,
             at: self.now,
-            retries: e.retries,
+            retries: e.timer.retries,
             kind: FailureKind::Scalar,
-            user: e.copy.as_ref().map(|p| p.user),
+            user: e.timer.copy.as_ref().map(|p| p.user),
         });
     }
 
-    /// Tears down the outgoing bulk dialog after budget exhaustion: surfaces
-    /// a typed failure, downgrades the peer to scalar-only, and discards
-    /// staged retransmissions of the dead dialog.
-    fn teardown_dialog(&mut self, d: OutDialog) {
+    /// Tears down the outgoing bulk dialog (budget exhaustion, or the peer
+    /// restarted): surfaces a typed failure, downgrades the peer to
+    /// scalar-only, and discards the dead dialog's copies, staged or not.
+    fn teardown_dialog(&mut self) {
+        let Some(d) = self.out_dialog.take() else {
+            return;
+        };
         self.stats.dialogs_torn_down.incr();
         self.stats.delivery_failures.incr();
-        self.bulk_poisoned.insert(d.peer);
-        let retries = d.copies.iter().map(|c| c.retries).max().unwrap_or(0);
+        self.peers.entry(d.peer).or_default().bulk_poisoned = true;
+        let retries = self
+            .copies
+            .iter()
+            .map(|c| c.timer.retries)
+            .max()
+            .unwrap_or(0);
+        self.copies.clear();
         trace_event!(
             self.trace,
             self.now,
@@ -1136,53 +1149,25 @@ impl NifdyUnit {
             },
             user: None,
         });
-        let peer = d.peer;
         self.retx_queue
-            .retain(|p| !(p.dst == peer && matches!(p.wire, Wire::Data { bulk: Some(_), .. })));
+            .retain(|p| !(p.dst == d.peer && matches!(p.wire, Wire::Data { bulk: Some(_), .. })));
     }
 
     /// Receiver-side garbage collection: a granted dialog whose sender has
-    /// been silent longer than any retransmission schedule could span is
-    /// reclaimed (the sender tore it down or failed), freeing the slot and
-    /// letting the unit reach idle. Buffered out-of-order packets are lost —
-    /// their gap can never be filled.
+    /// been silent past [`Self::reclaim_limit`] is reclaimed (the sender
+    /// tore it down or failed), freeing the slot and letting the unit reach
+    /// idle.
     fn reclaim_dialogs(&mut self) {
-        let (Some(t), Some(budget)) = (self.cfg.retx_timeout, self.cfg.retx_budget) else {
+        let Some(limit) = self.reclaim_limit() else {
             return;
         };
-        let span = if self.cfg.adaptive_rto {
-            self.cfg.rto_max
-        } else {
-            t
-        };
-        let limit = span.saturating_mul(u64::from(budget) + 4);
         for slot in 0..self.dialogs.len() {
-            let Some(d) = &self.dialogs[slot] else {
-                continue;
-            };
-            if self.now.saturating_since(d.last_activity) < limit {
-                continue;
+            let silent = self.dialogs[slot]
+                .live()
+                .is_some_and(|d| self.now.saturating_since(d.last_activity) >= limit);
+            if silent {
+                self.close_slot(slot, true, true);
             }
-            let peer = d.peer;
-            let final_count = d.expected;
-            self.stats.dialogs_reclaimed.incr();
-            trace_event!(
-                self.trace,
-                self.now,
-                self.node,
-                EventKind::DialogClose {
-                    peer,
-                    dialog: slot as u8,
-                    end: DialogEnd::Reclaimed,
-                }
-            );
-            self.closed[slot] = Some(ClosedDialog {
-                peer,
-                final_count,
-                until: self.now + 4 * span,
-            });
-            self.dialogs[slot] = None;
-            self.peer_dialog.remove(&peer);
         }
     }
 
@@ -1213,45 +1198,29 @@ impl NifdyUnit {
     pub fn reset_peer(&mut self, peer: NodeId) {
         // Sender side: tear down the outgoing dialog, then lift the
         // poison — the peer's slate is clean, a new dialog can work.
-        if let Some(d) = self.out_dialog.take_if(|d| d.peer == peer) {
-            self.teardown_dialog(d);
+        if self.out_dialog.as_ref().is_some_and(|d| d.peer == peer) {
+            self.teardown_dialog();
         }
-        self.bulk_poisoned.remove(&peer);
         if self.bulk_request_pending == Some(peer) {
             // The grant this latch awaits died with the old incarnation.
             self.bulk_request_pending = None;
         }
+        let granted = self.peers.get_mut(&peer).and_then(|p| {
+            p.bulk_poisoned = false;
+            p.last_insert_bit = None;
+            p.last_acked_bit = None;
+            p.dialog
+        });
 
         // Receiver side: free the granted slot without a tombstone.
-        if let Some(slot) = self.peer_dialog.remove(&peer).map(usize::from) {
-            if self
-                .dialogs
-                .get(slot)
-                .is_some_and(|d| d.as_ref().is_some_and(|d| d.peer == peer))
-            {
-                self.stats.dialogs_reclaimed.incr();
-                trace_event!(
-                    self.trace,
-                    self.now,
-                    self.node,
-                    EventKind::DialogClose {
-                        peer,
-                        dialog: slot as u8,
-                        end: DialogEnd::Reclaimed,
-                    }
-                );
-                if let Some(d) = self.dialogs.get_mut(slot) {
-                    *d = None;
-                }
+        if let Some(slot) = granted {
+            self.close_slot(usize::from(slot), true, false);
+        }
+        for s in self.dialogs.iter_mut() {
+            if matches!(s, Slot::Closed { peer: p, .. } if *p == peer) {
+                *s = Slot::Free;
             }
         }
-        for c in self.closed.iter_mut() {
-            if c.is_some_and(|c| c.peer == peer) {
-                *c = None;
-            }
-        }
-        self.last_insert_bit.remove(&peer);
-        self.last_acked_bit.remove(&peer);
         self.ack_queue.retain(|a| a.dst != peer);
         self.ack_delay.retain(|(_, dst, _)| *dst != peer);
         self.wake_stale = true;
@@ -1282,8 +1251,11 @@ impl NifdyUnit {
         if !self.pool.is_empty() && (!self.elig_stalled || self.pick_eligible().is_some()) {
             return Wakeup::Now;
         }
-        for d in self.dialogs.iter().flatten() {
-            if d.buf.contains_key(&d.expected) {
+        let w = usize::from(self.cfg.window);
+        for (slot, s) in self.dialogs.iter().enumerate() {
+            if s.live()
+                .is_some_and(|d| self.window[slot * w + d.head].is_some())
+            {
                 return Wakeup::Now;
             }
         }
@@ -1299,27 +1271,17 @@ impl NifdyUnit {
             let at = if held { a.ready_at + hold } else { a.ready_at };
             wake = wake.earliest(Wakeup::at_or_now(at, now));
         }
-        // §6.2 timers exist only with a timeout configured (`check_retx`
+        // §6.2 timers run only with a timeout configured (`check_retx`
         // returns early otherwise, so zero `wait` fields never mean "due").
-        if let Some(t) = self.cfg.retx_timeout {
-            for e in &self.opt {
-                wake = wake.earliest(Wakeup::at_or_now(e.sent_at + e.wait, now));
+        if self.cfg.retx_timeout.is_some() {
+            let timers = self.opt.iter().map(|e| &e.timer);
+            for t in timers.chain(self.copies.iter().map(|c| &c.timer)) {
+                wake = wake.earliest(Wakeup::at_or_now(t.last_sent + t.wait, now));
             }
-            if let Some(d) = &self.out_dialog {
-                for c in &d.copies {
-                    wake = wake.earliest(Wakeup::at_or_now(c.last_sent + c.wait, now));
-                }
-            }
-            if let Some(budget) = self.cfg.retx_budget {
-                let span = if self.cfg.adaptive_rto {
-                    self.cfg.rto_max
-                } else {
-                    t
-                };
-                let limit = span.saturating_mul(u64::from(budget) + 4);
-                for d in self.dialogs.iter().flatten() {
-                    wake = wake.earliest(Wakeup::at_or_now(d.last_activity + limit, now));
-                }
+        }
+        if let Some(limit) = self.reclaim_limit() {
+            for d in self.dialogs.iter().filter_map(Slot::live) {
+                wake = wake.earliest(Wakeup::at_or_now(d.last_activity + limit, now));
             }
         }
         wake
@@ -1373,8 +1335,7 @@ impl Nic for NifdyUnit {
         //    full step and marked stale by every out-of-step mutation
         //    (`try_send`, `poll`, `reset_peer`), so the early-out is
         //    behaviour-preserving — verified differentially in the tests.
-        if self.wake_cache_enabled
-            && !self.wake_stale
+        if !self.wake_stale
             && !self.next_wake.is_due(self.now)
             && fab.peek_eject(self.node, Lane::Reply).is_none()
             && fab.peek_eject(self.node, Lane::Request).is_none()
@@ -1385,9 +1346,8 @@ impl Nic for NifdyUnit {
         // 1. Consume acknowledgments (reply lane) through the processing
         //    delay line.
         while let Some(ack) = fab.eject(self.node, Lane::Reply) {
-            let ready = self.now + u64::from(self.cfg.ack_proc_cycles);
             if let Wire::Ack(info) = ack.wire {
-                self.ack_delay.push_back((ready, ack.src, info));
+                self.delay_ack(ack.src, info);
             }
         }
         while self
@@ -1402,61 +1362,37 @@ impl Nic for NifdyUnit {
         }
 
         // 2. Pull data packets from the fabric.
-        #[expect(clippy::while_let_loop, reason = "scalar arm breaks on backpressure")]
-        loop {
-            let Some(peek) = fab.peek_eject(self.node, Lane::Request) else {
+        while let Some(peek) = fab.peek_eject(self.node, Lane::Request) {
+            let Wire::Data { bulk, .. } = peek.wire else {
+                // Acks never travel on the request lane.
+                let _ = fab.eject(self.node, Lane::Request);
+                debug_assert!(false, "ack on request lane");
+                continue;
+            };
+            if bulk.is_none() && self.arrivals.len() >= self.cfg.arrivals_capacity as usize {
+                break; // scalar backpressure into the fabric
+            }
+            let Some(pkt) = fab.eject(self.node, Lane::Request) else {
+                debug_assert!(false, "peeked packet vanished");
                 break;
             };
-            match peek.wire {
-                Wire::Data { bulk: Some(_), .. } => {
-                    let Some(pkt) = fab.eject(self.node, Lane::Request) else {
-                        debug_assert!(false, "peeked packet vanished");
-                        break;
-                    };
-                    let Wire::Data {
-                        bulk: Some(tag),
-                        piggy_ack,
-                        ..
-                    } = pkt.wire
-                    else {
-                        // Peek promised a bulk data packet; drop the impostor.
-                        debug_assert!(false, "peek/eject disagree on the packet");
-                        continue;
-                    };
-                    if let Some(info) = piggy_ack {
-                        let ready = self.now + u64::from(self.cfg.ack_proc_cycles);
-                        // Bulk headers have no source bits (§3): name the
-                        // sender from the dialog slot, falling back to the
-                        // carried field for unknown slots (the ack is then
-                        // ignored by `handle_ack` anyway).
-                        let from = self.dialog_peer(tag.dialog as usize).unwrap_or(pkt.src);
-                        self.ack_delay.push_back((ready, from, info));
-                    }
-                    self.receive_bulk(pkt, tag);
-                }
-                Wire::Data { bulk: None, .. } => {
-                    if self.arrivals.len() >= self.cfg.arrivals_capacity as usize {
-                        break; // backpressure into the fabric
-                    }
-                    let Some(pkt) = fab.eject(self.node, Lane::Request) else {
-                        debug_assert!(false, "peeked packet vanished");
-                        break;
-                    };
-                    if let Wire::Data {
-                        piggy_ack: Some(info),
-                        ..
-                    } = pkt.wire
-                    {
-                        let ready = self.now + u64::from(self.cfg.ack_proc_cycles);
-                        self.ack_delay.push_back((ready, pkt.src, info));
-                    }
+            if let Wire::Data {
+                piggy_ack: Some(info),
+                ..
+            } = pkt.wire
+            {
+                // Bulk headers have no source bits (§3): name the sender
+                // from the dialog slot, falling back to the carried field
+                // for unknown slots (the ack is then ignored by
+                // `handle_ack` anyway).
+                let from = bulk.and_then(|tag| self.dialog_peer(tag.dialog as usize));
+                self.delay_ack(from.unwrap_or(pkt.src), info);
+            }
+            match bulk {
+                Some(tag) => self.receive_bulk(pkt, tag),
+                None => {
                     let accepted = self.receive_scalar(pkt);
                     debug_assert!(accepted, "space was checked");
-                }
-                Wire::Ack(_) => {
-                    // Acks never travel on the request lane.
-                    let _ = fab.eject(self.node, Lane::Request);
-                    debug_assert!(false, "ack on request lane");
                 }
             }
         }
@@ -1543,7 +1479,7 @@ impl Nic for NifdyUnit {
             && self.opt.is_empty()
             && self.out_dialog.is_none()
             && self.arrivals.is_empty()
-            && self.dialogs.iter().all(|d| d.is_none())
+            && self.dialogs.iter().all(|s| s.live().is_none())
     }
 
     fn next_event(&self, now: Cycle) -> Wakeup {
@@ -1649,7 +1585,6 @@ mod tests {
             next_seq: 300, // past the 256-value wire space
             acked: 252,
             exiting: false,
-            copies: VecDeque::new(),
         });
         // Receiver acks through absolute 259: wire residue (259 - 1) % 256 = 2.
         u.handle_ack(
@@ -1684,7 +1619,6 @@ mod tests {
             next_seq: 4,
             acked: 0,
             exiting: false,
-            copies: VecDeque::new(),
         });
         // cum 9 would mean 10 delivered > 4 sent: bogus, ignored.
         u.handle_ack(
@@ -1709,7 +1643,6 @@ mod tests {
             next_seq: 10,
             acked: 8,
             exiting: true,
-            copies: VecDeque::new(),
         });
         u.handle_ack(
             peer,
@@ -1728,24 +1661,13 @@ mod tests {
     #[test]
     fn scalar_ack_clears_exactly_one_opt_entry() {
         let mut u = unit(NifdyConfig::mesh());
-        u.opt.push(OptEntry {
-            dst: NodeId::new(1),
-            sent_at: Cycle::ZERO,
-            first_sent: Cycle::ZERO,
-            retries: 0,
-            wait: 0,
-            dup_bit: false,
-            copy: None,
-        });
-        u.opt.push(OptEntry {
-            dst: NodeId::new(2),
-            sent_at: Cycle::ZERO,
-            first_sent: Cycle::ZERO,
-            retries: 0,
-            wait: 0,
-            dup_bit: false,
-            copy: None,
-        });
+        for dst in [1, 2] {
+            u.opt.push(OptEntry {
+                dst: NodeId::new(dst),
+                dup_bit: false,
+                timer: RetxTimer::start(Cycle::ZERO, 0, None),
+            });
+        }
         u.handle_ack(
             NodeId::new(1),
             AckInfo::Scalar {
@@ -1798,6 +1720,127 @@ mod tests {
         assert_eq!(u.arrivals.len(), 1, "duplicate delivered");
         assert_eq!(u.stats.duplicates_dropped.get(), 1);
         assert!(u.ack_queue.len() > acks_before, "no re-ack queued");
+    }
+
+    /// A bulk packet from `peer`, marked in its user data.
+    fn bulk_pkt(peer: NodeId, tag: BulkTag, mark: u32) -> Packet {
+        let mut p = Packet::data(PacketId::new(1), peer, NodeId::new(0), 8);
+        p.wire = Wire::Data {
+            bulk_request: false,
+            bulk_exit: false,
+            bulk: Some(tag),
+            needs_ack: true,
+            dup_bit: false,
+            piggy_ack: None,
+        };
+        p.user.pkt_index = mark;
+        p
+    }
+
+    fn arrival_marks(u: &NifdyUnit) -> Vec<u32> {
+        u.arrivals.iter().map(|p| p.user.pkt_index).collect()
+    }
+
+    #[test]
+    fn a_retransmission_of_a_buffered_packet_keeps_the_first_copy() {
+        let mut u = unit(params(4, 4, 1, 4));
+        let peer = NodeId::new(3);
+        assert!(matches!(
+            u.decide_grant(true, peer),
+            BulkGrant::Granted { dialog: 0, .. }
+        ));
+        // Seq 1 overtakes seq 0 and is then retransmitted while it waits.
+        let (first, second) = (BulkTag { dialog: 0, seq: 0 }, BulkTag { dialog: 0, seq: 1 });
+        u.receive_bulk(bulk_pkt(peer, second, 11), second);
+        u.receive_bulk(bulk_pkt(peer, second, 99), second);
+        u.drain_dialogs();
+        assert!(u.arrivals.is_empty(), "seq 1 must wait for seq 0");
+        u.receive_bulk(bulk_pkt(peer, first, 10), first);
+        u.drain_dialogs();
+        assert_eq!(arrival_marks(&u), [10, 11]);
+        assert_eq!(u.stats.bulk_out_of_order.get(), 2);
+    }
+
+    #[test]
+    fn a_freed_slot_hands_no_stale_packet_to_its_next_dialog() {
+        let tag = |seq| BulkTag { dialog: 0, seq };
+        let (old, new) = (NodeId::new(3), NodeId::new(2));
+        for by_restart in [false, true] {
+            let mut u = unit(params(4, 4, 1, 4).with_retx_timeout(10).with_retx_budget(2));
+            assert!(matches!(
+                u.decide_grant(true, old),
+                BulkGrant::Granted { dialog: 0, .. }
+            ));
+            // Seqs 1 and 3 wait behind gaps that will never fill.
+            u.receive_bulk(bulk_pkt(old, tag(1), 91), tag(1));
+            u.receive_bulk(bulk_pkt(old, tag(3), 93), tag(3));
+            if by_restart {
+                u.reset_peer(old);
+            } else {
+                u.now = Cycle::new(10 * (2 + 4));
+                u.reclaim_dialogs();
+                let Slot::Closed { until, .. } = u.dialogs[0] else {
+                    panic!("tombstone expected");
+                };
+                u.now = until;
+            }
+            assert!(u.window.iter().all(Option::is_none), "slot not emptied");
+            assert!(matches!(
+                u.decide_grant(true, new),
+                BulkGrant::Granted { dialog: 0, .. }
+            ));
+            u.receive_bulk(bulk_pkt(new, tag(0), 1), tag(0));
+            u.drain_dialogs();
+            assert_eq!(arrival_marks(&u), [1], "restart = {by_restart}");
+        }
+    }
+
+    #[test]
+    fn copies_never_outlive_the_outgoing_dialog() {
+        type Close = fn(&mut NifdyUnit, NodeId);
+        let closers: [(&str, Close); 3] = [
+            ("terminating ack", |u, peer| {
+                let info = AckInfo::Bulk {
+                    dialog: 0,
+                    cum_seq: 0,
+                    terminate: true,
+                };
+                u.handle_ack(peer, info);
+            }),
+            ("spent retry budget", |u, _| u.check_retx()),
+            ("peer restart", |u, peer| u.reset_peer(peer)),
+        ];
+        let peer = NodeId::new(3);
+        for (what, close) in closers {
+            let mut u = unit(params(4, 4, 1, 4).with_retx_timeout(10).with_retx_budget(1));
+            u.out_dialog = Some(OutDialog {
+                peer,
+                dialog: 0,
+                window: 4,
+                next_seq: 3,
+                acked: 0,
+                exiting: false,
+            });
+            for seq in 0..3 {
+                let pkt = bulk_pkt(NodeId::new(0), BulkTag { dialog: 0, seq }, 0);
+                u.copies.push_back(BulkCopy {
+                    seq: u64::from(seq),
+                    timer: RetxTimer {
+                        retries: 1,
+                        ..RetxTimer::start(Cycle::ZERO, 10, Some(pkt))
+                    },
+                });
+            }
+            u.now = Cycle::new(50);
+            close(&mut u, peer);
+            assert!(u.out_dialog.is_none(), "{what}: dialog still open");
+            assert!(u.copies.is_empty(), "{what}: copies left behind");
+            assert_eq!(
+                u.next_event(u.now),
+                Wakeup::Quiescent,
+                "{what}: a dead dialog's timer still schedules a wakeup"
+            );
+        }
     }
 
     #[test]
@@ -1853,7 +1896,11 @@ mod tests {
                 .with_adaptive_rto(true),
         );
         let dst = NodeId::new(1);
-        assert_eq!(u.fresh_rto(dst), 2_500, "no samples yet: initial RTO");
+        assert_eq!(
+            NifdyUnit::fresh_rto(&u.cfg, u.peers.get(&dst)),
+            2_500,
+            "no samples yet: initial RTO"
+        );
         assert!(u.try_send(OutboundPacket::new(dst, 8), Cycle::ZERO));
         let _ = u.launch(u.pick_eligible().expect("eligible"));
         u.now = Cycle::new(80);
@@ -1866,7 +1913,7 @@ mod tests {
         );
         assert_eq!(u.srtt(dst), Some(80));
         // rto = srtt + 4·rttvar = 80 + 4·40, within [rto_min, rto_max].
-        assert_eq!(u.fresh_rto(dst), 240);
+        assert_eq!(NifdyUnit::fresh_rto(&u.cfg, u.peers.get(&dst)), 240);
     }
 
     #[test]
@@ -1960,14 +2007,13 @@ mod tests {
             next_seq: 3,
             acked: 1,
             exiting: false,
-            copies: VecDeque::from([BulkCopy {
-                seq: 1,
-                pkt,
-                first_sent: Cycle::ZERO,
-                last_sent: Cycle::ZERO,
+        });
+        u.copies.push_back(BulkCopy {
+            seq: 1,
+            timer: RetxTimer {
                 retries: 1,
-                wait: 10,
-            }]),
+                ..RetxTimer::start(Cycle::ZERO, 10, Some(pkt))
+            },
         });
         u.now = Cycle::new(50);
         u.check_retx();
@@ -1988,7 +2034,7 @@ mod tests {
     fn poisoned_peers_fall_back_to_scalar() {
         let mut u = unit(params(8, 8, 1, 4).with_retx_timeout(10).with_retx_budget(1));
         let dst = NodeId::new(2);
-        u.bulk_poisoned.insert(dst);
+        u.peers.entry(dst).or_default().bulk_poisoned = true;
         for _ in 0..4 {
             assert!(u.try_send(OutboundPacket::new(dst, 8).with_bulk(true), Cycle::ZERO));
         }
@@ -2017,17 +2063,17 @@ mod tests {
         );
         let mk = |n: usize| OptEntry {
             dst: NodeId::new(n),
-            sent_at: Cycle::ZERO,
-            first_sent: Cycle::ZERO,
-            retries: 0,
-            wait: 10,
             dup_bit: false,
-            copy: Some(Packet::data(
-                PacketId::new(n as u64),
-                NodeId::new(0),
-                NodeId::new(n),
-                8,
-            )),
+            timer: RetxTimer::start(
+                Cycle::ZERO,
+                10,
+                Some(Packet::data(
+                    PacketId::new(n as u64),
+                    NodeId::new(0),
+                    NodeId::new(n),
+                    8,
+                )),
+            ),
         };
         u.opt.push(mk(1));
         u.opt.push(mk(2));
@@ -2035,8 +2081,17 @@ mod tests {
         u.check_retx();
         assert_eq!(u.retx_queue.len(), 1, "cap enforced");
         assert_eq!(u.stats.retx_queue_overflow.get(), 1);
-        let deferred = u.opt.iter().find(|e| e.retries == 0).expect("deferred");
-        assert_eq!(deferred.sent_at, Cycle::ZERO, "deferred firing keeps state");
+        let deferred = &u
+            .opt
+            .iter()
+            .find(|e| e.timer.retries == 0)
+            .expect("deferred")
+            .timer;
+        assert_eq!(
+            deferred.last_sent,
+            Cycle::ZERO,
+            "deferred firing keeps state"
+        );
         // Once the queue drains, the deferred entry fires immediately.
         u.retx_queue.clear();
         u.check_retx();
@@ -2054,9 +2109,11 @@ mod tests {
         assert!(!u.is_idle(), "granted slot keeps the unit busy");
         u.now = Cycle::new(10 * (2 + 4)); // span · (budget + 4)
         u.reclaim_dialogs();
-        assert!(u.dialogs.iter().all(|d| d.is_none()), "slot reclaimed");
         assert_eq!(u.stats.dialogs_reclaimed.get(), 1);
-        assert!(u.closed[0].is_some(), "tombstone left for late duplicates");
+        assert!(
+            matches!(u.dialogs[0], Slot::Closed { .. }),
+            "slot reclaimed, tombstone left for late duplicates"
+        );
         assert!(u.is_idle());
     }
 
@@ -2151,8 +2208,9 @@ mod tests {
     #[test]
     fn wakeup_cache_early_out_is_behaviour_preserving() {
         // Two identical 4-node replicas under a scripted random workload,
-        // one with the sparse-stepping cache disabled. Every delivery (and
-        // its cycle) plus the final counters must match exactly.
+        // one forced through the full step body every cycle by marking its
+        // cache stale first. Every delivery (and its cycle) plus the final
+        // counters must match exactly.
         let run = |cache: bool| {
             let cfg = NifdyConfig::mesh()
                 .with_retx_timeout(400)
@@ -2160,11 +2218,7 @@ mod tests {
                 .with_retx_budget(6);
             let mut fab = fabric();
             let mut units: Vec<NifdyUnit> = (0..4usize)
-                .map(|n| {
-                    let mut u = NifdyUnit::new(NodeId::new(n), cfg.clone());
-                    u.wake_cache_enabled = cache;
-                    u
-                })
+                .map(|n| NifdyUnit::new(NodeId::new(n), cfg.clone()))
                 .collect();
             let mut rng = SimRng::from_seed_stream(7, 0);
             let mut deliveries: Vec<(u64, usize, usize)> = Vec::new();
@@ -2178,6 +2232,7 @@ mod tests {
                     );
                 }
                 for u in units.iter_mut() {
+                    u.wake_stale |= !cache;
                     u.step(&mut fab);
                 }
                 fab.step();

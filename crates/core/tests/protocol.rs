@@ -537,23 +537,57 @@ fn piggybacked_acks_preserve_order_and_exactly_once_under_loss() {
 fn bulk_dialog_longer_than_the_wire_sequence_space_stays_correct() {
     // 600 packets through one dialog: absolute sequence numbers exceed the
     // 256-value wire space several times over, exercising the modulo
-    // reconstruction at both ends.
-    let fab = Fabric::new(Box::new(Mesh::d2(2, 2)), FabricConfig::default());
-    let mut bed = Bed::new(fab, |n| NifdyUnit::new(n, NifdyConfig::fat_tree()));
-    let mut got = sink(4);
-    let total = 600u32;
-    let mut queued = 0u32;
-    while got[3].len() < total as usize {
-        while queued < total && bed.nics[0].try_send(msg(3, queued, total, true), bed.fab.now()) {
-            queued += 1;
+    // reconstruction at both ends. A lossy fat tree makes the reorder
+    // buffers hold packets across every wrap, and windows of 6 and 12 do
+    // not divide 256, so a buffer's index and the wire residue drift apart.
+    for window in [4u8, 6, 12] {
+        let fab = Fabric::new(
+            Box::new(FatTree::new(16)),
+            FabricConfig::default().with_drop_prob(0.05).with_seed(5),
+        );
+        let cfg = NifdyConfig::builder()
+            .opt_entries(8)
+            .pool_entries(8)
+            .max_dialogs(1)
+            .window(window)
+            .build()
+            .expect("valid test config")
+            .with_retx_timeout(600);
+        let mut bed = Bed::new(fab, |n| NifdyUnit::new(n, cfg.clone()));
+        let mut got = sink(16);
+        let total = 600u32;
+        let mut queued = 0u32;
+        while got[15].len() < total as usize {
+            while queued < total
+                && bed.nics[0].try_send(msg(15, queued, total, true), bed.fab.now())
+            {
+                queued += 1;
+            }
+            bed.step(&mut got);
+            assert!(
+                bed.fab.now().as_u64() < 3_000_000,
+                "W = {window}: timed out"
+            );
         }
-        bed.step(&mut got);
-        assert!(bed.fab.now().as_u64() < 3_000_000, "timed out");
+        // Let late retransmissions land: none may be delivered twice.
+        for _ in 0..5_000 {
+            bed.step(&mut got);
+        }
+        assert_eq!(got[15].len(), total as usize, "W = {window}: duplicates");
+        for (k, (_, u)) in got[15].iter().enumerate() {
+            assert_eq!(u.pkt_index, k as u32, "W = {window}: order corrupted");
+        }
+        let (tx, rx) = (bed.nics[0].stats(), bed.nics[15].stats());
+        assert_eq!(rx.dialogs_granted.get(), 1, "W = {window}");
+        assert!(
+            rx.bulk_out_of_order.get() > 0,
+            "W = {window}: never reordered"
+        );
+        assert!(
+            tx.retransmitted.get() > 0,
+            "W = {window}: never retransmitted"
+        );
     }
-    for (k, (_, u)) in got[3].iter().enumerate() {
-        assert_eq!(u.pkt_index, k as u32, "wraparound corrupted ordering");
-    }
-    assert_eq!(bed.nics[3].stats().dialogs_granted.get(), 1);
 }
 
 #[test]

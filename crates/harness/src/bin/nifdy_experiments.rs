@@ -7,14 +7,14 @@
 use std::process::ExitCode;
 
 use nifdy_harness::{
-    analyze_cmd, ext, ext_lossy, fig23, fig4, fig5, fig6, fig78, fig9, node_cmd, percentile_table,
-    sweep, table3, trace_guard, wire_cmd, Jobs, Scale,
+    ablations, analyze_cmd, ext, ext_lossy, fig23, fig4, fig5, fig6, fig78, fig9, node_cmd,
+    percentile_table, sweep, table3, trace_guard, wire_cmd, Jobs, Scale,
 };
 use nifdy_trace::export;
 
 const USAGE: &str = "usage: nifdy-experiments \
     <fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|table3|all|sweep:<network>\
-    |ext:adaptive|ext:loadsweep|ext:lossy|trace-guard|wire:loopback|wire:udp|wire:chaos\
+    |ablations|ext:adaptive|ext:loadsweep|ext:lossy|trace-guard|wire:loopback|wire:udp|wire:chaos\
     |trace:analyze|node:serve|node:swarm> \
     [--full|--quick|--smoke] [--seed N] [--jobs N] \
     [--trace-out FILE.json] [--trace-jsonl FILE.jsonl] [--metrics-out FILE.json]\n\
@@ -137,6 +137,12 @@ fn main() -> ExitCode {
         println!("{coalesce}");
     }
 
+    if target == "ablations" {
+        for table in ablations::run(scale, seed) {
+            println!("{table}");
+        }
+        matched = true;
+    }
     if target == "ext:adaptive" {
         let (table, _) = ext::run_adaptive(scale, seed, jobs);
         println!("{table}");

@@ -30,6 +30,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ablations;
 pub mod analyze_cmd;
 pub mod exec;
 pub mod ext;

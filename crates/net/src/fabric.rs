@@ -17,7 +17,7 @@ use nifdy_sim::{Cycle, NodeId, SimRng, Slab, SlabKey, Wakeup};
 use nifdy_trace::{trace_event, DropReason, EventKind, TraceHandle};
 
 use crate::config::{FabricConfig, SwitchingPolicy};
-use crate::fault::{DropCause, FaultPlane};
+use crate::fault::FaultPlane;
 use crate::packet::{Lane, Packet};
 use crate::topology::{Candidate, Endpoint, RouteState, Topology, VcSel};
 
@@ -200,14 +200,15 @@ pub struct FabricStats {
 }
 
 impl FabricStats {
-    fn count_fault_drop(&mut self, cause: DropCause) {
+    fn count_drop(&mut self, cause: DropReason) {
         self.dropped.incr();
         match cause {
-            DropCause::Data => self.dropped_data.incr(),
-            DropCause::Ack => self.dropped_ack.incr(),
-            DropCause::Burst => self.dropped_burst.incr(),
-            DropCause::LinkDown => self.dropped_link_down.incr(),
-            DropCause::Targeted => self.dropped_targeted.incr(),
+            DropReason::Uniform => self.dropped_uniform.incr(),
+            DropReason::Data => self.dropped_data.incr(),
+            DropReason::Ack => self.dropped_ack.incr(),
+            DropReason::Burst => self.dropped_burst.incr(),
+            DropReason::LinkDown => self.dropped_link_down.incr(),
+            DropReason::Targeted => self.dropped_targeted.incr(),
         }
     }
 
@@ -221,19 +222,6 @@ impl FabricStats {
             DropReason::Burst => self.dropped_burst.get(),
             DropReason::LinkDown => self.dropped_link_down.get(),
             DropReason::Targeted => self.dropped_targeted.get(),
-        }
-    }
-}
-
-/// The trace-layer mirror of a fault-plane [`DropCause`].
-impl From<DropCause> for DropReason {
-    fn from(cause: DropCause) -> DropReason {
-        match cause {
-            DropCause::Data => DropReason::Data,
-            DropCause::Ack => DropReason::Ack,
-            DropCause::Burst => DropReason::Burst,
-            DropCause::LinkDown => DropReason::LinkDown,
-            DropCause::Targeted => DropReason::Targeted,
         }
     }
 }
@@ -790,9 +778,15 @@ impl Fabric {
         // Return the assembly space to the ejection port's credits.
         self.routers[router].outs[port].credits[dvc as usize] += flits;
         self.pending_per_dst[packet.dst.index()] -= 1;
-        if self.cfg.drop_prob > 0.0 && self.rng.gen_bool(self.cfg.drop_prob) {
-            self.stats.dropped.incr();
-            self.stats.dropped_uniform.incr();
+        // The legacy uniform lottery draws first; the fault plane judges
+        // only the packets it spares.
+        let cause = if self.cfg.drop_prob > 0.0 && self.rng.gen_bool(self.cfg.drop_prob) {
+            Some(DropReason::Uniform)
+        } else {
+            self.faults.judge(self.now, &packet)
+        };
+        if let Some(cause) = cause {
+            self.stats.count_drop(cause);
             trace_event!(
                 self.trace,
                 self.now,
@@ -801,22 +795,7 @@ impl Fabric {
                     src: packet.src,
                     dst: packet.dst,
                     ack: lane == Lane::Reply,
-                    cause: DropReason::Uniform,
-                }
-            );
-            return;
-        }
-        if let Some(cause) = self.faults.judge(self.now, &packet) {
-            self.stats.count_fault_drop(cause);
-            trace_event!(
-                self.trace,
-                self.now,
-                packet.dst,
-                EventKind::Drop {
-                    src: packet.src,
-                    dst: packet.dst,
-                    ack: lane == Lane::Reply,
-                    cause: cause.into(),
+                    cause,
                 }
             );
             return;

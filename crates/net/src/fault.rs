@@ -24,6 +24,7 @@
 //! the fabric's routing or legacy drop lottery for a given seed.
 
 use nifdy_sim::{Cycle, NodeId, SimRng};
+use nifdy_trace::DropReason;
 
 use crate::packet::{Lane, Packet};
 
@@ -300,22 +301,6 @@ impl FaultConfig {
     }
 }
 
-/// Why the fault plane dropped a packet; each cause has its own counter in
-/// [`FabricStats`](crate::FabricStats).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DropCause {
-    /// Uniform data-lane loss ([`FaultConfig::data_drop_prob`]).
-    Data,
-    /// Uniform ack-lane loss ([`FaultConfig::ack_drop_prob`]).
-    Ack,
-    /// Gilbert–Elliott burst loss.
-    Burst,
-    /// A scheduled link outage.
-    LinkDown,
-    /// A per-destination targeted drop.
-    Targeted,
-}
-
 /// Runtime state of the fault-injection plane.
 ///
 /// Owned by the [`Fabric`](crate::Fabric); judged once per fully delivered
@@ -365,13 +350,14 @@ impl FaultPlane {
     }
 
     /// Judges one packet completing delivery at `now`; returns the cause if
-    /// it must be dropped.
+    /// it must be dropped (never [`DropReason::Uniform`]: that lottery is
+    /// the fabric's own).
     ///
     /// Deterministic rules (link windows) are checked before probabilistic
     /// ones, and the Gilbert–Elliott chain advances exactly once per judged
     /// packet regardless of the other models' outcomes, so the burst
     /// pattern is a pure function of the judged-packet sequence.
-    pub fn judge(&mut self, now: Cycle, packet: &Packet) -> Option<DropCause> {
+    pub fn judge(&mut self, now: Cycle, packet: &Packet) -> Option<DropReason> {
         if !self.active {
             return None;
         }
@@ -383,19 +369,19 @@ impl FaultPlane {
             .is_some_and(|ge| ge.advance(&mut self.in_burst, &mut self.rng));
 
         if self.link_is_down(packet.dst, now) {
-            return Some(DropCause::LinkDown);
+            return Some(DropReason::LinkDown);
         }
         if let Some(t) = self.cfg.targets.iter().find(|t| t.dst == packet.dst) {
             if t.prob > 0.0 && self.rng.gen_bool(t.prob) {
-                return Some(DropCause::Targeted);
+                return Some(DropReason::Targeted);
             }
         }
         if burst_says_drop {
-            return Some(DropCause::Burst);
+            return Some(DropReason::Burst);
         }
         let (cause, p) = match packet.lane {
-            Lane::Request => (DropCause::Data, self.cfg.data_drop_prob),
-            Lane::Reply => (DropCause::Ack, self.cfg.ack_drop_prob),
+            Lane::Request => (DropReason::Data, self.cfg.data_drop_prob),
+            Lane::Reply => (DropReason::Ack, self.cfg.ack_drop_prob),
         };
         if p > 0.0 && self.rng.gen_bool(p) {
             return Some(cause);
@@ -480,11 +466,11 @@ mod tests {
         assert_eq!(plane.judge(Cycle::new(99), &pkt(4, Lane::Request)), None);
         assert_eq!(
             plane.judge(Cycle::new(100), &pkt(4, Lane::Request)),
-            Some(DropCause::LinkDown)
+            Some(DropReason::LinkDown)
         );
         assert_eq!(
             plane.judge(Cycle::new(199), &pkt(4, Lane::Reply)),
-            Some(DropCause::LinkDown)
+            Some(DropReason::LinkDown)
         );
         assert_eq!(plane.judge(Cycle::new(200), &pkt(4, Lane::Request)), None);
         // Other destinations are unaffected.
@@ -497,7 +483,7 @@ mod tests {
         let mut plane = FaultPlane::new(cfg, 1);
         assert_eq!(
             plane.judge(Cycle::new(0), &pkt(9, Lane::Request)),
-            Some(DropCause::Targeted)
+            Some(DropReason::Targeted)
         );
         assert_eq!(plane.judge(Cycle::new(0), &pkt(8, Lane::Request)), None);
     }

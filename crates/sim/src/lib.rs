@@ -10,8 +10,8 @@
 //! * [`SimRng`] — deterministic, splittable random-number streams (the paper
 //!   keeps *"dedicated state for each pseudo-random number generator"* so the
 //!   same bursts are generated regardless of configuration),
-//! * [`metrics`] — counters, running statistics, histograms and time series
-//!   used to produce the paper's tables and figures,
+//! * [`metrics`] — counters, running statistics and log-bucketed latency
+//!   histograms used to produce the paper's tables and figures,
 //! * [`StallWatchdog`] — cycle-driven detection of units that stay busy
 //!   without making progress (livelock and lost-wakeup tripwire for lossy
 //!   fabrics),

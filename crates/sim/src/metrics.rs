@@ -1,14 +1,12 @@
 //! Measurement primitives used to produce the paper's tables and figures.
 //!
 //! The paper's bottom-line metric is *"the number of packets delivered within
-//! a fixed number of cycles"* (Figures 2 and 3), plus latency statistics,
-//! per-receiver congestion time series (Figure 5), and per-phase cycle counts
-//! (Figures 6–9). [`Counter`], [`Stats`], [`Histogram`] and [`TimeSeries`]
-//! cover those needs.
+//! a fixed number of cycles"* (Figures 2 and 3), plus latency statistics and
+//! per-phase cycle counts (Figures 6–9). [`Counter`], [`Stats`] and
+//! [`LogHistogram`] cover those needs; sampled series live in `nifdy-trace`'s
+//! metrics registry.
 
 use std::fmt;
-
-use crate::Cycle;
 
 /// A monotonically increasing event counter.
 ///
@@ -163,82 +161,6 @@ impl fmt::Display for Stats {
             self.min(),
             self.max()
         )
-    }
-}
-
-/// A histogram with fixed-width buckets plus an overflow bucket.
-///
-/// # Examples
-///
-/// ```
-/// use nifdy_sim::metrics::Histogram;
-///
-/// let mut h = Histogram::new(10.0, 4); // buckets [0,10), [10,20), [20,30), [30,40), overflow
-/// h.record(5.0);
-/// h.record(35.0);
-/// h.record(1e9);
-/// assert_eq!(h.bucket_count(0), 1);
-/// assert_eq!(h.bucket_count(3), 1);
-/// assert_eq!(h.overflow(), 1);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    width: f64,
-    buckets: Vec<u64>,
-    overflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` buckets of `width` each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is not positive or `buckets` is zero.
-    pub fn new(width: f64, buckets: usize) -> Self {
-        assert!(width > 0.0, "bucket width must be positive");
-        assert!(buckets > 0, "need at least one bucket");
-        Histogram {
-            width,
-            buckets: vec![0; buckets],
-            overflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Records one sample; negative samples land in bucket 0.
-    pub fn record(&mut self, value: f64) {
-        self.total += 1;
-        let idx = (value.max(0.0) / self.width) as usize;
-        if idx < self.buckets.len() {
-            self.buckets[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Number of samples in bucket `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn bucket_count(&self, idx: usize) -> u64 {
-        self.buckets[idx]
-    }
-
-    /// Number of buckets (excluding overflow).
-    pub fn num_buckets(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Number of samples beyond the last bucket.
-    pub const fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total number of samples recorded.
-    pub const fn total(&self) -> u64 {
-        self.total
     }
 }
 
@@ -449,69 +371,6 @@ impl fmt::Display for LogHistogram {
     }
 }
 
-/// A periodically sampled time series, as used for the Figure 5 congestion
-/// heat map (pending packets per receiver over time).
-///
-/// Call [`TimeSeries::sample_if_due`] every cycle with a closure producing
-/// the current value; it stores one sample every `period` cycles.
-///
-/// # Examples
-///
-/// ```
-/// use nifdy_sim::{Cycle, metrics::TimeSeries};
-///
-/// let mut ts = TimeSeries::new(100);
-/// for c in 0..250u64 {
-///     ts.sample_if_due(Cycle::new(c), || c as f64);
-/// }
-/// assert_eq!(ts.samples(), &[0.0, 100.0, 200.0]);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimeSeries {
-    period: u64,
-    next_due: u64,
-    samples: Vec<f64>,
-}
-
-impl TimeSeries {
-    /// Creates a series sampled once every `period` cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn new(period: u64) -> Self {
-        assert!(period > 0, "sampling period must be positive");
-        TimeSeries {
-            period,
-            next_due: 0,
-            samples: Vec::new(),
-        }
-    }
-
-    /// Stores `f()` if a sample is due at `now`; otherwise does nothing.
-    ///
-    /// Sample points stay aligned to the period grid (0, `period`,
-    /// `2·period`, …) even when the caller skips cycles: after a gap the
-    /// next due point is the first grid multiple after `now`, not
-    /// `now + period`, so a single hiccup cannot skew every later sample.
-    pub fn sample_if_due<F: FnOnce() -> f64>(&mut self, now: Cycle, f: F) {
-        if now.as_u64() >= self.next_due {
-            self.samples.push(f());
-            self.next_due = (now.as_u64() / self.period + 1) * self.period;
-        }
-    }
-
-    /// The recorded samples in time order.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-
-    /// The sampling period, in cycles.
-    pub const fn period(&self) -> u64 {
-        self.period
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -545,46 +404,6 @@ mod tests {
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
         assert_eq!(s.variance(), 0.0);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let mut h = Histogram::new(2.0, 3);
-        for v in [0.0, 1.9, 2.0, 5.9, 6.0, -3.0] {
-            h.record(v);
-        }
-        assert_eq!(h.bucket_count(0), 3); // 0.0, 1.9, -3.0
-        assert_eq!(h.bucket_count(1), 1); // 2.0
-        assert_eq!(h.bucket_count(2), 1); // 5.9
-        assert_eq!(h.overflow(), 1); // 6.0
-        assert_eq!(h.total(), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn histogram_rejects_zero_width() {
-        let _ = Histogram::new(0.0, 3);
-    }
-
-    #[test]
-    fn time_series_respects_period() {
-        let mut ts = TimeSeries::new(10);
-        for c in 0..35u64 {
-            ts.sample_if_due(Cycle::new(c), || c as f64);
-        }
-        assert_eq!(ts.samples(), &[0.0, 10.0, 20.0, 30.0]);
-        assert_eq!(ts.period(), 10);
-    }
-
-    #[test]
-    fn time_series_tolerates_cycle_gaps() {
-        let mut ts = TimeSeries::new(10);
-        ts.sample_if_due(Cycle::new(0), || 1.0);
-        ts.sample_if_due(Cycle::new(25), || 2.0); // due (past 10); next grid point is 30
-        ts.sample_if_due(Cycle::new(30), || 3.0); // due: sampling stays on the 10-grid
-        ts.sample_if_due(Cycle::new(35), || 4.0); // not due until 40
-        ts.sample_if_due(Cycle::new(40), || 5.0);
-        assert_eq!(ts.samples(), &[1.0, 2.0, 3.0, 5.0]);
     }
 
     #[test]

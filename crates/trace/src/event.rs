@@ -12,9 +12,9 @@ use nifdy_sim::{Cycle, NodeId};
 /// Why the fabric dropped a packet, mirrored from the fabric's own
 /// accounting so the trace layer stays dependency-free.
 ///
-/// `nifdy-net` converts its `DropCause` into this enum when emitting
-/// [`EventKind::Drop`]; the per-cause event counts are property-tested to
-/// match `FabricStats` exactly.
+/// `nifdy-net`'s fault plane returns this enum and the fabric both counts
+/// and emits [`EventKind::Drop`] by it; the per-cause event counts are
+/// property-tested to match `FabricStats` exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DropReason {
     /// The legacy uniform edge-drop lottery.

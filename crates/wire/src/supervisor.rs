@@ -300,6 +300,11 @@ impl<T: Transport> SupervisedEndpoint<T> {
                 }
             );
             match self.peers.get_mut(&hb.src) {
+                // A delayed or duplicated beacon from an incarnation already
+                // known dead speaks for no live process. Recording its epoch
+                // would make the live incarnation's next beacon read as a
+                // second restart.
+                Some(state) if hb.epoch < state.epoch => {}
                 Some(state) => {
                     if hb.epoch > state.epoch {
                         // The peer provably restarted: everything our unit
@@ -666,7 +671,21 @@ mod tests {
         // Node 1 "restarts": same transport, bumped epoch.
         eps[1].epoch = 1;
         let mut restarted = Vec::new();
-        for _ in 0..32 {
+        for round in 0..32 {
+            if round == 16 {
+                // A beacon of the dead incarnation, delayed past the new
+                // one's first: it must not rewind the recorded epoch.
+                let stale = crate::codec::Heartbeat {
+                    src: NodeId::new(1),
+                    dst: NodeId::new(0),
+                    epoch: 0,
+                };
+                hub.endpoint(stale.src).send(
+                    stale.dst,
+                    nifdy_net::Lane::Reply,
+                    crate::codec::encode_heartbeat(&stale),
+                );
+            }
             for ep in eps.iter_mut() {
                 ep.step();
             }

@@ -2,9 +2,11 @@
 //! counting global allocator around a window of `Driver::run_cycles` on a
 //! warmed-up, saturated 64-node fat tree. The bounds are the measured truth
 //! with slack (DESIGN.md §13.4): the fabric and `PlainNic` allocate nothing
-//! per packet; `NifdyUnit` allocates per *dialog* (the `InDialog` reorder
-//! map and the `OutDialog` copy deque), which the preset's bulk mode turns
-//! into a fraction of an allocation per delivered packet.
+//! per packet, and `NifdyUnit` constructs nothing per dialog or per packet,
+//! bulk mode included. What is left (a few dozen allocations in the window) is
+//! growth on first contact: a B-tree node when a unit's per-peer table
+//! meets a new peer (`launch`, `decide_grant`), and the fabric's worm slab
+//! reaching a new high-water mark.
 //!
 //! The daemon cases do the same for the byte stack: a `NifdyNode` (alone,
 //! and two joined by a `LoopbackHub`) under a bulk rotation recycles every
@@ -105,7 +107,7 @@ fn steady_state_allocations_per_delivered_packet_stay_bounded() {
     let bulk = allocs_per_delivered("NIFDY preset", &NicChoice::Nifdy(preset));
     assert!(plain < 0.001, "{plain} allocs/packet");
     assert!(scalar < 0.01, "{scalar} allocs/packet");
-    assert!(bulk < 0.25, "{bulk} allocs/packet");
+    assert!(bulk < 0.01, "{bulk} allocs/packet");
 }
 
 const ENDPOINTS: usize = 64;
