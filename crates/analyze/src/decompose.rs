@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::journey::{Journey, JourneyStatus};
+use crate::journey::JourneyStatus;
 use crate::stitch::JourneySet;
 
 /// Nearest-rank percentile summary of one latency component (cycles).
@@ -151,17 +151,10 @@ pub fn means_are_additive(flows: &[FlowStats]) -> bool {
     })
 }
 
-/// Scalar or bulk journeys only — convenience for carrier comparisons.
-pub fn completed_latencies(journeys: &[Journey]) -> Vec<u64> {
-    let mut v: Vec<u64> = journeys.iter().filter_map(|j| j.end_to_end()).collect();
-    v.sort_unstable();
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journey::JourneyKind;
+    use crate::journey::{Journey, JourneyKind};
 
     #[test]
     fn nearest_rank_matches_definition() {

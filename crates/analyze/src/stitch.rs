@@ -120,8 +120,7 @@ struct State {
 }
 
 /// Reconstructs journeys from a time-ordered event stream (as produced by
-/// the recorder / [`nifdy_trace::export::merge_snapshots`]) plus the
-/// recorder's loss accounting.
+/// the recorder) plus the recorder's loss accounting.
 pub fn stitch(events: &[TraceEvent], loss: &TraceLoss) -> JourneySet {
     let mut set = JourneySet {
         loss: loss.clone(),

@@ -138,10 +138,6 @@ pub struct NifdyConfig {
     /// Arrivals FIFO capacity in packets ("with the NIFDY protocol, the
     /// capacity of the arrivals queue is at most two packets").
     pub arrivals_capacity: u8,
-    /// Cycles of NIFDY processing charged per ack end ("we will assume that
-    /// the NIFDY processing takes 2 cycles at each end, for a total of
-    /// `T_ackproc = 4`").
-    pub ack_proc_cycles: u16,
     /// Acknowledge scalar packets when they are *inserted* into the arrivals
     /// FIFO instead of when the processor accepts them — the paper's
     /// footnote 2 calls this "surprisingly less effective"; kept for the
@@ -156,10 +152,6 @@ pub struct NifdyConfig {
     /// "which should reduce network traffic". Costs one header bit plus the
     /// ack fields.
     pub piggyback_acks: bool,
-    /// How long a pending ack may wait for a same-destination data packet
-    /// before it is sent standalone anyway (piggyback mode only). Bounds the
-    /// extra round-trip latency the optimization can introduce.
-    pub piggyback_hold_cycles: u64,
     /// §6.2 lossy-network extension: retransmit unacknowledged packets after
     /// this many cycles. `None` assumes the reliable fabrics of §1.1. With
     /// [`adaptive_rto`](NifdyConfig::adaptive_rto) set, this is only the
@@ -192,11 +184,6 @@ pub struct NifdyConfig {
     /// next cycle) and the overflow is counted in
     /// [`NicStats::retx_queue_overflow`](crate::NicStats::retx_queue_overflow).
     pub retx_queue_cap: u16,
-    /// Threshold (in queued packets for the same destination, beyond the
-    /// current one) above which a software `want_bulk` request is actually
-    /// put on the wire. Guards against dialogs granted to senders with
-    /// nothing left to send.
-    pub bulk_request_min_backlog: u8,
 }
 
 impl NifdyConfig {
@@ -219,18 +206,15 @@ impl NifdyConfig {
             max_dialogs,
             window,
             arrivals_capacity: 2,
-            ack_proc_cycles: 2,
             ack_on_insert: false,
             bulk_ack_every_packet: false,
             piggyback_acks: false,
-            piggyback_hold_cycles: 64,
             retx_timeout: None,
             adaptive_rto: false,
             rto_min: 32,
             rto_max: 20_000,
             retx_budget: None,
             retx_queue_cap: 64,
-            bulk_request_min_backlog: 1,
         }
     }
 
@@ -333,37 +317,6 @@ impl NifdyConfig {
         self
     }
 
-    /// Builder: override the arrivals FIFO capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero.
-    pub fn with_arrivals_capacity(mut self, cap: u8) -> Self {
-        assert!(cap > 0, "arrivals FIFO needs at least one slot");
-        self.arrivals_capacity = cap;
-        self
-    }
-
-    /// Builder: override the NIFDY ack-processing delay (paper Table 1).
-    pub fn with_ack_proc_cycles(mut self, cycles: u16) -> Self {
-        self.ack_proc_cycles = cycles;
-        self
-    }
-
-    /// Builder: how long a ready ack waits for reverse data to piggyback
-    /// on (§6.1) before it is sent standalone.
-    pub fn with_piggyback_hold_cycles(mut self, cycles: u64) -> Self {
-        self.piggyback_hold_cycles = cycles;
-        self
-    }
-
-    /// Builder: backlog (queued packets to one destination) required
-    /// before a scalar send asks for a bulk dialog.
-    pub fn with_bulk_request_min_backlog(mut self, backlog: u8) -> Self {
-        self.bulk_request_min_backlog = backlog;
-        self
-    }
-
     /// Total hardware packet buffers this configuration implies
     /// (`B + D·W + arrivals`) — the figure the buffering-only baseline must
     /// match for a fair comparison (§3).
@@ -388,18 +341,15 @@ impl NifdyConfig {
             max_dialogs,
             window,
             arrivals_capacity,
-            ack_proc_cycles: _,
             ack_on_insert: _,
             bulk_ack_every_packet: _,
             piggyback_acks: _,
-            piggyback_hold_cycles: _,
             retx_timeout,
             adaptive_rto,
             rto_min,
             rto_max,
             retx_budget,
             retx_queue_cap,
-            bulk_request_min_backlog: _,
         } = *self;
         if opt_entries == 0 {
             return Err(ConfigError::ZeroOptEntries);

@@ -52,6 +52,22 @@ use crate::rto::RttEstimator;
 /// hardware would use `log2(2W)` bits).
 const SEQ_SPACE: u64 = 256;
 
+/// Cycles of NIFDY processing charged at each end of an ack: "we will
+/// assume that the NIFDY processing takes 2 cycles at each end, for a total
+/// of `T_ackproc = 4`" (paper Table 1).
+const ACK_PROC_CYCLES: u64 = 2;
+
+/// How long a ready ack may wait for same-destination data to piggyback on
+/// (§6.1) before it is sent standalone: about one mesh round trip, so the
+/// optimization can at most double an ack's latency.
+const PIGGYBACK_HOLD_CYCLES: u64 = 64;
+
+/// Queued packets for the same destination, beyond the current one, that a
+/// software `want_bulk` needs before the request bit goes on the wire: one,
+/// so no dialog is granted to a sender with nothing left to send (the paper
+/// leaves the request policy to software, §2.2).
+const BULK_REQUEST_MIN_BACKLOG: usize = 1;
+
 /// `SimRng` stream id of the retransmission-jitter generator (seeded by the
 /// node index, so units never share a jitter sequence).
 const JITTER_STREAM: u64 = 0x717;
@@ -419,7 +435,7 @@ impl NifdyUnit {
         self.ack_queue.push_back(PendingAck {
             dst,
             info,
-            ready_at: self.now + u64::from(self.cfg.ack_proc_cycles),
+            ready_at: self.now + ACK_PROC_CYCLES,
         });
     }
 
@@ -438,7 +454,7 @@ impl NifdyUnit {
 
     /// Feeds an arriving acknowledgment into the processing delay line.
     fn delay_ack(&mut self, from: NodeId, info: AckInfo) {
-        let ready = self.now + u64::from(self.cfg.ack_proc_cycles);
+        let ready = self.now + ACK_PROC_CYCLES;
         self.ack_delay.push_back((ready, from, info));
     }
 
@@ -954,7 +970,7 @@ impl NifdyUnit {
                 && self.out_dialog.is_none()
                 && self.bulk_request_pending.is_none()
                 && !poisoned
-                && self.backlog_for(out.dst) >= usize::from(self.cfg.bulk_request_min_backlog);
+                && self.backlog_for(out.dst) >= BULK_REQUEST_MIN_BACKLOG;
             pkt.wire = Wire::Data {
                 bulk_request: request,
                 bulk_exit: false,
@@ -1265,10 +1281,9 @@ impl NifdyUnit {
         if let Some((ready, _, _)) = self.ack_delay.front() {
             wake = wake.earliest(Wakeup::at_or_now(*ready, now));
         }
-        let hold = self.cfg.piggyback_hold_cycles;
         for a in &self.ack_queue {
             let held = self.cfg.piggyback_acks && self.pool.iter().any(|p| p.dst == a.dst);
-            let at = if held { a.ready_at + hold } else { a.ready_at };
+            let at = a.ready_at + if held { PIGGYBACK_HOLD_CYCLES } else { 0 };
             wake = wake.earliest(Wakeup::at_or_now(at, now));
         }
         // §6.2 timers run only with a timeout configured (`check_retx`
@@ -1409,7 +1424,6 @@ impl Nic for NifdyUnit {
         //    piggybacking, an ack whose destination has reverse data queued
         //    is held (briefly) so `launch` can carry it for free.
         if fab.can_inject(self.node, Lane::Reply) {
-            let hold = self.cfg.piggyback_hold_cycles;
             let idx = self.ack_queue.iter().position(|a| {
                 if a.ready_at > self.now {
                     return false;
@@ -1418,7 +1432,7 @@ impl Nic for NifdyUnit {
                     return true;
                 }
                 let reverse_data = self.pool.iter().any(|p| p.dst == a.dst);
-                !reverse_data || self.now.saturating_since(a.ready_at) >= hold
+                !reverse_data || self.now.saturating_since(a.ready_at) >= PIGGYBACK_HOLD_CYCLES
             });
             if let Some(a) = idx.and_then(|idx| self.ack_queue.remove(idx)) {
                 let id = self.next_packet_id();
@@ -2175,7 +2189,7 @@ mod tests {
             },
         );
         u.wake_stale = true;
-        let ready = Cycle::new(100 + u64::from(u.cfg.ack_proc_cycles));
+        let ready = Cycle::new(100 + ACK_PROC_CYCLES);
         assert_eq!(u.next_event(Cycle::new(100)), Wakeup::At(ready));
     }
 

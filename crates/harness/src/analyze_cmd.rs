@@ -21,7 +21,7 @@
 //! [`FaultyTransport`]: nifdy_wire::FaultyTransport
 
 use nifdy_analyze::{analyze, enrich_chrome_trace, AnalysisReport, AnomalyConfig, ExternalCounts};
-use nifdy_net::{FaultConfig, GilbertElliott};
+use nifdy_net::GilbertElliott;
 use nifdy_trace::json::Json;
 use nifdy_trace::{TraceConfig, TraceEvent, TraceHandle, TraceLoss};
 use nifdy_wire::conformance::{
@@ -56,13 +56,10 @@ pub fn messages(scale: Scale) -> u64 {
     scale.count(10)
 }
 
-fn fabric_faults() -> FaultConfig {
-    FaultConfig::default().with_burst(GilbertElliott::with_mean_loss(MEAN_LOSS))
-}
-
-/// The wire chaos plane: the same bursty loss plus corruption,
-/// duplication, delay, and reordering — all recoverable.
-fn wire_faults() -> WireFaultConfig {
+/// The chaos both carriers run under — all recoverable. The fabric's plane
+/// takes the `loss` half (bursty loss); the wire plane adds corruption,
+/// duplication, delay, and reordering.
+fn faults() -> WireFaultConfig {
     WireFaultConfig::default()
         .with_burst(GilbertElliott::with_mean_loss(MEAN_LOSS))
         .with_corrupt_prob(0.05)
@@ -234,8 +231,9 @@ pub fn run(scale: Scale, seed: u64) -> AnalyzeRun {
         }
     };
 
+    let faults = faults();
     let trace = recorder();
-    let mut set = FabricSet::new(&plan, cfg.clone(), fabric_faults(), &trace);
+    let mut set = FabricSet::new(&plan, cfg.clone(), faults.loss.clone(), &trace);
     let fab = conformance::run(&mut set, &plan, CHAOS_QUIESCE_GRACE, max_ticks);
     let fab_counts = ExternalCounts {
         delivered: Some(fab.delivered()),
@@ -248,7 +246,7 @@ pub fn run(scale: Scale, seed: u64) -> AnalyzeRun {
 
     let trace = recorder();
     let hub = (HUB_LATENCY, HUB_JITTER);
-    let mut set = LoopbackSet::new(&plan, hub, cfg, &wire_faults(), &trace);
+    let mut set = LoopbackSet::new(&plan, hub, cfg, &faults, &trace);
     let wire = conformance::run(&mut set, &plan, CHAOS_QUIESCE_GRACE, max_ticks);
     let wire_counts = ExternalCounts {
         delivered: Some(wire.delivered()),

@@ -51,5 +51,5 @@ pub mod wire_cmd;
 
 pub use exec::{cell_seed, Jobs};
 pub use nifdy_traffic::NetworkKind;
-pub use report::{fault_summary, heat_map, percentile_table, Table};
+pub use report::{heat_map, percentile_table, Table};
 pub use scale::Scale;

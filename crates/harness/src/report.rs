@@ -3,7 +3,6 @@
 
 use std::fmt;
 
-use nifdy_net::FabricStats;
 use nifdy_trace::MetricsRegistry;
 
 /// A rendered result table.
@@ -72,38 +71,6 @@ impl fmt::Display for Table {
         }
         Ok(())
     }
-}
-
-/// Renders the fabric's packet-loss accounting — the legacy uniform lottery
-/// plus every fault-plane cause — as a table, for lossy-fabric experiment
-/// reports.
-///
-/// # Examples
-///
-/// ```
-/// use nifdy_harness::fault_summary;
-/// use nifdy_net::FabricStats;
-///
-/// let t = fault_summary("clean run", &FabricStats::default());
-/// assert!(t.to_string().contains("burst"));
-/// ```
-pub fn fault_summary(title: &str, stats: &FabricStats) -> Table {
-    let mut t = Table::new(
-        format!("{title}: packet drops by cause"),
-        vec!["cause".into(), "drops".into()],
-    );
-    for (cause, counter) in [
-        ("uniform lottery", &stats.dropped_uniform),
-        ("data-lane loss", &stats.dropped_data),
-        ("ack-lane loss", &stats.dropped_ack),
-        ("burst (Gilbert-Elliott)", &stats.dropped_burst),
-        ("link down", &stats.dropped_link_down),
-        ("targeted", &stats.dropped_targeted),
-    ] {
-        t.row(vec![cause.into(), counter.get().to_string()]);
-    }
-    t.row(vec!["total".into(), stats.dropped.get().to_string()]);
-    t
 }
 
 /// Renders every latency histogram of a metrics registry as a percentile

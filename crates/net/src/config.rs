@@ -65,17 +65,13 @@ pub struct FabricConfig {
     /// Largest packet the fabric must carry, in flits; sizes ejection
     /// assembly buffers and the cut-through reservation check.
     pub max_packet_flits: u16,
-    /// Probability that a fully delivered packet is dropped at the receiving
-    /// edge instead of being handed to the NIC. `0.0` models the reliable
-    /// MPP networks of §1.1; nonzero exercises the §6.2 retransmission
-    /// extension.
-    pub drop_prob: f64,
-    /// Seed for the fabric's internal randomness (adaptive route choice,
-    /// drop lottery). The fault plane derives its own decorrelated stream
-    /// from the same seed.
+    /// Seed of the fault plane's generator, the fabric's only randomness:
+    /// routing never draws, so a fabric whose `fault` is inactive behaves
+    /// the same at every seed.
     pub seed: u64,
     /// Fault-injection plane configuration (bursty loss, lane-asymmetric
-    /// loss, scheduled link outages, targeted drops). Inactive by default.
+    /// loss, scheduled link outages). Inactive by default, which models the
+    /// reliable MPP networks of §1.1.
     pub fault: FaultConfig,
 }
 
@@ -89,7 +85,6 @@ impl Default for FabricConfig {
             time_mux_lanes: false,
             eject_ready_pkts: 1,
             max_packet_flits: 8,
-            drop_prob: 0.0,
             seed: 0,
             fault: FaultConfig::default(),
         }
@@ -127,13 +122,16 @@ impl FabricConfig {
         self
     }
 
-    /// Sets the edge drop probability for lossy-network experiments.
+    /// The §6.2 lossy network: every fully delivered packet, data or ack,
+    /// is dropped at the receiving edge with probability `p`. Sets both
+    /// lane probabilities of [`fault`](Self::fault); a later
+    /// [`with_fault`](Self::with_fault) replaces them.
     pub fn with_drop_prob(mut self, p: f64) -> Self {
-        self.drop_prob = p;
+        self.fault = self.fault.with_data_drop_prob(p).with_ack_drop_prob(p);
         self
     }
 
-    /// Sets the fabric randomness seed.
+    /// Sets the seed of the fault plane's generator.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -142,12 +140,6 @@ impl FabricConfig {
     /// Installs a fault-injection plane configuration.
     pub fn with_fault(mut self, fault: FaultConfig) -> Self {
         self.fault = fault;
-        self
-    }
-
-    /// Sets the maximum packet size in flits.
-    pub fn with_max_packet_flits(mut self, flits: u16) -> Self {
-        self.max_packet_flits = flits;
         self
     }
 
@@ -164,29 +156,36 @@ impl FabricConfig {
     /// Returns a description of the first violated constraint, e.g. a
     /// cut-through configuration whose VC buffers cannot hold a whole packet.
     pub fn validate(&self) -> Result<(), String> {
-        if self.vcs_per_lane == 0 {
+        // No `..`: a new field compiles only once constrained here or waived with `_`.
+        let Self {
+            vcs_per_lane,
+            vc_buf_flits,
+            policy,
+            flit_cycles,
+            time_mux_lanes: _,
+            eject_ready_pkts: _,
+            max_packet_flits,
+            seed: _,
+            ref fault,
+        } = *self;
+        if vcs_per_lane == 0 {
             return Err("vcs_per_lane must be at least 1".into());
         }
-        if self.vc_buf_flits == 0 {
+        if vc_buf_flits == 0 {
             return Err("vc_buf_flits must be at least 1".into());
         }
-        if self.flit_cycles == 0 {
+        if flit_cycles == 0 {
             return Err("flit_cycles must be at least 1".into());
         }
-        if self.max_packet_flits == 0 {
+        if max_packet_flits == 0 {
             return Err("max_packet_flits must be at least 1".into());
         }
-        if self.policy != SwitchingPolicy::Wormhole && self.vc_buf_flits < self.max_packet_flits {
+        if policy != SwitchingPolicy::Wormhole && vc_buf_flits < max_packet_flits {
             return Err(format!(
-                "{:?} requires vc_buf_flits ({}) >= max_packet_flits ({})",
-                self.policy, self.vc_buf_flits, self.max_packet_flits
+                "{policy:?} requires vc_buf_flits ({vc_buf_flits}) >= max_packet_flits ({max_packet_flits})"
             ));
         }
-        if !(0.0..=1.0).contains(&self.drop_prob) {
-            return Err("drop_prob must be within [0, 1]".into());
-        }
-        self.fault.validate()?;
-        Ok(())
+        fault.validate()
     }
 }
 
@@ -225,6 +224,19 @@ mod tests {
             .with_drop_prob(1.5)
             .validate()
             .is_err());
+    }
+
+    #[test]
+    fn drop_prob_is_both_lanes_of_the_fault_plane() {
+        let lanes = |p| {
+            FaultConfig::default()
+                .with_data_drop_prob(p)
+                .with_ack_drop_prob(p)
+        };
+        let sugar = FabricConfig::default().with_drop_prob(0.2);
+        assert_eq!(sugar, FabricConfig::default().with_fault(lanes(0.2)));
+        let replaced = sugar.with_fault(FaultConfig::default().with_ack_drop_prob(0.1));
+        assert_eq!(replaced.fault.data_drop_prob, 0.0, "with_fault replaces");
     }
 
     #[test]

@@ -13,11 +13,11 @@ use std::collections::VecDeque;
 
 use nifdy_sim::metrics::{Counter, LogHistogram, Stats};
 
-use nifdy_sim::{Cycle, NodeId, SimRng, Slab, SlabKey, Wakeup};
+use nifdy_sim::{Cycle, NodeId, Slab, SlabKey, Wakeup};
 use nifdy_trace::{trace_event, DropReason, EventKind, TraceHandle};
 
 use crate::config::{FabricConfig, SwitchingPolicy};
-use crate::fault::FaultPlane;
+use crate::fault::{FaultPlane, FABRIC_FAULT_STREAM};
 use crate::packet::{Lane, Packet};
 use crate::topology::{Candidate, Endpoint, RouteState, Topology, VcSel};
 
@@ -176,22 +176,11 @@ pub struct FabricStats {
     pub injected: [Counter; 2],
     /// Packets fully delivered to ejection queues, per lane.
     pub delivered: [Counter; 2],
-    /// Packets dropped at the edge, all causes combined (legacy uniform
-    /// lottery plus every fault-plane model).
+    /// Packets the fault plane dropped at the edge, all causes combined.
     pub dropped: Counter,
-    /// Drops by the legacy uniform lottery
-    /// ([`FabricConfig::drop_prob`](crate::FabricConfig::drop_prob)).
-    pub dropped_uniform: Counter,
-    /// Fault-plane drops of data (request-lane) packets by uniform lane loss.
-    pub dropped_data: Counter,
-    /// Fault-plane drops of ack (reply-lane) packets by uniform lane loss.
-    pub dropped_ack: Counter,
-    /// Fault-plane drops by the Gilbert–Elliott burst chain.
-    pub dropped_burst: Counter,
-    /// Fault-plane drops by scheduled link-down windows.
-    pub dropped_link_down: Counter,
-    /// Fault-plane drops by per-destination targeted loss.
-    pub dropped_targeted: Counter,
+    /// The same drops per cause, indexed by the [`DropReason`]'s
+    /// discriminant; read through [`dropped_by_reason`](Self::dropped_by_reason).
+    dropped_by: [Counter; DropReason::ALL.len()],
     /// Injection-to-delivery latency of request-lane packets, in cycles.
     pub latency: Stats,
     /// Log-bucketed latency histogram of request-lane packets (quantile
@@ -202,27 +191,12 @@ pub struct FabricStats {
 impl FabricStats {
     fn count_drop(&mut self, cause: DropReason) {
         self.dropped.incr();
-        match cause {
-            DropReason::Uniform => self.dropped_uniform.incr(),
-            DropReason::Data => self.dropped_data.incr(),
-            DropReason::Ack => self.dropped_ack.incr(),
-            DropReason::Burst => self.dropped_burst.incr(),
-            DropReason::LinkDown => self.dropped_link_down.incr(),
-            DropReason::Targeted => self.dropped_targeted.incr(),
-        }
+        self.dropped_by[cause as usize].incr();
     }
 
-    /// The drop counter matching a trace [`DropReason`], for counter/event
-    /// parity checks.
+    /// Packets dropped for one cause.
     pub fn dropped_by_reason(&self, reason: DropReason) -> u64 {
-        match reason {
-            DropReason::Uniform => self.dropped_uniform.get(),
-            DropReason::Data => self.dropped_data.get(),
-            DropReason::Ack => self.dropped_ack.get(),
-            DropReason::Burst => self.dropped_burst.get(),
-            DropReason::LinkDown => self.dropped_link_down.get(),
-            DropReason::Targeted => self.dropped_targeted.get(),
-        }
+        self.dropped_by[reason as usize].get()
     }
 }
 
@@ -265,7 +239,6 @@ pub struct Fabric {
     /// sending.
     inj_active: u32,
     now: Cycle,
-    rng: SimRng,
     faults: FaultPlane,
     trace: TraceHandle,
     stats: FabricStats,
@@ -384,8 +357,7 @@ impl Fabric {
         }
 
         let num_nodes = topo.num_nodes();
-        let seed = cfg.seed;
-        let faults = FaultPlane::new(cfg.fault.clone(), seed);
+        let faults = FaultPlane::new(cfg.fault.clone(), cfg.seed, FABRIC_FAULT_STREAM);
         Fabric {
             cfg,
             topo,
@@ -395,7 +367,6 @@ impl Fabric {
             ready_total: 0,
             inj_active: 0,
             now: Cycle::ZERO,
-            rng: SimRng::from_seed_stream(seed, 0xFAB),
             faults,
             trace: TraceHandle::off(),
             stats: FabricStats::default(),
@@ -432,13 +403,6 @@ impl Fabric {
     #[inline]
     pub fn stats(&self) -> &FabricStats {
         &self.stats
-    }
-
-    /// The fault-injection plane (for inspecting burst state or scheduled
-    /// outages).
-    #[inline]
-    pub fn fault_plane(&self) -> &FaultPlane {
-        &self.faults
     }
 
     /// Connects the fabric to a flight recorder: edge drops (with their
@@ -485,7 +449,7 @@ impl Fabric {
     /// Only valid while the fabric is quiescent ([`Self::in_network`] is
     /// zero): each skipped step would have been exactly `now += 1`, so the
     /// jump is observationally identical to stepping — same RNG stream
-    /// (the drop lottery only draws at deliveries), same arbitration state.
+    /// (the fault plane only draws at deliveries), same arbitration state.
     /// Calls with `t <= now` or on an active fabric are ignored (debug
     /// builds assert).
     pub fn advance_to(&mut self, t: Cycle) {
@@ -778,14 +742,7 @@ impl Fabric {
         // Return the assembly space to the ejection port's credits.
         self.routers[router].outs[port].credits[dvc as usize] += flits;
         self.pending_per_dst[packet.dst.index()] -= 1;
-        // The legacy uniform lottery draws first; the fault plane judges
-        // only the packets it spares.
-        let cause = if self.cfg.drop_prob > 0.0 && self.rng.gen_bool(self.cfg.drop_prob) {
-            Some(DropReason::Uniform)
-        } else {
-            self.faults.judge(self.now, &packet)
-        };
-        if let Some(cause) = cause {
+        if let Some(cause) = self.faults.judge(self.now.as_u64(), packet.dst, lane) {
             self.stats.count_drop(cause);
             trace_event!(
                 self.trace,

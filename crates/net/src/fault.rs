@@ -1,10 +1,9 @@
 //! The fault-injection plane: deterministic, seeded packet-loss models.
 //!
-//! The base fabric offers a single uniform edge drop probability
-//! ([`FabricConfig::drop_prob`](crate::FabricConfig::drop_prob)), which is
-//! enough to demonstrate the paper's §6.2 retransmission extension but far
-//! from the loss behavior of real deployments. The [`FaultPlane`] adds the
-//! scenarios production networks actually exhibit:
+//! [`FaultPlane`] is the one place in the workspace where a loss lottery is
+//! drawn: the [`Fabric`](crate::Fabric) judges every packet completing
+//! delivery with one, `nifdy-wire`'s `FaultyTransport` every outbound frame
+//! with another on its own stream. Its models:
 //!
 //! * **Bursty loss** via a two-state Gilbert–Elliott chain
 //!   ([`GilbertElliott`]): long stretches of near-lossless operation
@@ -12,25 +11,24 @@
 //! * **Asymmetric lane loss**: independent drop probabilities for
 //!   data (request-lane) and ack (reply-lane) packets, because ack-path
 //!   loss stresses retransmission logic very differently from data loss.
+//!   Both lanes at one value is the paper's §6.2 lossy network
+//!   ([`FabricConfig::with_drop_prob`](crate::FabricConfig::with_drop_prob)).
 //! * **Scheduled link outages** ([`LinkWindow`]): a named edge link goes
 //!   down at one cycle and comes back at another (or never), turning loss
 //!   from a lottery into a hard fault the protocol must survive.
-//! * **Targeted destinations** ([`TargetedDrop`]): elevated loss towards
-//!   specific nodes, modeling a flaky cable or a failing switch port.
 //!
-//! Every cause is counted separately in
-//! [`FabricStats`](crate::FabricStats), and all randomness comes from a
-//! dedicated [`SimRng`] stream, so enabling the fault plane never perturbs
-//! the fabric's routing or legacy drop lottery for a given seed.
+//! Every cause is a [`DropReason`], counted separately by the carrier that
+//! asked, and all randomness comes from the plane's own [`SimRng`] stream.
+//! An inactive plane never draws, so a clean run is seed-independent.
 
-use nifdy_sim::{Cycle, NodeId, SimRng};
+use nifdy_sim::{NodeId, SimRng};
 use nifdy_trace::DropReason;
 
-use crate::packet::{Lane, Packet};
+use crate::packet::Lane;
 
-/// Stream id for the fault plane's private generator (decorrelated from the
-/// fabric's routing/drop stream `0xFAB`).
-const FAULT_STREAM: u64 = 0xFA17;
+/// Stream id of the fabric's fault plane. `ext_lossy_*` and every seeded
+/// chaos artefact depend on it.
+pub(crate) const FABRIC_FAULT_STREAM: u64 = 0xFA17;
 
 /// Two-state Gilbert–Elliott burst-loss model.
 ///
@@ -168,16 +166,15 @@ impl LinkWindow {
         self.down_from <= now && now < self.up_at
     }
 
-    /// Validates that the window is non-empty; `kind` names the plane's
-    /// word for it (`"link"`, `"partition"`) in the message.
+    /// Validates that the window is non-empty.
     ///
     /// # Errors
     ///
     /// Returns a description of the empty window.
-    pub fn validate(&self, kind: &str) -> Result<(), String> {
+    pub fn validate(&self) -> Result<(), String> {
         if self.down_from >= self.up_at {
             return Err(format!(
-                "{kind} window {:?} is empty: down_from {} >= up_at {}",
+                "window {:?} is empty: down_from {} >= up_at {}",
                 self.name, self.down_from, self.up_at
             ));
         }
@@ -185,20 +182,12 @@ impl LinkWindow {
     }
 }
 
-/// Elevated loss toward one destination node.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TargetedDrop {
-    /// Destination whose inbound packets are additionally at risk.
-    pub dst: NodeId,
-    /// Extra drop probability applied to packets bound for `dst`.
-    pub prob: f64,
-}
-
-/// Configuration of the [`FaultPlane`], carried inside
-/// [`FabricConfig`](crate::FabricConfig).
+/// Configuration of a [`FaultPlane`]: carried inside
+/// [`FabricConfig`](crate::FabricConfig) for the fabric, and as the `loss`
+/// half of `nifdy-wire`'s `WireFaultConfig` for the byte carriers.
 ///
 /// The default has every model disabled; the plane then never draws from
-/// its generator, keeping legacy seeded runs bit-identical.
+/// its generator.
 ///
 /// # Examples
 ///
@@ -221,8 +210,6 @@ pub struct FaultConfig {
     pub burst: Option<GilbertElliott>,
     /// Scheduled link outages.
     pub link_windows: Vec<LinkWindow>,
-    /// Per-destination targeted drops.
-    pub targets: Vec<TargetedDrop>,
 }
 
 impl FaultConfig {
@@ -250,19 +237,12 @@ impl FaultConfig {
         self
     }
 
-    /// Adds a per-destination targeted drop.
-    pub fn with_target(mut self, dst: NodeId, prob: f64) -> Self {
-        self.targets.push(TargetedDrop { dst, prob });
-        self
-    }
-
     /// Whether any fault model is enabled.
     pub fn is_active(&self) -> bool {
         self.data_drop_prob > 0.0
             || self.ack_drop_prob > 0.0
             || self.burst.is_some()
             || !self.link_windows.is_empty()
-            || !self.targets.is_empty()
     }
 
     /// Validates internal consistency.
@@ -278,7 +258,6 @@ impl FaultConfig {
             ack_drop_prob,
             burst,
             link_windows,
-            targets,
         } = self;
         if !(0.0..=1.0).contains(data_drop_prob) {
             return Err("data_drop_prob must be within [0, 1]".into());
@@ -289,23 +268,16 @@ impl FaultConfig {
         if let Some(ge) = burst {
             ge.validate()?;
         }
-        for w in link_windows {
-            w.validate("link")?;
-        }
-        for t in targets {
-            if !(0.0..=1.0).contains(&t.prob) {
-                return Err(format!("targeted drop for {} must be within [0, 1]", t.dst));
-            }
-        }
-        Ok(())
+        link_windows.iter().try_for_each(LinkWindow::validate)
     }
 }
 
-/// Runtime state of the fault-injection plane.
+/// Runtime state of one fault-injection plane.
 ///
-/// Owned by the [`Fabric`](crate::Fabric); judged once per fully delivered
-/// packet at the receiving edge. Deterministic for a given
-/// `(seed, FaultConfig)` pair.
+/// Owned by the carrier it judges for: the [`Fabric`](crate::Fabric) asks
+/// once per fully delivered packet at the receiving edge, a byte transport
+/// once per outbound frame. Deterministic for a given
+/// `(FaultConfig, seed, stream)` and judged sequence.
 #[derive(Debug)]
 pub struct FaultPlane {
     cfg: FaultConfig,
@@ -316,98 +288,110 @@ pub struct FaultPlane {
 }
 
 impl FaultPlane {
-    /// Builds the plane for `cfg`, drawing randomness from the plane's own
-    /// dedicated stream of `seed` (so enabling faults never perturbs the
-    /// fabric's legacy drop lottery).
-    pub fn new(cfg: FaultConfig, seed: u64) -> Self {
+    /// Builds the plane for `cfg`, drawing randomness from stream `stream`
+    /// of `seed`; each owner picks a stream of its own so no two planes
+    /// under one seed share a lottery.
+    pub fn new(cfg: FaultConfig, seed: u64, stream: u64) -> Self {
         let active = cfg.is_active();
         FaultPlane {
             cfg,
-            rng: SimRng::from_seed_stream(seed, FAULT_STREAM),
+            rng: SimRng::from_seed_stream(seed, stream),
             in_burst: false,
             active,
         }
     }
 
-    /// Whether any fault model is enabled.
+    /// The plane's generator, so the further lotteries an owner runs on a
+    /// survivor (the byte carriers' corruption, duplication, delay and
+    /// reorder) continue the same stream.
     #[inline]
-    pub fn is_active(&self) -> bool {
-        self.active
+    pub fn rng(&mut self) -> &mut SimRng {
+        &mut self.rng
     }
 
-    /// Whether the Gilbert–Elliott chain is currently in its burst state.
-    #[inline]
-    pub fn in_burst(&self) -> bool {
-        self.in_burst
-    }
-
-    /// Whether any configured link window covers `dst` at `now`.
-    pub fn link_is_down(&self, dst: NodeId, now: Cycle) -> bool {
-        self.cfg
-            .link_windows
-            .iter()
-            .any(|w| w.node == dst && w.is_down_at(now.as_u64()))
-    }
-
-    /// Judges one packet completing delivery at `now`; returns the cause if
-    /// it must be dropped (never [`DropReason::Uniform`]: that lottery is
-    /// the fabric's own).
+    /// Judges one packet bound for `dst` on `lane` at time `now`; returns
+    /// the cause if it must be dropped. An inactive plane never draws.
     ///
-    /// Deterministic rules (link windows) are checked before probabilistic
-    /// ones, and the Gilbert–Elliott chain advances exactly once per judged
-    /// packet regardless of the other models' outcomes, so the burst
-    /// pattern is a pure function of the judged-packet sequence.
-    pub fn judge(&mut self, now: Cycle, packet: &Packet) -> Option<DropReason> {
+    /// The draw order is a contract (pinned by `draw_order_is_pinned`): the
+    /// Gilbert–Elliott chain advances first, exactly once per judged packet
+    /// whatever the other models decide, so the burst pattern is a pure
+    /// function of the judged sequence; then link windows (no draw), the
+    /// chain's verdict, and the lane lottery.
+    pub fn judge(&mut self, now: u64, dst: NodeId, lane: Lane) -> Option<DropReason> {
         if !self.active {
             return None;
         }
-        // Advance the burst chain first so its trajectory is independent of
-        // the deterministic rules firing.
         let burst_says_drop = self
             .cfg
             .burst
             .is_some_and(|ge| ge.advance(&mut self.in_burst, &mut self.rng));
-
-        if self.link_is_down(packet.dst, now) {
+        let windows = &self.cfg.link_windows;
+        if windows.iter().any(|w| w.node == dst && w.is_down_at(now)) {
             return Some(DropReason::LinkDown);
-        }
-        if let Some(t) = self.cfg.targets.iter().find(|t| t.dst == packet.dst) {
-            if t.prob > 0.0 && self.rng.gen_bool(t.prob) {
-                return Some(DropReason::Targeted);
-            }
         }
         if burst_says_drop {
             return Some(DropReason::Burst);
         }
-        let (cause, p) = match packet.lane {
+        let (cause, p) = match lane {
             Lane::Request => (DropReason::Data, self.cfg.data_drop_prob),
             Lane::Reply => (DropReason::Ack, self.cfg.ack_drop_prob),
         };
-        if p > 0.0 && self.rng.gen_bool(p) {
-            return Some(cause);
-        }
-        None
+        (p > 0.0 && self.rng.gen_bool(p)).then_some(cause)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nifdy_sim::PacketId;
 
-    fn pkt(dst: usize, lane: Lane) -> Packet {
-        let mut p = Packet::data(PacketId::new(1), NodeId::new(0), NodeId::new(dst), 8);
-        p.lane = lane;
-        p
+    fn judge(plane: &mut FaultPlane, now: u64, dst: usize, lane: Lane) -> Option<DropReason> {
+        plane.judge(now, NodeId::new(dst), lane)
     }
 
     #[test]
     fn inactive_plane_never_drops_or_draws() {
-        let mut plane = FaultPlane::new(FaultConfig::default(), 7);
-        assert!(!plane.is_active());
+        let (seed, stream) = (7, FABRIC_FAULT_STREAM);
+        let mut plane = FaultPlane::new(FaultConfig::default(), seed, stream);
         for i in 0..1_000 {
-            assert_eq!(plane.judge(Cycle::new(i), &pkt(3, Lane::Request)), None);
+            assert_eq!(judge(&mut plane, i, 3, Lane::Request), None);
         }
+        let mut fresh = SimRng::from_seed_stream(seed, stream);
+        assert_eq!(plane.rng().next_u64(), fresh.next_u64(), "the plane drew");
+    }
+
+    /// Every model on, seed 11. A change here moves every seeded lossy
+    /// artefact (`results/ext_lossy_*`, `wire_chaos_quick.*`).
+    #[test]
+    fn draw_order_is_pinned() {
+        const VERDICTS: &str = "\
+            ....d.........d...bbbbb....a......d....a..........d............a\
+            ..l...lbbblbbblbbblbbblb.blbbblbbblbbblbbbl...la..l...l...la..l.\
+            .bbbbbbbbbbbbbbbbbbbbdbbbbbbbbbbbbbb.bbbbbbbbbbbbbbbbbbb........\
+            ........d...a.....ad.........d...a.....a.............d..........\
+            ..a....d.d.....d......d...a..a...............d..................";
+        let cfg = FaultConfig::default()
+            .with_burst(GilbertElliott::with_mean_loss(0.2))
+            .with_data_drop_prob(0.1)
+            .with_ack_drop_prob(0.15)
+            .with_link_window(LinkWindow::edge(NodeId::new(2), 64, 128));
+        let mut plane = FaultPlane::new(cfg, 11, FABRIC_FAULT_STREAM);
+        let got: String = (0..320u64)
+            .map(|i| {
+                let lane = if i % 3 == 0 {
+                    Lane::Reply
+                } else {
+                    Lane::Request
+                };
+                match judge(&mut plane, i, (i % 4) as usize, lane) {
+                    None => '.',
+                    Some(DropReason::Data) => 'd',
+                    Some(DropReason::Ack) => 'a',
+                    Some(DropReason::Burst) => 'b',
+                    Some(DropReason::LinkDown) => 'l',
+                }
+            })
+            .collect();
+        assert_eq!(got, VERDICTS);
     }
 
     #[test]
@@ -422,13 +406,13 @@ mod tests {
     #[test]
     fn burst_loss_is_bursty_and_near_the_mean() {
         let cfg = FaultConfig::default().with_burst(GilbertElliott::with_mean_loss(0.1));
-        let mut plane = FaultPlane::new(cfg, 42);
+        let mut plane = FaultPlane::new(cfg, 42, FABRIC_FAULT_STREAM);
         let n = 200_000u64;
         let mut drops = 0u64;
         let mut runs = 0u64; // consecutive-drop pairs; bursty => many
         let mut prev = false;
         for i in 0..n {
-            let dropped = plane.judge(Cycle::new(i), &pkt(5, Lane::Request)).is_some();
+            let dropped = judge(&mut plane, i, 5, Lane::Request).is_some();
             drops += u64::from(dropped);
             runs += u64::from(dropped && prev);
             prev = dropped;
@@ -444,11 +428,11 @@ mod tests {
     #[test]
     fn lanes_have_independent_probabilities() {
         let cfg = FaultConfig::default().with_ack_drop_prob(0.5);
-        let mut plane = FaultPlane::new(cfg, 3);
+        let mut plane = FaultPlane::new(cfg, 3, FABRIC_FAULT_STREAM);
         let mut ack_drops = 0;
         for i in 0..2_000 {
-            assert_eq!(plane.judge(Cycle::new(i), &pkt(2, Lane::Request)), None);
-            if plane.judge(Cycle::new(i), &pkt(2, Lane::Reply)).is_some() {
+            assert_eq!(judge(&mut plane, i, 2, Lane::Request), None);
+            if judge(&mut plane, i, 2, Lane::Reply).is_some() {
                 ack_drops += 1;
             }
         }
@@ -462,30 +446,14 @@ mod tests {
     fn link_window_is_deterministic_and_scheduled() {
         let cfg =
             FaultConfig::default().with_link_window(LinkWindow::edge(NodeId::new(4), 100, 200));
-        let mut plane = FaultPlane::new(cfg, 0);
-        assert_eq!(plane.judge(Cycle::new(99), &pkt(4, Lane::Request)), None);
-        assert_eq!(
-            plane.judge(Cycle::new(100), &pkt(4, Lane::Request)),
-            Some(DropReason::LinkDown)
-        );
-        assert_eq!(
-            plane.judge(Cycle::new(199), &pkt(4, Lane::Reply)),
-            Some(DropReason::LinkDown)
-        );
-        assert_eq!(plane.judge(Cycle::new(200), &pkt(4, Lane::Request)), None);
+        let mut plane = FaultPlane::new(cfg, 0, FABRIC_FAULT_STREAM);
+        let down = Some(DropReason::LinkDown);
+        assert_eq!(judge(&mut plane, 99, 4, Lane::Request), None);
+        assert_eq!(judge(&mut plane, 100, 4, Lane::Request), down);
+        assert_eq!(judge(&mut plane, 199, 4, Lane::Reply), down);
+        assert_eq!(judge(&mut plane, 200, 4, Lane::Request), None);
         // Other destinations are unaffected.
-        assert_eq!(plane.judge(Cycle::new(150), &pkt(5, Lane::Request)), None);
-    }
-
-    #[test]
-    fn targeted_drops_hit_only_their_destination() {
-        let cfg = FaultConfig::default().with_target(NodeId::new(9), 1.0);
-        let mut plane = FaultPlane::new(cfg, 1);
-        assert_eq!(
-            plane.judge(Cycle::new(0), &pkt(9, Lane::Request)),
-            Some(DropReason::Targeted)
-        );
-        assert_eq!(plane.judge(Cycle::new(0), &pkt(8, Lane::Request)), None);
+        assert_eq!(judge(&mut plane, 150, 5, Lane::Request), None);
     }
 
     #[test]
@@ -509,10 +477,6 @@ mod tests {
             .with_link_window(empty)
             .validate()
             .is_err());
-        assert!(FaultConfig::default()
-            .with_target(NodeId::new(0), 7.0)
-            .validate()
-            .is_err());
     }
 
     #[test]
@@ -520,11 +484,12 @@ mod tests {
         let cfg = FaultConfig::default()
             .with_burst(GilbertElliott::with_mean_loss(0.2))
             .with_data_drop_prob(0.05);
-        let mut a = FaultPlane::new(cfg.clone(), 11);
-        let mut b = FaultPlane::new(cfg, 11);
+        let mut a = FaultPlane::new(cfg.clone(), 11, FABRIC_FAULT_STREAM);
+        let mut b = FaultPlane::new(cfg, 11, FABRIC_FAULT_STREAM);
         for i in 0..5_000 {
-            let p = pkt((i % 16) as usize, Lane::Request);
-            assert_eq!(a.judge(Cycle::new(i), &p), b.judge(Cycle::new(i), &p));
+            let dst = (i % 16) as usize;
+            let verdict = judge(&mut a, i, dst, Lane::Request);
+            assert_eq!(verdict, judge(&mut b, i, dst, Lane::Request));
         }
     }
 }

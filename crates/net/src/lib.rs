@@ -53,7 +53,7 @@ pub mod topology;
 
 pub use config::{FabricConfig, SwitchingPolicy};
 pub use fabric::{Fabric, FabricStats};
-pub use fault::{FaultConfig, FaultPlane, GilbertElliott, LinkWindow, TargetedDrop};
+pub use fault::{FaultConfig, FaultPlane, GilbertElliott, LinkWindow};
 pub use packet::{
     AckInfo, BulkGrant, BulkTag, DialogId, InvalidLane, Lane, Packet, PacketStamp, SeqNo, UserData,
     Wire, ACK_WORDS,

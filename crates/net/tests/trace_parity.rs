@@ -25,16 +25,8 @@ use nifdy_trace::{DropReason, EventKind, TraceConfig, TraceHandle};
 
 /// Drives random all-to-next traffic (both lanes) through a 4×4 mesh with
 /// the given faults, returning the fabric and its attached recorder.
-fn run_fabric(
-    faults: FaultConfig,
-    uniform_drop: f64,
-    seed: u64,
-    packets: u32,
-) -> (Fabric, TraceHandle) {
-    let cfg = FabricConfig::default()
-        .with_seed(seed)
-        .with_drop_prob(uniform_drop)
-        .with_fault(faults);
+fn run_fabric(faults: FaultConfig, seed: u64, packets: u32) -> (Fabric, TraceHandle) {
+    let cfg = FabricConfig::default().with_seed(seed).with_fault(faults);
     let mut fab = Fabric::new(Box::new(Mesh::d2(4, 4)), cfg);
     let trace = TraceHandle::recording(
         // Rings far above the worst-case drop volume so eviction can never
@@ -127,20 +119,14 @@ proptest! {
         seed in 0u64..10_000,
         data_pct in 0u32..30,
         ack_pct in 0u32..30,
-        uniform_pct in 0u32..10,
         burst_pct in 0u32..25,
-        target_pct in 0u32..50,
         down_node in 0usize..16,
         outage_from in 0u64..5_000,
         outage_span in 0u64..8_000,
     ) {
         let mut faults = FaultConfig::default()
             .with_data_drop_prob(f64::from(data_pct) / 100.0)
-            .with_ack_drop_prob(f64::from(ack_pct) / 100.0)
-            .with_target(
-                NodeId::new((down_node + 7) % 16),
-                f64::from(target_pct) / 100.0,
-            );
+            .with_ack_drop_prob(f64::from(ack_pct) / 100.0);
         if burst_pct > 0 {
             faults = faults
                 .with_burst(GilbertElliott::with_mean_loss(f64::from(burst_pct) / 100.0));
@@ -153,14 +139,14 @@ proptest! {
             ));
         }
         prop_assert!(faults.validate().is_ok());
-        let (fab, trace) = run_fabric(faults, f64::from(uniform_pct) / 100.0, seed, 40);
+        let (fab, trace) = run_fabric(faults, seed, 40);
         assert_parity(&fab, &trace);
     }
 }
 
 #[test]
 fn clean_fabric_has_zero_drops_and_zero_drop_events() {
-    let (fab, trace) = run_fabric(FaultConfig::default(), 0.0, 3, 60);
+    let (fab, trace) = run_fabric(FaultConfig::default(), 3, 60);
     assert_eq!(fab.stats().dropped.get(), 0);
     assert!(trace
         .snapshot()

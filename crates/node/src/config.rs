@@ -90,15 +90,28 @@ impl NodeConfig {
     /// # Errors
     ///
     /// Returns a description of the first violated constraint: a zero shard
-    /// count, a zero batch bound, or an invalid supervisor config.
+    /// count, a zero batch bound, or an invalid protocol or supervisor
+    /// config.
     pub fn validate(&self) -> Result<(), String> {
-        if self.shards == 0 {
+        // No `..`: a new field compiles only once constrained here or waived with `_`.
+        let Self {
+            shards,
+            batch,
+            ref protocol,
+            ref supervisor,
+            initial_epoch: _,
+            seed: _,
+        } = *self;
+        if shards == 0 {
             return Err("shards must be at least 1".into());
         }
-        if self.batch == 0 {
+        if batch == 0 {
             return Err("batch must be at least 1 frame per lane per round".into());
         }
-        self.supervisor.validate()
+        protocol
+            .validate()
+            .map_err(|why| format!("protocol: {why}"))?;
+        supervisor.validate()
     }
 }
 
@@ -111,6 +124,13 @@ mod tests {
         assert!(NodeConfig::default().validate().is_ok());
         assert!(NodeConfig::default().with_shards(0).validate().is_err());
         assert!(NodeConfig::default().with_batch(0).validate().is_err());
+        // Caught here, not by a panic inside the first `add_endpoint`.
+        let mut bad_protocol = NifdyConfig::mesh();
+        bad_protocol.opt_entries = 0;
+        assert!(NodeConfig::default()
+            .with_protocol(bad_protocol)
+            .validate()
+            .is_err());
         let bad_sup = SupervisorConfig::default().with_heartbeat_every(0);
         assert!(NodeConfig::default()
             .with_supervisor(bad_sup)

@@ -8,7 +8,7 @@
 //! * [`NifdyNode`] — the daemon. It owns N supervised endpoints partitioned
 //!   into **flow-affine shards** (every frame for a given destination lands
 //!   in the shard that owns that destination's dialog/OPT state, so a
-//!   dialog's frames never cross shards — see [`mux::flow_shard`]), drains
+//!   dialog's frames never cross shards — see [`mux::shard_of`]), drains
 //!   its carriers with bounded batch reads, ticks shards in deterministic
 //!   order, and flushes sends with coalesced batched writes
 //!   ([`BatchTransport`](nifdy_wire::BatchTransport));

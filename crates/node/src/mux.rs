@@ -27,14 +27,6 @@ pub fn shard_of(dst: NodeId, shards: usize) -> usize {
     (h % shards as u64) as usize
 }
 
-/// The shard a `(src, dst)` flow is pinned to. Provably independent of
-/// `src` — see [`shard_of`] for why — so a dialog's frames never cross
-/// shards no matter which peers participate.
-pub fn flow_shard(src: NodeId, dst: NodeId, shards: usize) -> usize {
-    let _ = src;
-    shard_of(dst, shards)
-}
-
 /// Most spent frame buffers a [`MuxPort`] holds (a burst beyond it is
 /// freed as it is decoded).
 pub const FREE_CAP: usize = 16;
@@ -147,25 +139,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn flow_shard_is_source_independent_and_stable() {
+    fn shard_hash_spreads_contiguous_ids() {
         for shards in [1usize, 2, 4, 7, 16] {
             for dst in 0..256 {
-                let d = NodeId::new(dst);
-                let owner = shard_of(d, shards);
-                assert!(owner < shards);
-                for src in [0usize, 1, 17, 255, 4000] {
-                    assert_eq!(
-                        flow_shard(NodeId::new(src), d, shards),
-                        owner,
-                        "flow ({src},{dst}) must land in dst's shard"
-                    );
-                }
+                assert!(shard_of(NodeId::new(dst), shards) < shards);
             }
         }
-    }
-
-    #[test]
-    fn shard_hash_spreads_contiguous_ids() {
         let shards = 8;
         let mut counts = vec![0usize; shards];
         for dst in 0..1024 {

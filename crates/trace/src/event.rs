@@ -9,55 +9,49 @@ use std::fmt;
 
 use nifdy_sim::{Cycle, NodeId};
 
-/// Why the fabric dropped a packet, mirrored from the fabric's own
-/// accounting so the trace layer stays dependency-free.
+/// Why a fault plane dropped a packet, defined here so the trace layer
+/// stays dependency-free.
 ///
-/// `nifdy-net`'s fault plane returns this enum and the fabric both counts
-/// and emits [`EventKind::Drop`] by it; the per-cause event counts are
-/// property-tested to match `FabricStats` exactly.
+/// `nifdy-net`'s `FaultPlane::judge` returns this enum on every carrier.
+/// The fabric counts and emits [`EventKind::Drop`] by it (the per-cause
+/// event counts are property-tested to match `FabricStats` exactly); the
+/// byte carriers convert it to a [`WireFaultCause`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DropReason {
-    /// The legacy uniform edge-drop lottery.
-    Uniform,
-    /// Uniform data-lane (request) loss from the fault plane.
+    /// Uniform data-lane (request) loss.
     Data,
-    /// Uniform ack-lane (reply) loss from the fault plane.
+    /// Uniform ack-lane (reply) loss.
     Ack,
     /// Gilbert–Elliott burst loss.
     Burst,
     /// A scheduled link-down window.
     LinkDown,
-    /// Per-destination targeted loss.
-    Targeted,
 }
 
 impl DropReason {
-    /// Every cause, in a stable order (used by parity checks and exports).
-    pub const ALL: [DropReason; 6] = [
-        DropReason::Uniform,
+    /// Every cause, in discriminant order (per-cause counters are arrays
+    /// indexed by `cause as usize`).
+    pub const ALL: [DropReason; 4] = [
         DropReason::Data,
         DropReason::Ack,
         DropReason::Burst,
         DropReason::LinkDown,
-        DropReason::Targeted,
     ];
 
     /// Stable short label.
     pub const fn label(self) -> &'static str {
         match self {
-            DropReason::Uniform => "uniform",
             DropReason::Data => "data",
             DropReason::Ack => "ack",
             DropReason::Burst => "burst",
             DropReason::LinkDown => "link_down",
-            DropReason::Targeted => "targeted",
         }
     }
 }
 
-/// What the wire-layer chaos plane did to a frame, mirrored from
-/// `nifdy-wire`'s own accounting so the trace layer stays dependency-free
-/// (the same arrangement as [`DropReason`] for the fabric's fault plane).
+/// What the wire-layer chaos plane did to a frame: the four
+/// [`DropReason`]s under the byte world's names, plus the four abuses only
+/// a byte carrier can commit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WireFaultCause {
     /// Uniform data-lane (request) frame drop.
@@ -79,7 +73,8 @@ pub enum WireFaultCause {
 }
 
 impl WireFaultCause {
-    /// Every cause, in a stable order (used by counters and JSON reports).
+    /// Every cause, in discriminant order (used by counters and JSON
+    /// reports).
     pub const ALL: [WireFaultCause; 8] = [
         WireFaultCause::Drop,
         WireFaultCause::AckDrop,
@@ -102,6 +97,17 @@ impl WireFaultCause {
             WireFaultCause::Duplicate => "duplicate",
             WireFaultCause::Delay => "delay",
             WireFaultCause::Reorder => "reorder",
+        }
+    }
+}
+
+impl From<DropReason> for WireFaultCause {
+    fn from(reason: DropReason) -> Self {
+        match reason {
+            DropReason::Data => WireFaultCause::Drop,
+            DropReason::Ack => WireFaultCause::AckDrop,
+            DropReason::Burst => WireFaultCause::Burst,
+            DropReason::LinkDown => WireFaultCause::Partition,
         }
     }
 }

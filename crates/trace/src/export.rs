@@ -22,33 +22,6 @@ use crate::event::{EventKind, TraceEvent};
 use crate::json::Json;
 use crate::recorder::TraceLoss;
 
-/// Merges per-replica event snapshots into one deterministic order.
-///
-/// The parallel experiment executor gives every replica its own recorder;
-/// after the fan-out completes, their snapshots are combined here. Events
-/// sort by `(cycle, replica index, sequence)` — replica index breaks
-/// same-cycle ties between independent replicas, so the merged stream is a
-/// pure function of the snapshots and never depends on which worker thread
-/// finished first.
-///
-/// # Examples
-///
-/// ```
-/// use nifdy_trace::export::merge_snapshots;
-///
-/// let merged = merge_snapshots(vec![Vec::new(), Vec::new()]);
-/// assert!(merged.is_empty());
-/// ```
-pub fn merge_snapshots(snapshots: Vec<Vec<TraceEvent>>) -> Vec<TraceEvent> {
-    let mut tagged: Vec<(usize, TraceEvent)> = snapshots
-        .into_iter()
-        .enumerate()
-        .flat_map(|(replica, events)| events.into_iter().map(move |e| (replica, e)))
-        .collect();
-    tagged.sort_by_key(|(replica, e)| (e.at.as_u64(), *replica, e.seq));
-    tagged.into_iter().map(|(_, e)| e).collect()
-}
-
 /// Renders events as JSON Lines: one compact object per event, in the
 /// order given. Schema per line:
 /// `{"seq":…,"cycle":…,"node":…,"ev":"<name>", …kind-specific fields…}`.

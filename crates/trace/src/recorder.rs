@@ -418,7 +418,7 @@ mod tests {
             src: NodeId::new(0),
             dst: NodeId::new(1),
             ack: false,
-            cause: DropReason::Uniform,
+            cause: DropReason::Data,
         }
     }
 

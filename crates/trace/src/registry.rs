@@ -75,31 +75,6 @@ impl GaugeSeries {
         &self.points
     }
 
-    /// Merges another series into this one: points interleave in cycle
-    /// order, then the combined series is decimated (every other point)
-    /// until it fits the bound again. Deterministic — merging replicas in
-    /// a fixed order always yields the same retained points.
-    pub fn merge(&mut self, other: &GaugeSeries) {
-        let mut combined: Vec<(u64, f64)> = self
-            .points
-            .iter()
-            .chain(other.points.iter())
-            .copied()
-            .collect();
-        combined.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
-        while combined.len() > self.bound {
-            let mut i = 0;
-            combined.retain(|_| {
-                let keep = i % 2 == 0;
-                i += 1;
-                keep
-            });
-            self.stride *= 2;
-        }
-        self.offered += other.offered;
-        self.points = combined;
-    }
-
     /// Largest retained value, or 0.0 when empty.
     pub fn max(&self) -> f64 {
         self.points.iter().map(|&(_, v)| v).fold(0.0, f64::max)
@@ -163,25 +138,6 @@ impl MetricsRegistry {
             .push(at, value);
     }
 
-    /// Merges another registry into this one — the reassembly step after
-    /// the parallel experiment executor gives every replica its own
-    /// registry. Histograms with the same name pool their buckets; gauge
-    /// series with the same name interleave in cycle order (re-bounded by
-    /// decimation). Merging replicas in a fixed (canonical cell) order is
-    /// deterministic regardless of which worker finished first.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, hist) in &other.hists {
-            self.merge_histogram(name, hist);
-        }
-        for (name, series) in &other.gauges {
-            let bound = self.gauge_bound;
-            self.gauges
-                .entry(name.clone())
-                .or_insert_with(|| GaugeSeries::new(bound))
-                .merge(series);
-        }
-    }
-
     /// The named histogram, if any samples were recorded.
     pub fn histogram(&self, name: &str) -> Option<&LogHistogram> {
         self.hists.get(name)
@@ -190,11 +146,6 @@ impl MetricsRegistry {
     /// The named gauge series, if any samples were taken.
     pub fn gauge_series(&self, name: &str) -> Option<&GaugeSeries> {
         self.gauges.get(name)
-    }
-
-    /// Histogram names in sorted order.
-    pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        self.hists.keys().map(String::as_str)
     }
 
     /// One summary row per non-empty histogram, sorted by name.
@@ -333,43 +284,6 @@ mod tests {
         assert_eq!(lat.get("max").unwrap().as_u64(), Some(20));
         let opt = doc.get("gauges").unwrap().get("opt").unwrap();
         assert_eq!(opt.get("points").unwrap().as_arr().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn registries_merge_histograms_and_gauges() {
-        let mut a = MetricsRegistry::new();
-        a.record("lat", 10);
-        a.gauge("g", Cycle::new(0), 1.0);
-        let mut b = MetricsRegistry::new();
-        b.record("lat", 20);
-        b.record("other", 5);
-        b.gauge("g", Cycle::new(50), 2.0);
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.histogram("lat").unwrap().count(), 2);
-        assert_eq!(merged.histogram("other").unwrap().count(), 1);
-        assert_eq!(
-            merged.gauge_series("g").unwrap().points(),
-            &[(0, 1.0), (50, 2.0)]
-        );
-        // Deterministic: repeating the merge from the same inputs gives
-        // byte-identical JSON.
-        let mut again = a.clone();
-        again.merge(&b);
-        assert_eq!(merged.to_json().render(), again.to_json().render());
-    }
-
-    #[test]
-    fn merged_gauges_stay_bounded() {
-        let mut a = GaugeSeries::new(8);
-        let mut b = GaugeSeries::new(8);
-        for c in 0..8u64 {
-            a.push(Cycle::new(c * 2), c as f64);
-            b.push(Cycle::new(c * 2 + 1), c as f64);
-        }
-        a.merge(&b);
-        assert!(a.points().len() <= 8, "len {}", a.points().len());
-        assert!(a.points().windows(2).all(|w| w[0].0 <= w[1].0));
     }
 
     #[test]

@@ -88,8 +88,7 @@ impl std::error::Error for BuildError {}
 ///
 /// A driver is `Send`: it owns all of its state (including its trace handle
 /// and metrics registry), so whole replicas can be fanned out across worker
-/// threads and their recordings merged afterwards
-/// ([`nifdy_trace::export::merge_snapshots`], [`MetricsRegistry::merge`]).
+/// threads.
 pub struct Driver {
     fab: Fabric,
     nics: Vec<Box<dyn Nic>>,
@@ -189,9 +188,7 @@ impl Driver {
     /// retransmission queue, bulk window, fabric in-flight) into a registry
     /// the driver owns, every `period` cycles. Values are the maximum across
     /// nodes — the congestion signal the paper's admission-control argument
-    /// turns on. Read the result with [`metrics`](Self::metrics) or claim it
-    /// with [`take_metrics`](Self::take_metrics); merge registries from
-    /// parallel replicas with [`MetricsRegistry::merge`].
+    /// turns on. Read the result with [`metrics`](Self::metrics).
     ///
     /// # Errors
     ///
@@ -209,12 +206,6 @@ impl Driver {
     /// if one was requested.
     pub fn metrics(&self) -> Option<&MetricsRegistry> {
         self.metrics.as_ref()
-    }
-
-    /// Takes ownership of the gauge registry (for merging across replicas),
-    /// leaving the driver without one.
-    pub fn take_metrics(&mut self) -> Option<MetricsRegistry> {
-        self.metrics.take()
     }
 
     /// The flight-recorder handle attached with [`with_trace`](Self::with_trace)

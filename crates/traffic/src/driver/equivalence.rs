@@ -14,6 +14,7 @@ use std::sync::{Arc, Mutex};
 use nifdy::{Delivered, OutboundPacket};
 use nifdy_net::topology::Mesh;
 use nifdy_net::{FabricConfig, FaultConfig, GilbertElliott, LinkWindow, UserData};
+use nifdy_trace::DropReason;
 
 use super::*;
 use crate::{Action, CoalesceConfig, NetworkKind, ScanConfig, Scenario, SyntheticConfig};
@@ -167,20 +168,15 @@ fn nic_counters(nic: &dyn Nic) -> [u64; 16] {
 
 fn observe(d: &Driver, completed: Option<bool>, log: &Arc<Mutex<Vec<Delivery>>>) -> RunRecord {
     let fs = d.fabric().stats();
-    let fabric_stats = vec![
+    let mut fabric_stats = vec![
         fs.injected[0].get(),
         fs.injected[1].get(),
         fs.delivered[0].get(),
         fs.delivered[1].get(),
         fs.dropped.get(),
-        fs.dropped_uniform.get(),
-        fs.dropped_data.get(),
-        fs.dropped_ack.get(),
-        fs.dropped_burst.get(),
-        fs.dropped_link_down.get(),
-        fs.dropped_targeted.get(),
         d.fabric().in_network() as u64,
     ];
+    fabric_stats.extend(DropReason::ALL.map(|cause| fs.dropped_by_reason(cause)));
     let gauges = d
         .metrics()
         .map(|reg| {
@@ -373,16 +369,17 @@ fn coalesce_and_random_sweep_match() {
 
 #[test]
 fn chaos_faults_and_typed_failures_match() {
-    // The §6.2 chaos path: uniform drops, bursty loss, a permanently dead
+    // The §6.2 chaos path: lane drops, bursty loss, a permanently dead
     // link, a retry budget. Retransmission timers, failure surfacing, and
-    // the drop lottery's RNG stream must all line up with the reference.
+    // the fault plane's RNG stream must all line up with the reference.
     let dead = NodeId::new(3);
     let build_fabric = || {
         Fabric::new(
             Box::new(Mesh::d2(2, 2)),
-            FabricConfig::default().with_drop_prob(0.02).with_fault(
+            FabricConfig::default().with_fault(
                 FaultConfig::default()
-                    .with_ack_drop_prob(0.01)
+                    .with_data_drop_prob(0.02)
+                    .with_ack_drop_prob(0.03)
                     .with_burst(GilbertElliott::with_mean_loss(0.03))
                     .with_link_window(LinkWindow::edge(dead, 0, u64::MAX)),
             ),

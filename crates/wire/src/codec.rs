@@ -120,8 +120,6 @@ const ACK_BODY_LEN: usize = 3;
 const ACK_BODY_FRAME_LEN: usize = 5 + ACK_BODY_LEN;
 /// Length of the CRC-16 checksum trailer every frame ends with.
 pub const CHECKSUM_LEN: usize = 2;
-/// Exact length of a standalone ack frame, trailer included.
-pub const ACK_FRAME_LEN: usize = ACK_BODY_FRAME_LEN + CHECKSUM_LEN;
 /// Body length of a heartbeat frame (before the checksum trailer).
 const HEARTBEAT_BODY_LEN: usize = 9;
 /// Exact length of a heartbeat frame, trailer included.

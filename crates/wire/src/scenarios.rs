@@ -8,7 +8,7 @@
 //! and every carrier inherits it.
 
 use nifdy::NifdyConfig;
-use nifdy_net::{FaultConfig, GilbertElliott, LinkWindow};
+use nifdy_net::{GilbertElliott, LinkWindow};
 use nifdy_trace::TraceHandle;
 
 use crate::conformance::{
@@ -21,36 +21,36 @@ use crate::fault::WireFaultConfig;
 pub enum Faults {
     /// Both fault planes inactive.
     Clean,
-    /// Recoverable chaos under a generous retry budget: bursty loss on both
-    /// planes; the wire plane also corrupts, duplicates, delays and
+    /// Recoverable chaos under a generous retry budget: the same bursty loss
+    /// on both planes; the wire plane also corrupts, duplicates, delays and
     /// reorders frames.
     Recoverable,
     /// The destination of node 0's first packet is blackholed for the whole
-    /// run, under a tight retry budget. Both planes judge partitions
-    /// deterministically against the destination, so the two reports must
-    /// agree exactly.
+    /// run, under a tight retry budget. A window is judged against the
+    /// destination without a draw, so the two carriers' reports must agree
+    /// exactly.
     Partition,
 }
 
 impl Faults {
-    fn configs(self, plan: &SwarmPlan) -> (NifdyConfig, FaultConfig, WireFaultConfig) {
-        let (fabric, wire) = (FaultConfig::default(), WireFaultConfig::default());
+    /// The protocol config and the wire plane's faults; the fabric's plane
+    /// runs the same [`loss`](WireFaultConfig::loss).
+    fn configs(self, plan: &SwarmPlan) -> (NifdyConfig, WireFaultConfig) {
+        let wire = WireFaultConfig::default();
         match self {
-            Faults::Clean => (NifdyConfig::mesh(), fabric, wire),
+            Faults::Clean => (NifdyConfig::mesh(), wire),
             Faults::Recoverable => {
-                let loss = GilbertElliott::with_mean_loss(0.02);
                 let wire = wire
-                    .with_burst(loss)
+                    .with_burst(GilbertElliott::with_mean_loss(0.02))
                     .with_corrupt_prob(0.05)
                     .with_duplicate_prob(0.05)
                     .with_delay(0.05, 8)
                     .with_reorder_prob(0.05);
-                (chaos_config(30), fabric.with_burst(loss), wire)
+                (chaos_config(30), wire)
             }
             Faults::Partition => {
                 let dead = LinkWindow::edge(plan.sends[0][0].dst, 0, u64::MAX);
-                let fabric = fabric.with_link_window(dead.clone());
-                (chaos_config(3), fabric, wire.with_partition(dead))
+                (chaos_config(3), wire.with_partition(dead))
             }
         }
     }
@@ -110,13 +110,13 @@ pub struct Scenario {
 impl Scenario {
     /// The row's [`FabricSet`] for `plan`.
     pub fn fabric(&self, plan: &SwarmPlan, trace: &TraceHandle) -> FabricSet {
-        let (cfg, faults, _) = self.faults.configs(plan);
-        FabricSet::new(plan, cfg, faults, trace)
+        let (cfg, faults) = self.faults.configs(plan);
+        FabricSet::new(plan, cfg, faults.loss, trace)
     }
 
     /// The row's [`LoopbackSet`] for `plan`.
     pub fn loopback(&self, plan: &SwarmPlan, trace: &TraceHandle) -> LoopbackSet {
-        let (cfg, _, faults) = self.faults.configs(plan);
+        let (cfg, faults) = self.faults.configs(plan);
         LoopbackSet::new(plan, self.hub, cfg, &faults, trace)
     }
 
