@@ -21,6 +21,18 @@ use crate::fault::{FaultPlane, FABRIC_FAULT_STREAM};
 use crate::packet::{Lane, Packet};
 use crate::topology::{Candidate, Endpoint, RouteState, Topology, VcSel};
 
+/// Most output ports a router may have: the wake and busy words of a
+/// [`Router`] hold one bit per `(out_port, lane)` pair in a `u64`.
+const MAX_OUT_PORTS: usize = 32;
+
+/// Bit of `(out_port, lane)` in [`Router::wake`] and [`Router::busy`]: ports
+/// ascending, the request lane below the reply lane — the order the
+/// allocator visits them in.
+#[inline]
+fn pair_bit(port: usize, lane: usize) -> u64 {
+    1 << (2 * port + lane)
+}
+
 /// Worms live in a generational [`Slab`]: flits carry the key, stale keys
 /// are detected instead of aliasing a recycled slot, and the steady state
 /// recycles freed slots without allocating.
@@ -49,13 +61,16 @@ struct VcState {
     buf: VecDeque<(Flit, Cycle)>,
     /// Output (port, vc) held by the worm currently traversing this VC.
     alloc: Option<(u8, u8)>,
-    /// Cached route-candidate port mask for the unrouted head of `worm`
-    /// waiting at the front of `buf`. Routing depends only on the worm's
-    /// static route state, so the set of ports that may claim the head is
-    /// stable while it waits — it is computed once, when the head reaches
-    /// the front, and recorded here so releasing the head on commit can
-    /// clear exactly the port bitsets it was distributed into.
-    cand_ports: Option<(WormId, u64)>,
+    /// The worm whose unrouted head `route` was computed for. Routing
+    /// depends only on the worm's static route state, so the candidates
+    /// are stable while the head waits: the topology is asked once, when
+    /// the head reaches the front of `buf`, and every arbitration attempt,
+    /// and the commit that retracts the head from exactly the port bitsets
+    /// it was distributed into, read the answer from here.
+    routed: Option<WormId>,
+    /// The topology's candidates for `routed`'s head, in the order
+    /// [`Topology::route`] gave them; one buffer, reused from head to head.
+    route: Vec<Candidate>,
 }
 
 /// Who refills credit when this input VC pops a flit.
@@ -89,13 +104,35 @@ struct OutPort {
     mux_rr: u8,
 }
 
+/// One cycle of a physical channel the two logical networks share: the
+/// lane whose turn it is serializes one cycle further. On a strictly
+/// time-multiplexed link `mux_slot` names that lane (cycle parity, whether
+/// or not it has a flit); a demand-multiplexed link (`None`) gives a lone
+/// flit the full bandwidth and alternates by `rr` when both lanes are busy.
+/// Returns the lane, flit and downstream VC of a transfer that completes.
+fn tick_link(
+    mux_slot: Option<usize>,
+    wires: &mut [Option<(Flit, u8, u16)>; 2],
+    rr: &mut u8,
+) -> Option<(Lane, Flit, u8)> {
+    let both = wires[0].is_some() && wires[1].is_some();
+    let index = match mux_slot {
+        Some(slot) => slot,
+        None if both => *rr as usize,
+        None => wires[1].is_some() as usize,
+    };
+    if both {
+        *rr ^= 1;
+    }
+    let (flit, dvc, rem) = wires[index]?;
+    wires[index] = (rem > 1).then(|| (flit, dvc, rem - 1));
+    (rem <= 1).then_some((Lane::ALL[index], flit, dvc))
+}
+
 #[derive(Debug)]
 struct Router {
     ins: Vec<InPort>,
     outs: Vec<OutPort>,
-    /// Buffered flits per lane across all input VCs — lets the allocator
-    /// skip empty lanes (the reply lane is idle most cycles).
-    lane_flits: [u32; 2],
     /// Per-output-port candidate bitsets over `(in_port, vc)` slots (bit
     /// `ip * total_vcs + vc`), so each port's arbitration scans only the
     /// slots it could actually serve. A non-empty VC buffer whose worm
@@ -110,21 +147,39 @@ struct Router {
     /// Constant mask per lane: bit set iff the slot's VC belongs to that
     /// lane, folding the `lane_vc_range` filter into the word scan.
     lane_mask: [Vec<u64>; 2],
-    /// Output wires currently serializing a flit (`Some` entries across
-    /// `outs × lanes`); lets the wire phase skip fully idle routers.
-    busy_wires: u32,
+    /// `(out_port, lane)` pairs whose next arbitration attempt might start
+    /// a flit, one [`pair_bit`] each. A failed attempt is pure — the
+    /// round-robin cursor moves only on a commit — so a pair that found no
+    /// startable flit, and passed over none for having arrived this cycle,
+    /// is put to sleep (bit cleared) and would fail the same way until one
+    /// of the events that set the bit again: a slot entering `cands[port]`,
+    /// a credit returning to `outs[port]`, or the node behind an ejection
+    /// port popping its ready queue. A commit leaves the bit set: `busy`
+    /// hides the pair while its flit serializes, and the completion — also
+    /// the moment a tail frees the downstream VC's owner and an ejection
+    /// port gets its assembly credits back — shows it again.
+    wake: u64,
+    /// `(out_port, lane)` pairs with a flit on the wire (`in_flight` is
+    /// `Some`), in the layout of `wake`: the wire phase visits these ports
+    /// only, the allocator skips them.
+    busy: u64,
 }
 
 impl Router {
     /// Marks a newly non-empty VC buffer in the bitset matching its
     /// current allocation state (idempotent when already marked): routed
-    /// worms go straight to their allocated port's candidate set, fresh
-    /// heads queue for route resolution.
+    /// worms go straight to their allocated port's candidate set, and wake
+    /// it; fresh heads queue for route resolution, which wakes every port
+    /// on the route. The re-set a further flit behind a waiting head causes
+    /// is what tells a store-and-forward port the packet is now complete.
     #[inline]
     fn mark_occupied(&mut self, ip: usize, vc: usize, total_vcs: usize) {
         let slot = ip * total_vcs + vc;
         match self.ins[ip].vcs[vc].alloc {
-            Some((ap, _)) => set_bit(&mut self.cands[ap as usize], slot),
+            Some((ap, _)) => {
+                set_bit(&mut self.cands[ap as usize], slot);
+                self.wake |= pair_bit(ap as usize, vc / (total_vcs / 2));
+            }
             None => set_bit(&mut self.unresolved, slot),
         }
     }
@@ -142,6 +197,16 @@ fn clear_bit(bits: &mut [u64], slot: usize) {
     if let Some(w) = bits.get_mut(slot / 64) {
         *w &= !(1u64 << (slot % 64));
     }
+}
+
+/// The flit one arbitration attempt chose: the front of input slot `slot`,
+/// bound for downstream VC `dvc`.
+#[derive(Debug, Clone, Copy)]
+struct Grant {
+    slot: usize,
+    flit: Flit,
+    dvc: u8,
+    is_head: bool,
 }
 
 /// Per-lane injection slot at a node.
@@ -226,10 +291,14 @@ impl FabricStats {
 /// ```
 #[derive(Debug)]
 pub struct Fabric {
+    /// The scalars of the configuration; `fault` has moved into `faults`.
     cfg: FabricConfig,
     topo: Box<dyn Topology>,
     routers: Vec<Router>,
     nodes: Vec<NodeIface>,
+    /// The router output port that ejects to each node: whom
+    /// [`Fabric::eject`] wakes when it makes room in the ready queue.
+    ejects: Vec<(u32, u8)>,
     arena: Slab<Worm>,
     /// Packets sitting in ejection queues, summed over nodes and lanes —
     /// kept incrementally so [`Fabric::in_network`] is O(1).
@@ -243,7 +312,6 @@ pub struct Fabric {
     trace: TraceHandle,
     stats: FabricStats,
     pending_per_dst: Vec<u32>,
-    route_buf: Vec<Candidate>,
 }
 
 impl Fabric {
@@ -252,8 +320,9 @@ impl Fabric {
     /// # Panics
     ///
     /// Panics if `cfg` fails [`FabricConfig::validate`] or provides fewer
-    /// virtual channels than the topology requires for deadlock freedom.
-    pub fn new(topo: Box<dyn Topology>, cfg: FabricConfig) -> Self {
+    /// virtual channels than the topology requires for deadlock freedom, or
+    /// if a router of the topology has more than 32 output ports.
+    pub fn new(topo: Box<dyn Topology>, mut cfg: FabricConfig) -> Self {
         #[expect(clippy::panic, reason = "documented panic on an invalid config")]
         if let Err(e) = cfg.validate() {
             panic!("invalid fabric config: {e}");
@@ -284,16 +353,17 @@ impl Fabric {
                     mask
                 });
                 assert!(
-                    r.links.len() <= 64,
-                    "router out-degree above 64 is unsupported by the \
-                     candidate-port bitmask"
+                    r.links.len() <= MAX_OUT_PORTS,
+                    "a router with {} output ports exceeds the {MAX_OUT_PORTS} \
+                     the (port, lane) wake word holds",
+                    r.links.len()
                 );
                 Router {
-                    lane_flits: [0, 0],
                     cands: vec![vec![0; words]; r.links.len()],
                     unresolved: vec![0; words],
                     lane_mask,
-                    busy_wires: 0,
+                    wake: 0,
+                    busy: 0,
                     ins: (0..r.in_ports)
                         .map(|_| InPort {
                             vcs: (0..total_vcs).map(|_| VcState::default()).collect(),
@@ -322,23 +392,13 @@ impl Fabric {
             })
             .collect();
 
-        for (r, rspec) in spec.routers.iter().enumerate() {
-            for (p, &link) in rspec.links.iter().enumerate() {
-                if let Endpoint::Router { router, in_port } = link {
-                    routers[router as usize].ins[in_port as usize].feeder = Feeder::Router {
-                        router: r as u32,
-                        port: p as u8,
-                    };
-                }
-            }
-        }
-
         let nodes: Vec<NodeIface> = spec
             .attaches
             .iter()
-            .map(|at| {
+            .enumerate()
+            .map(|(n, at)| {
                 routers[at.inj_router as usize].ins[at.inj_port as usize].feeder =
-                    Feeder::Node(u32::MAX); // set below
+                    Feeder::Node(n as u32);
                 NodeIface {
                     inj_router: at.inj_router,
                     inj_port: at.inj_port,
@@ -351,18 +411,32 @@ impl Fabric {
                 }
             })
             .collect();
-        for (n, at) in spec.attaches.iter().enumerate() {
-            routers[at.inj_router as usize].ins[at.inj_port as usize].feeder =
-                Feeder::Node(n as u32);
+        // The links are what flits follow: they say who feeds each input
+        // port and which output port ejects to each node.
+        let num_nodes = topo.num_nodes();
+        let mut ejects = vec![(0, 0); num_nodes];
+        for (r, rspec) in spec.routers.iter().enumerate() {
+            for (p, &link) in rspec.links.iter().enumerate() {
+                match link {
+                    Endpoint::Router { router, in_port } => {
+                        routers[router as usize].ins[in_port as usize].feeder = Feeder::Router {
+                            router: r as u32,
+                            port: p as u8,
+                        };
+                    }
+                    Endpoint::Node(node) => ejects[node as usize] = (r as u32, p as u8),
+                }
+            }
         }
 
-        let num_nodes = topo.num_nodes();
-        let faults = FaultPlane::new(cfg.fault.clone(), cfg.seed, FABRIC_FAULT_STREAM);
+        let fault = std::mem::take(&mut cfg.fault);
+        let faults = FaultPlane::new(fault, cfg.seed, FABRIC_FAULT_STREAM);
         Fabric {
             cfg,
             topo,
             routers,
             nodes,
+            ejects,
             arena: Slab::with_capacity(num_nodes * 2),
             ready_total: 0,
             inj_active: 0,
@@ -371,7 +445,6 @@ impl Fabric {
             trace: TraceHandle::off(),
             stats: FabricStats::default(),
             pending_per_dst: vec![0; num_nodes],
-            route_buf: Vec::with_capacity(8),
         }
     }
 
@@ -385,18 +458,6 @@ impl Fabric {
     #[inline]
     pub fn num_nodes(&self) -> usize {
         self.topo.num_nodes()
-    }
-
-    /// The topology this fabric instantiates.
-    #[inline]
-    pub fn topology(&self) -> &dyn Topology {
-        self.topo.as_ref()
-    }
-
-    /// The configuration this fabric was built with.
-    #[inline]
-    pub fn config(&self) -> &FabricConfig {
-        &self.cfg
     }
 
     /// Aggregate statistics so far.
@@ -520,6 +581,10 @@ impl Fabric {
         let pkt = self.nodes[node.index()].ready[lane.index()].pop_front();
         if pkt.is_some() {
             self.ready_total -= 1;
+            // Room for one more packet: a head the full queue was holding
+            // back at the ejection port may now be granted it.
+            let (r, p) = self.ejects[node.index()];
+            self.routers[r as usize].wake |= pair_bit(p as usize, lane.index());
         }
         pkt
     }
@@ -600,71 +665,40 @@ impl Fabric {
         self.start_router_transmissions();
         self.progress_injection();
         self.now += 1;
-    }
-
-    /// Which lane's wire slot advances this cycle on a shared physical
-    /// channel. Time-multiplexed links advance strictly by cycle parity;
-    /// demand-multiplexed links give the full bandwidth to a lone flit and
-    /// alternate fairly when both lanes are busy.
-    fn advancing_lane(&self, busy: [bool; 2], mux_rr: u8) -> Option<Lane> {
-        let index = if self.cfg.time_mux_lanes {
-            let slot = (self.now.as_u64() % 2) as usize;
-            busy[slot].then_some(slot)?
-        } else {
-            match (busy[0], busy[1]) {
-                (true, true) => mux_rr as usize,
-                (true, false) => 0,
-                (false, true) => 1,
-                (false, false) => return None,
-            }
-        };
-        // Both arms produce 0 or 1, so the conversion is total.
-        Lane::from_index(index).ok()
+        #[cfg(debug_assertions)]
+        self.audit_sleepers();
     }
 
     /// Phase A: decrement serialization counters; deliver flits whose
     /// transfer completes.
     fn progress_wires(&mut self) {
-        let total_vcs = self.cfg.total_vcs();
+        let mux_slot = (self.cfg.time_mux_lanes).then_some((self.now.as_u64() % 2) as usize);
         for r in 0..self.routers.len() {
-            // Every wire idle: advancing_lane would return None for each
-            // port, so the whole router is a no-op this cycle.
-            if self.routers[r].busy_wires == 0 {
-                continue;
-            }
-            for p in 0..self.routers[r].outs.len() {
-                let busy = [
-                    self.routers[r].outs[p].in_flight[0].is_some(),
-                    self.routers[r].outs[p].in_flight[1].is_some(),
-                ];
-                let Some(lane) = self.advancing_lane(busy, self.routers[r].outs[p].mux_rr) else {
+            // Only ports with a flit on a wire, in ascending order. A
+            // completion clears its own pair's bit and nothing in this
+            // phase sets one, so the snapshot misses no port.
+            let mut pairs = self.routers[r].busy;
+            while pairs != 0 {
+                let p = pairs.trailing_zeros() as usize / 2;
+                pairs &= !(0b11 << (2 * p));
+                let out = &mut self.routers[r].outs[p];
+                let Some((lane, flit, dvc)) =
+                    tick_link(mux_slot, &mut out.in_flight, &mut out.mux_rr)
+                else {
                     continue;
                 };
-                if busy[0] && busy[1] {
-                    self.routers[r].outs[p].mux_rr ^= 1;
-                }
-                let Some((flit, dvc, rem)) = self.routers[r].outs[p].in_flight[lane.index()] else {
-                    debug_assert!(false, "advancing lane has no flit in flight");
-                    continue;
-                };
-                if rem > 1 {
-                    self.routers[r].outs[p].in_flight[lane.index()] = Some((flit, dvc, rem - 1));
-                    continue;
-                }
-                self.routers[r].outs[p].in_flight[lane.index()] = None;
-                self.routers[r].busy_wires -= 1;
+                // The pair is awake (a commit never puts it to sleep), so
+                // what completes with the flit — the idle wire, the owner a
+                // tail frees, an ejection port's assembly credits — is seen
+                // by this cycle's allocation without a wake of its own.
+                self.routers[r].busy &= !pair_bit(p, lane.index());
                 let is_tail = flit.idx + 1 == self.worm_flits(flit.worm);
                 if is_tail {
                     self.routers[r].outs[p].owner[dvc as usize] = None;
                 }
                 match self.routers[r].outs[p].dest {
                     Endpoint::Router { router, in_port } => {
-                        let target = &mut self.routers[router as usize];
-                        target.lane_flits[dvc as usize / self.cfg.vcs_per_lane as usize] += 1;
-                        target.mark_occupied(in_port as usize, dvc as usize, total_vcs);
-                        target.ins[in_port as usize].vcs[dvc as usize]
-                            .buf
-                            .push_back((flit, self.now));
+                        self.accept_flit(router as usize, in_port as usize, dvc as usize, flit);
                     }
                     Endpoint::Node(node) => {
                         self.deliver_to_node(node as usize, r, p, flit, dvc, is_tail);
@@ -679,42 +713,31 @@ impl Fabric {
             return;
         }
         for n in 0..self.nodes.len() {
-            if self.nodes[n].slots[0].is_none() && self.nodes[n].slots[1].is_none() {
+            let iface = &mut self.nodes[n];
+            if iface.slots[0].is_none() && iface.slots[1].is_none() {
                 continue;
             }
-            let busy = [
-                self.nodes[n].in_flight[0].is_some(),
-                self.nodes[n].in_flight[1].is_some(),
-            ];
-            let Some(lane) = self.advancing_lane(busy, self.nodes[n].lane_rr) else {
+            let Some((lane, flit, dvc)) =
+                tick_link(mux_slot, &mut iface.in_flight, &mut iface.lane_rr)
+            else {
                 continue;
             };
-            if busy[0] && busy[1] {
-                self.nodes[n].lane_rr ^= 1;
-            }
-            let Some((flit, dvc, rem)) = self.nodes[n].in_flight[lane.index()] else {
-                debug_assert!(false, "advancing lane has no flit in flight");
-                continue;
-            };
-            if rem > 1 {
-                self.nodes[n].in_flight[lane.index()] = Some((flit, dvc, rem - 1));
-                continue;
-            }
-            self.nodes[n].in_flight[lane.index()] = None;
-            let is_tail = flit.idx + 1 == self.worm_flits(flit.worm);
-            if is_tail {
-                self.nodes[n].inj_owner[dvc as usize] = None;
-                self.nodes[n].slots[lane.index()] = None;
+            if flit.idx + 1 == self.worm_flits(flit.worm) {
+                let iface = &mut self.nodes[n];
+                iface.inj_owner[dvc as usize] = None;
+                iface.slots[lane.index()] = None;
                 self.inj_active -= 1;
             }
             let (r, p) = (self.nodes[n].inj_router, self.nodes[n].inj_port);
-            let target = &mut self.routers[r as usize];
-            target.lane_flits[dvc as usize / self.cfg.vcs_per_lane as usize] += 1;
-            target.mark_occupied(p as usize, dvc as usize, total_vcs);
-            target.ins[p as usize].vcs[dvc as usize]
-                .buf
-                .push_back((flit, self.now));
+            self.accept_flit(r as usize, p as usize, dvc as usize, flit);
         }
+    }
+
+    /// A flit arrives in input VC `vc` of port `ip` at router `r`.
+    fn accept_flit(&mut self, r: usize, ip: usize, vc: usize, flit: Flit) {
+        let target = &mut self.routers[r];
+        target.mark_occupied(ip, vc, self.cfg.total_vcs());
+        target.ins[ip].vcs[vc].buf.push_back((flit, self.now));
     }
 
     /// A flit arrives at a node's ejection assembly; on the tail, the packet
@@ -792,63 +815,75 @@ impl Fabric {
         self.nodes[node].ready[lane.index()].len() + owned < self.cfg.eject_ready_pkts as usize
     }
 
-    /// Phase B: each idle output port picks one eligible flit and starts
-    /// serializing it.
+    /// Phase B: each woken output port whose wire is idle picks one
+    /// eligible flit and starts serializing it.
     fn start_router_transmissions(&mut self) {
         for r in 0..self.routers.len() {
-            if self.routers[r].lane_flits == [0, 0] {
+            self.resolve_heads(r);
+            let rt = &self.routers[r];
+            if rt.wake & !rt.busy == 0 {
                 continue;
             }
-            self.resolve_heads(r);
-            let num_outs = self.routers[r].outs.len();
-            // Rotate starting port so adaptive choices spread over links.
-            let start = (self.now.as_u64() as usize + r) % num_outs;
-            for k in 0..num_outs {
-                let p = (start + k) % num_outs;
-                for lane in Lane::ALL {
-                    if self.routers[r].lane_flits[lane.index()] > 0
-                        && self.routers[r].outs[p].in_flight[lane.index()].is_none()
-                        && self.port_has_candidates(r, p, lane)
-                    {
-                        self.try_start_one(r, p, lane);
-                    }
+            // Ports from a start that rotates with the cycle, so adaptive
+            // choices spread over links; lanes inner; sleeping and busy
+            // pairs passed over. The set is read again after every attempt:
+            // a tail commit that fronts a new head wakes the ports on its
+            // route, and those later in the rotation must still see it this
+            // cycle, those earlier not before the next.
+            let end = 2 * rt.outs.len() as u32;
+            let first = 2 * ((self.now.as_u64() as usize + r) % rt.outs.len()) as u32;
+            let (mut from, mut to) = (first, end);
+            loop {
+                let rt = &self.routers[r];
+                let ahead = rt.wake & !rt.busy & u64::MAX.checked_shl(from).unwrap_or(0);
+                let b = ahead.trailing_zeros();
+                if b < to {
+                    from = b + 1;
+                    self.arbitrate(r, b as usize / 2, Lane::ALL[b as usize % 2]);
+                } else if to == end && first > 0 {
+                    (from, to) = (0, first);
+                } else {
+                    break;
                 }
             }
         }
     }
 
-    /// Whether output port `p` has any candidate slot on `lane` — a cheap
-    /// word scan that spares the arbitration loop for idle ports.
-    #[inline]
-    fn port_has_candidates(&self, r: usize, p: usize, lane: Lane) -> bool {
-        let rt = &self.routers[r];
-        rt.cands[p]
-            .iter()
-            .zip(&rt.lane_mask[lane.index()])
-            .any(|(c, m)| c & m != 0)
+    /// One arbitration attempt of output port `p` of router `r` on logical
+    /// network `lane`: starts the flit [`Self::pick`] chose, or puts the pair
+    /// to sleep if there was none and waiting a cycle would not produce one.
+    fn arbitrate(&mut self, r: usize, p: usize, lane: Lane) {
+        match self.pick(r, p, lane) {
+            (Some(grant), _) => self.commit_transmission(r, p, grant),
+            (None, false) => self.routers[r].wake &= !pair_bit(p, lane.index()),
+            (None, true) => {}
+        }
     }
 
-    /// Attempts to start one flit of logical network `lane` on output port
-    /// `p` of router `r`.
-    fn try_start_one(&mut self, r: usize, p: usize, lane: Lane) {
-        let num_ins = self.routers[r].ins.len();
+    /// The flit output port `p` of router `r` would start on `lane` now, if
+    /// any, and whether a candidate was passed over only because it arrived
+    /// this cycle (it may be startable on the next with no event in
+    /// between). Reads only: the pair's answer changes when one of the wake
+    /// events of [`Router::wake`] happens, or, if gated, with the clock.
+    fn pick(&self, r: usize, p: usize, lane: Lane) -> (Option<Grant>, bool) {
         let total_vcs = self.cfg.total_vcs();
-        let slots = num_ins * total_vcs;
+        let slots = self.routers[r].ins.len() * total_vcs;
         let rr = self.routers[r].outs[p].rr as usize;
         // Round-robin over this port's *candidate* slots only — buffered
         // worms already routed to `p` plus resolved heads whose route
         // includes `p`, lane-masked. This visits the same eligible slots
         // in the same order as a full `(rr + k) % slots` sweep (slots it
-        // skips would fail the original loop's empty-buffer, lane-range,
+        // skips would fail that loop's empty-buffer, lane-range,
         // allocated-elsewhere, or off-route checks), so arbitration
         // outcomes are bit-for-bit unchanged.
+        let mut gated = false;
         let mut pos = rr;
         let mut limit = slots;
         let mut wrapped = false;
         loop {
             let Some(s) = self.next_candidate(r, p, lane, pos, limit) else {
                 if wrapped || rr == 0 {
-                    return;
+                    return (None, gated);
                 }
                 wrapped = true;
                 pos = 0;
@@ -862,29 +897,29 @@ impl Fabric {
                 continue;
             };
             if arrived >= self.now {
-                continue; // one-cycle router pipeline
+                gated = true; // one-cycle router pipeline
+                continue;
             }
-            let alloc = self.routers[r].ins[ip].vcs[vc].alloc;
-            let choice = if let Some((ap, avc)) = alloc {
+            let (dvc, is_head) = if let Some((ap, avc)) = self.routers[r].ins[ip].vcs[vc].alloc {
                 // Body/tail flit: must continue on its allocated path.
-                if ap as usize != p {
+                if ap as usize != p || self.routers[r].outs[p].credits[avc as usize] == 0 {
                     continue;
                 }
-                if self.routers[r].outs[p].credits[avc as usize] == 0 {
-                    continue;
-                }
-                Some((avc, false))
+                (avc, false)
             } else {
                 debug_assert_eq!(flit.idx, 0, "unrouted non-head flit");
-                self.head_allocation(r, p, ip, vc, flit)
-                    .map(|dvc| (dvc, true))
+                let Some(dvc) = self.head_allocation(r, p, ip, vc, flit) else {
+                    continue;
+                };
+                (dvc, true)
             };
-            let Some((dvc, is_head)) = choice else {
-                continue;
+            let grant = Grant {
+                slot: s,
+                flit,
+                dvc,
+                is_head,
             };
-            self.commit_transmission(r, p, ip, vc, flit, dvc, is_head);
-            self.routers[r].outs[p].rr = ((s + 1) % slots) as u32;
-            return;
+            return (Some(grant), gated);
         }
     }
 
@@ -902,75 +937,59 @@ impl Fabric {
         }
     }
 
-    /// Routes the unrouted head at the front of `(ip, vc)` and enters its
-    /// slot bit into the candidate set of every port on its route. The
-    /// mask is cached per VC keyed by worm id — the candidate set is a
-    /// pure function of the worm's static route state, so the head's
-    /// commit can later retract exactly the bits entered here.
+    /// Enters the slot of the unrouted head at the front of `(ip, vc)` into
+    /// the candidate set of every port on its route, and wakes those
+    /// ports. The topology is asked the first time only: the candidates
+    /// are a pure function of the worm's static route state, so they stay
+    /// in the VC, keyed by worm, for every attempt on the head, for a
+    /// repeat of this call when a further flit arrives behind it, and for
+    /// the commit that retracts exactly the bits entered here.
     fn resolve_slot(&mut self, r: usize, ip: usize, vc: usize) {
         let slot = ip * self.cfg.total_vcs() + vc;
-        clear_bit(&mut self.routers[r].unresolved, slot);
-        let Some(&(flit, _)) = self.routers[r].ins[ip].vcs[vc].buf.front() else {
+        let lane = vc / self.cfg.vcs_per_lane as usize;
+        let Router {
+            ins,
+            cands,
+            unresolved,
+            wake,
+            ..
+        } = &mut self.routers[r];
+        clear_bit(unresolved, slot);
+        let head = &mut ins[ip].vcs[vc];
+        let Some(&(flit, _)) = head.buf.front() else {
             return; // buffer drained since the bit was queued
         };
-        if self.routers[r].ins[ip].vcs[vc].alloc.is_some() {
+        if head.alloc.is_some() {
             return; // mid-worm; `cands` already tracks the allocated port
         }
-        let mask = match self.routers[r].ins[ip].vcs[vc].cand_ports {
-            Some((worm, m)) if worm == flit.worm => m,
-            _ => {
-                let m = self.route_port_mask(r, flit);
-                self.routers[r].ins[ip].vcs[vc].cand_ports = Some((flit.worm, m));
-                m
-            }
-        };
-        let mut m = mask;
-        while m != 0 {
-            let q = m.trailing_zeros() as usize;
-            m &= m - 1;
-            set_bit(&mut self.routers[r].cands[q], slot);
+        if head.routed != Some(flit.worm) {
+            let Some(worm) = self.arena.get(flit.worm) else {
+                debug_assert!(false, "routing a dead worm");
+                return;
+            };
+            head.route.clear();
+            self.topo
+                .route(r as u32, worm.packet.dst, &worm.route, &mut head.route);
+            head.routed = Some(flit.worm);
+        }
+        for cand in &head.route {
+            set_bit(&mut cands[cand.port as usize], slot);
+            *wake |= pair_bit(cand.port as usize, lane);
         }
     }
 
-    /// Bitmask of output ports the topology offers for `flit`'s worm at
-    /// router `r`.
-    fn route_port_mask(&mut self, r: usize, flit: Flit) -> u64 {
-        let Some(worm) = self.arena.get(flit.worm) else {
-            debug_assert!(false, "routing a dead worm");
-            return 0;
-        };
-        let dst = worm.packet.dst;
-        let route = worm.route;
-        self.route_buf.clear();
-        let mut cands = std::mem::take(&mut self.route_buf);
-        self.topo.route(r as u32, dst, &route, &mut cands);
-        let mut mask = 0u64;
-        for cand in &cands {
-            mask |= 1u64 << (cand.port % 64);
-        }
-        self.route_buf = cands;
-        mask
-    }
-
-    /// Routing + VC allocation for a head flit waiting at `(ip, vc)`;
+    /// VC allocation for the routed head flit waiting at `(ip, vc)`;
     /// returns the downstream VC to use on port `p`, if any.
-    fn head_allocation(
-        &mut self,
-        r: usize,
-        p: usize,
-        ip: usize,
-        vc: usize,
-        flit: Flit,
-    ) -> Option<u8> {
+    fn head_allocation(&self, r: usize, p: usize, ip: usize, vc: usize, flit: Flit) -> Option<u8> {
         let worm = self.arena.get(flit.worm)?;
         let lane = worm.packet.lane;
         let flits = worm.flits;
-        let dst = worm.packet.dst;
-        let route = worm.route;
+        let head = &self.routers[r].ins[ip].vcs[vc];
+        debug_assert_eq!(head.routed, Some(flit.worm), "candidate head never routed");
 
         // Store-and-forward: the whole packet must sit here first.
         if self.cfg.policy == SwitchingPolicy::StoreAndForward {
-            let present = self.routers[r].ins[ip].vcs[vc]
+            let present = head
                 .buf
                 .iter()
                 .take_while(|(f, _)| f.worm == flit.worm)
@@ -980,17 +999,11 @@ impl Fabric {
             }
         }
 
-        self.route_buf.clear();
-        let mut cands = std::mem::take(&mut self.route_buf);
-        self.topo.route(r as u32, dst, &route, &mut cands);
         let need = self.head_credit_need(flits);
-        let mut found = None;
-        'outer: for cand in &cands {
-            if cand.port as usize != p {
-                continue;
-            }
+        let out = &self.routers[r].outs[p];
+        for cand in head.route.iter().filter(|c| c.port as usize == p) {
             // Node-bound heads additionally need a free ready-queue slot.
-            if let Endpoint::Node(node) = self.routers[r].outs[p].dest {
+            if let Endpoint::Node(node) = out.dest {
                 if !self.eject_has_room(r, p, node as usize, lane) {
                     continue;
                 }
@@ -1007,40 +1020,36 @@ impl Fabric {
                     (idx, (idx + 1).min(range.end))
                 }
             };
-            for dvc in lo..hi {
-                let out = &self.routers[r].outs[p];
-                if out.owner[dvc].is_none() && out.credits[dvc] >= need {
-                    found = Some(dvc as u8);
-                    break 'outer;
-                }
+            if let Some(dvc) = (lo..hi).find(|&v| out.owner[v].is_none() && out.credits[v] >= need)
+            {
+                return Some(dvc as u8);
             }
         }
-        self.route_buf = cands;
-        found
+        None
     }
 
-    /// Pops the flit, updates allocation/ownership/credits, and places it on
-    /// the wire.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "one call site; the arguments are the winner's coordinates, already in locals"
-    )]
-    fn commit_transmission(
-        &mut self,
-        r: usize,
-        p: usize,
-        ip: usize,
-        vc: usize,
-        flit: Flit,
-        dvc: u8,
-        is_head: bool,
-    ) {
+    /// Pops the granted flit, updates allocation/ownership/credits, and
+    /// places it on the wire of output port `p`.
+    fn commit_transmission(&mut self, r: usize, p: usize, grant: Grant) {
+        let Grant {
+            slot,
+            flit,
+            dvc,
+            is_head,
+        } = grant;
+        let total_vcs = self.cfg.total_vcs();
+        let (ip, vc) = (slot / total_vcs, slot % total_vcs);
+        let lane = dvc as usize / self.cfg.vcs_per_lane as usize;
+        debug_assert_eq!(
+            lane,
+            vc / self.cfg.vcs_per_lane as usize,
+            "worm changed lanes"
+        );
         let Some((popped, _)) = self.routers[r].ins[ip].vcs[vc].buf.pop_front() else {
             debug_assert!(false, "committed transmission from an empty VC buffer");
             return;
         };
         debug_assert_eq!(popped, flit);
-        self.routers[r].lane_flits[vc / self.cfg.vcs_per_lane as usize] -= 1;
         let is_tail = flit.idx + 1 == self.worm_flits(flit.worm);
 
         if is_head {
@@ -1058,31 +1067,19 @@ impl Fabric {
         // Re-home the slot in the arbitration bitsets: it leaves its old
         // set(s) and, if flits remain buffered, re-enters under the updated
         // allocation state. A committed head was distributed to every port
-        // on its cached route mask, so retract exactly those bits (plus the
-        // unresolved bit, in case a push re-queued it); a body or tail was
-        // visible to port `p` alone.
-        let slot = ip * self.cfg.total_vcs() + vc;
+        // on its cached route, so retract exactly those bits; a body or
+        // tail was visible to port `p` alone.
+        let Router { ins, cands, .. } = &mut self.routers[r];
         if is_head {
-            let mask = match self.routers[r].ins[ip].vcs[vc].cand_ports {
-                Some((w, m)) if w == flit.worm => m,
-                _ => !0u64, // unknown mask: sweep every port (defensive)
-            };
-            let nout = self.routers[r].outs.len();
-            let mut m = mask;
-            while m != 0 {
-                let q = m.trailing_zeros() as usize;
-                if q >= nout {
-                    break;
-                }
-                m &= m - 1;
-                clear_bit(&mut self.routers[r].cands[q], slot);
+            debug_assert_eq!(ins[ip].vcs[vc].routed, Some(flit.worm));
+            for cand in &ins[ip].vcs[vc].route {
+                clear_bit(&mut cands[cand.port as usize], slot);
             }
-            clear_bit(&mut self.routers[r].unresolved, slot);
         } else {
-            clear_bit(&mut self.routers[r].cands[p], slot);
+            clear_bit(&mut cands[p], slot);
         }
-        if !self.routers[r].ins[ip].vcs[vc].buf.is_empty() {
-            self.routers[r].mark_occupied(ip, vc, self.cfg.total_vcs());
+        if !ins[ip].vcs[vc].buf.is_empty() {
+            self.routers[r].mark_occupied(ip, vc, total_vcs);
             // A tail commit fronts the next worm's unrouted head; resolve
             // it now so output ports later in this cycle's rotation can
             // still claim it (matching the exhaustive-scan behavior).
@@ -1091,10 +1088,13 @@ impl Fabric {
             }
         }
 
-        // Credit return to whoever feeds this input port.
+        // Credit return to whoever feeds this input port; upstream, a flit
+        // or a head held for want of it may now start.
         match self.routers[r].ins[ip].feeder {
             Feeder::Router { router, port } => {
-                self.routers[router as usize].outs[port as usize].credits[vc] += 1;
+                let up = &mut self.routers[router as usize];
+                up.outs[port as usize].credits[vc] += 1;
+                up.wake |= pair_bit(port as usize, lane);
             }
             Feeder::Node(node) => {
                 self.nodes[node as usize].inj_credits[vc] += 1;
@@ -1102,16 +1102,18 @@ impl Fabric {
             Feeder::None => {}
         }
 
-        self.routers[r].outs[p].credits[dvc as usize] -= 1;
-        let lane = dvc as usize / self.cfg.vcs_per_lane as usize;
-        debug_assert!(self.routers[r].outs[p].in_flight[lane].is_none());
-        self.routers[r].outs[p].in_flight[lane] = Some((flit, dvc, self.cfg.flit_cycles));
-        self.routers[r].busy_wires += 1;
+        let rt = &mut self.routers[r];
+        rt.busy |= pair_bit(p, lane);
+        let out = &mut rt.outs[p];
+        out.rr = ((slot + 1) % (rt.ins.len() * total_vcs)) as u32;
+        out.credits[dvc as usize] -= 1;
+        debug_assert!(out.in_flight[lane].is_none());
+        out.in_flight[lane] = Some((flit, dvc, self.cfg.flit_cycles));
     }
 
     /// Phase C: nodes serialize queued packets onto their injection links.
     /// [`Fabric::try_inject_flit`] is a no-op without a populated slot, so
-    /// slot-free nodes (and the whole phase when no slot is active) skip.
+    /// only nodes with one are visited.
     fn progress_injection(&mut self) {
         if self.inj_active == 0 {
             return;
@@ -1181,13 +1183,53 @@ impl Fabric {
         ));
         true
     }
+
+    /// Debug check of the wake discipline: no sleeping `(port, lane)` pair
+    /// with an idle wire has a flit it could start. The exhaustive sweep
+    /// the wake set replaced survives only as this predicate over the same
+    /// [`Self::pick`] the allocator uses — never as a second arbiter. Run
+    /// after every step of a debug build, i.e. with the clock already on
+    /// the next cycle, so a pair that went to sleep on a flit the
+    /// one-cycle pipeline rule was holding back is caught too.
+    #[cfg(any(test, debug_assertions))]
+    fn audit_sleepers(&self) {
+        for (r, rt) in self.routers.iter().enumerate() {
+            assert!(
+                rt.unresolved.iter().all(|&w| w == 0),
+                "router {r} ends the cycle with an unrouted head"
+            );
+            assert_eq!(rt.busy & !rt.wake, 0, "router {r}: a busy pair sleeps");
+            for p in 0..rt.outs.len() {
+                for lane in Lane::ALL {
+                    let bit = pair_bit(p, lane.index());
+                    assert_eq!(
+                        rt.busy & bit != 0,
+                        rt.outs[p].in_flight[lane.index()].is_some(),
+                        "router {r} port {p} {lane:?}: busy bit disagrees with the wire"
+                    );
+                    if (rt.wake | rt.busy) & bit == 0 {
+                        let (grant, _) = self.pick(r, p, lane);
+                        assert!(
+                            grant.is_none(),
+                            "lost wake-up at {}: router {r} port {p} {lane:?} \
+                             sleeps on {grant:?}",
+                            self.now
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::{Butterfly, Cm5FatTree, FatTree, Mesh, Torus};
-    use nifdy_sim::PacketId;
+    use crate::topology::{
+        AdaptiveMesh, Butterfly, Cm5FatTree, FabricSpec, FatTree, Mesh, NodeAttach, RouterSpec,
+        Torus,
+    };
+    use nifdy_sim::{PacketId, SimRng};
 
     fn drive_one(
         topo: Box<dyn Topology>,
@@ -1407,5 +1449,166 @@ mod tests {
         let mut fab = Fabric::new(Box::new(Mesh::d2(4, 4)), FabricConfig::default());
         let p = Packet::data(PacketId::new(1), NodeId::new(2), NodeId::new(3), 8);
         fab.inject(NodeId::new(0), p);
+    }
+
+    /// The nine network shapes the experiments run (`NetworkKind`, at 64
+    /// nodes) and the VCs per lane each needs.
+    fn experiment_shapes() -> [(&'static str, Box<dyn Topology>, u8); 9] {
+        [
+            ("mesh-2d", Box::new(Mesh::d2(8, 8)), 1),
+            ("mesh-3d", Box::new(Mesh::d3(4, 4, 4)), 1),
+            ("torus-2d", Box::new(Torus::d2(8, 8)), 2),
+            ("fat-tree", Box::new(FatTree::new(64)), 1),
+            ("sf-fat-tree", Box::new(FatTree::new(64)), 1),
+            ("cm5-fat-tree", Box::new(Cm5FatTree::new(64)), 1),
+            ("butterfly", Box::new(Butterfly::new(64, 1, 7)), 1),
+            ("multibfly", Box::new(Butterfly::new(64, 2, 7)), 1),
+            ("adaptive-mesh-2d", Box::new(AdaptiveMesh::d2(8, 8)), 1),
+        ]
+    }
+
+    /// Seeded random traffic on both lanes into receivers that stop
+    /// ejecting for random stretches, then a full drain; the wake audit
+    /// runs after every step. Returns packets delivered.
+    fn audit_under_stalling_receivers(mut fab: Fabric, seed: u64, what: &str) -> u64 {
+        let nodes = fab.num_nodes();
+        let mut rng = SimRng::from_seed_stream(seed, 0x5EE9);
+        let mut stalled_until = vec![0u64; nodes];
+        let (mut sent, mut got) = (0u64, 0u64);
+        for cycle in 0..20_000u64 {
+            let feeding = cycle < 1_200;
+            for (n, until) in stalled_until.iter_mut().enumerate() {
+                let node = NodeId::new(n);
+                for lane in Lane::ALL {
+                    if feeding && rng.gen_bool(0.06) && fab.can_inject(node, lane) {
+                        sent += 1;
+                        // A fifth of the traffic converges on node 1.
+                        let dst = if rng.gen_bool(0.2) {
+                            1
+                        } else {
+                            rng.gen_range_usize(0..nodes)
+                        };
+                        let words = rng.gen_range_u64(1..9) as u16;
+                        let mut p =
+                            Packet::data(PacketId::new(sent), node, NodeId::new(dst), words);
+                        p.lane = lane;
+                        fab.inject(node, p);
+                    }
+                }
+                if feeding && rng.gen_bool(0.004) {
+                    *until = cycle + rng.gen_range_u64(20..400);
+                }
+            }
+            fab.step();
+            fab.audit_sleepers();
+            for (n, &until) in stalled_until.iter().enumerate() {
+                for lane in Lane::ALL {
+                    if cycle >= until && fab.eject(NodeId::new(n), lane).is_some() {
+                        got += 1;
+                    }
+                }
+            }
+            if !feeding && fab.in_network() == 0 {
+                assert_eq!(got, sent, "{what}: packets lost or duplicated");
+                return got;
+            }
+        }
+        panic!("{what}: {} of {sent} packets never drained", sent - got);
+    }
+
+    #[test]
+    fn no_sleeping_port_could_have_started_a_flit() {
+        let policies = [
+            SwitchingPolicy::Wormhole,
+            SwitchingPolicy::CutThrough,
+            SwitchingPolicy::StoreAndForward,
+        ];
+        let mut seed = 0;
+        for policy in policies {
+            for time_mux in [false, true] {
+                for (name, topo, vcs) in experiment_shapes() {
+                    seed += 1;
+                    let mut cfg = FabricConfig::default()
+                        .with_policy(policy)
+                        .with_vc_buf_flits(if policy == SwitchingPolicy::Wormhole {
+                            2
+                        } else {
+                            8
+                        })
+                        .with_vcs_per_lane(vcs)
+                        .with_time_mux(time_mux);
+                    cfg.eject_ready_pkts = 1 + (seed % 2) as u16;
+                    let what = format!("{name} {policy:?} time_mux={time_mux} seed {seed}");
+                    let got = audit_under_stalling_receivers(Fabric::new(topo, cfg), seed, &what);
+                    assert!(got > 300, "{what}: only {got} packets");
+                }
+            }
+        }
+    }
+
+    /// One router, `n` nodes: a crossbar with `n` output ports.
+    #[derive(Debug)]
+    struct Crossbar(usize);
+
+    impl Topology for Crossbar {
+        fn name(&self) -> String {
+            format!("{}-port crossbar", self.0)
+        }
+        fn num_nodes(&self) -> usize {
+            self.0
+        }
+        fn spec(&self) -> FabricSpec {
+            let router = RouterSpec {
+                in_ports: self.0 as u8,
+                links: (0..self.0 as u32).map(Endpoint::Node).collect(),
+            };
+            let attach = |n| NodeAttach {
+                inj_router: 0,
+                inj_port: n,
+                ej_router: 0,
+                ej_port: n,
+            };
+            FabricSpec {
+                routers: vec![router],
+                attaches: (0..self.0 as u8).map(attach).collect(),
+            }
+        }
+        fn route(&self, _: u32, dst: NodeId, _: &RouteState, out: &mut Vec<Candidate>) {
+            out.push(Candidate::any(dst.index() as u8));
+        }
+        fn hops(&self, _: NodeId, _: NodeId) -> u32 {
+            2
+        }
+        fn reorders(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn a_router_may_have_32_output_ports() {
+        // Port 31's reply lane is the top bit of the wake word.
+        let mut fab = Fabric::new(Box::new(Crossbar(32)), FabricConfig::default());
+        let (src, dst) = (NodeId::new(30), NodeId::new(31));
+        let mut ack = Packet::data(PacketId::new(1), src, dst, 2);
+        ack.lane = Lane::Reply;
+        fab.inject(src, ack);
+        fab.inject(src, Packet::data(PacketId::new(2), src, dst, 8));
+        for _ in 0..200 {
+            fab.step();
+        }
+        assert_eq!(
+            fab.eject(dst, Lane::Reply).map(|p| p.id),
+            Some(PacketId::new(1))
+        );
+        assert_eq!(
+            fab.eject(dst, Lane::Request).map(|p| p.id),
+            Some(PacketId::new(2))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a router with 33 output ports exceeds the 32")]
+    fn a_33rd_output_port_is_refused() {
+        let _ = Fabric::new(Box::new(Crossbar(33)), FabricConfig::default());
     }
 }
