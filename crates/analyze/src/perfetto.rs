@@ -5,8 +5,8 @@
 
 use std::collections::BTreeMap;
 
-use nifdy_trace::export::to_chrome_trace_with_loss;
-use nifdy_trace::json::{parse, Json};
+use nifdy_trace::export::{chrome_event, chrome_trace_doc};
+use nifdy_trace::json::Json;
 use nifdy_trace::{TraceEvent, TraceLoss};
 
 use crate::stitch::JourneySet;
@@ -16,14 +16,8 @@ use crate::stitch::JourneySet;
 /// `j<src>.<dst>.<n>` (n = per-flow launch ordinal) so concurrent
 /// journeys on different flows never collide.
 pub fn enrich_chrome_trace(events: &[TraceEvent], loss: &TraceLoss, set: &JourneySet) -> String {
-    let base = to_chrome_trace_with_loss(events, loss);
-    let mut doc = match parse(&base) {
-        Ok(doc) => doc,
-        // The base exporter's output always parses; keep it usable even if
-        // that ever regresses.
-        Err(_) => return base,
-    };
-
+    let mut doc = chrome_trace_doc(events, Some(loss));
+    let span = |id: &str| [("cat", Json::str("journey")), ("id", Json::str(id))];
     let mut spans = Vec::new();
     let mut ordinals: BTreeMap<(usize, usize), u64> = BTreeMap::new();
     for j in &set.journeys {
@@ -49,22 +43,14 @@ pub fn enrich_chrome_trace(events: &[TraceEvent], loss: &TraceLoss, set: &Journe
         if j.incomplete {
             args.push(("incomplete", Json::Bool(true)));
         }
-        spans.push(async_event(
+        spans.push(chrome_event(
             &name,
             "b",
-            &id,
             j.first_send,
             j.src as u64,
-            args,
+            span(&id).into_iter().chain([("args", Json::obj(args))]),
         ));
-        spans.push(async_event(
-            &name,
-            "e",
-            &id,
-            finish,
-            j.src as u64,
-            Vec::new(),
-        ));
+        spans.push(chrome_event(&name, "e", finish, j.src as u64, span(&id)));
     }
 
     if let Json::Obj(map) = &mut doc {
@@ -75,35 +61,12 @@ pub fn enrich_chrome_trace(events: &[TraceEvent], loss: &TraceLoss, set: &Journe
     doc.render()
 }
 
-/// One async-span endpoint in the Chrome trace-event model (`ph` "b"/"e"
-/// pair matched by category + id + name).
-fn async_event(
-    name: &str,
-    ph: &str,
-    id: &str,
-    ts: u64,
-    tid: u64,
-    args: Vec<(&'static str, Json)>,
-) -> Json {
-    let mut map = BTreeMap::new();
-    map.insert("name".to_string(), Json::str(name));
-    map.insert("cat".to_string(), Json::str("journey"));
-    map.insert("ph".to_string(), Json::str(ph));
-    map.insert("id".to_string(), Json::str(id));
-    map.insert("ts".to_string(), Json::u64(ts));
-    map.insert("pid".to_string(), Json::u64(1));
-    map.insert("tid".to_string(), Json::u64(tid));
-    if !args.is_empty() {
-        map.insert("args".to_string(), Json::obj(args));
-    }
-    Json::Obj(map)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stitch::stitch;
     use nifdy_sim::{Cycle, NodeId};
+    use nifdy_trace::json::parse;
     use nifdy_trace::EventKind;
 
     fn ev(seq: u64, at: u64, node: usize, kind: EventKind) -> TraceEvent {

@@ -15,8 +15,6 @@ pub enum ConfigError {
     ZeroOptEntries,
     /// `B = 0`: the outgoing pool needs at least one buffer.
     ZeroPoolEntries,
-    /// The arrivals FIFO needs at least one slot.
-    ZeroArrivalsCapacity,
     /// `W < 2` with bulk dialogs enabled (acks cover half-windows).
     WindowTooSmall {
         /// The rejected window.
@@ -39,15 +37,6 @@ pub enum ConfigError {
     ZeroRetxBudget,
     /// `adaptive_rto` without a `retx_timeout` to seed the initial RTO.
     AdaptiveRtoWithoutTimeout,
-    /// RTO bounds must satisfy `1 <= rto_min <= rto_max`.
-    BadRtoBounds {
-        /// Configured floor.
-        min: u64,
-        /// Configured cap.
-        max: u64,
-    },
-    /// The retransmission staging queue needs at least one slot.
-    ZeroRetxQueueCap,
 }
 
 impl fmt::Display for ConfigError {
@@ -56,9 +45,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroOptEntries => write!(f, "the OPT needs at least one entry"),
             ConfigError::ZeroPoolEntries => {
                 write!(f, "the outgoing pool needs at least one buffer")
-            }
-            ConfigError::ZeroArrivalsCapacity => {
-                write!(f, "the arrivals FIFO needs at least one slot")
             }
             ConfigError::WindowTooSmall { window } => {
                 write!(f, "bulk dialogs need a window of at least 2 (got {window})")
@@ -80,13 +66,6 @@ impl fmt::Display for ConfigError {
             ),
             ConfigError::AdaptiveRtoWithoutTimeout => {
                 write!(f, "adaptive_rto needs a retx_timeout as the initial RTO")
-            }
-            ConfigError::BadRtoBounds { min, max } => write!(
-                f,
-                "rto bounds must satisfy 1 <= rto_min <= rto_max (got {min}..{max})"
-            ),
-            ConfigError::ZeroRetxQueueCap => {
-                write!(f, "the retransmission queue needs at least one slot")
             }
         }
     }
@@ -135,9 +114,6 @@ pub struct NifdyConfig {
     /// Must be even and at least 2 when `max_dialogs > 0`, because combined
     /// acks cover half-windows.
     pub window: u8,
-    /// Arrivals FIFO capacity in packets ("with the NIFDY protocol, the
-    /// capacity of the arrivals queue is at most two packets").
-    pub arrivals_capacity: u8,
     /// Acknowledge scalar packets when they are *inserted* into the arrivals
     /// FIFO instead of when the processor accepts them — the paper's
     /// footnote 2 calls this "surprisingly less effective"; kept for the
@@ -163,28 +139,22 @@ pub struct NifdyConfig {
     /// keeps a per-destination smoothed RTT and variance (EWMA, RFC
     /// 6298-style `srtt + 4·rttvar`), applies Karn's rule (no samples from
     /// retransmitted packets), and backs off exponentially — with a jittered
-    /// cap at [`rto_max`](NifdyConfig::rto_max) — on consecutive timeouts.
+    /// cap at 20 000 cycles — on consecutive timeouts; estimates are clamped
+    /// to at least 32 cycles.
     /// Without this flag the timeout is fixed at
     /// [`retx_timeout`](NifdyConfig::retx_timeout), as in the seed §6.2
     /// implementation.
     pub adaptive_rto: bool,
-    /// Floor for the adaptive RTO in cycles (guards against spuriously
-    /// retransmitting when the measured round trip is tiny).
-    pub rto_min: u64,
-    /// Cap for the adaptive RTO in cycles; exponential backoff saturates
-    /// here (plus a small random jitter to de-synchronize senders).
-    pub rto_max: u64,
     /// Maximum retransmissions per packet before the unit gives up and
     /// surfaces a [`DeliveryFailure`](crate::DeliveryFailure) to the client.
     /// `None` retries forever (the seed behavior); `Some(0)` is rejected by
     /// validation.
     pub retx_budget: Option<u32>,
-    /// Bound on the retransmission staging queue, in packets. When the
-    /// queue is full, a firing timer leaves its entry in place (it re-fires
-    /// next cycle) and the overflow is counted in
-    /// [`NicStats::retx_queue_overflow`](crate::NicStats::retx_queue_overflow).
-    pub retx_queue_cap: u16,
 }
+
+/// Arrivals FIFO capacity in packets: "with the NIFDY protocol, the
+/// capacity of the arrivals queue is at most two packets".
+pub(crate) const ARRIVALS_CAPACITY: usize = 2;
 
 impl NifdyConfig {
     /// Starts a validating builder pre-loaded with the paper's summary
@@ -205,16 +175,12 @@ impl NifdyConfig {
             pool_entries,
             max_dialogs,
             window,
-            arrivals_capacity: 2,
             ack_on_insert: false,
             bulk_ack_every_packet: false,
             piggyback_acks: false,
             retx_timeout: None,
             adaptive_rto: false,
-            rto_min: 32,
-            rto_max: 20_000,
             retx_budget: None,
-            retx_queue_cap: 64,
         }
     }
 
@@ -296,24 +262,11 @@ impl NifdyConfig {
         self
     }
 
-    /// Builder: clamp the adaptive RTO to `[min, max]` cycles.
-    pub fn with_rto_bounds(mut self, min: u64, max: u64) -> Self {
-        self.rto_min = min;
-        self.rto_max = max;
-        self
-    }
-
     /// Builder: bound retransmissions per packet; exceeding the budget
     /// surfaces a typed [`DeliveryFailure`](crate::DeliveryFailure) instead
     /// of retrying forever.
     pub fn with_retx_budget(mut self, budget: u32) -> Self {
         self.retx_budget = Some(budget);
-        self
-    }
-
-    /// Builder: bound the retransmission staging queue.
-    pub fn with_retx_queue_cap(mut self, cap: u16) -> Self {
-        self.retx_queue_cap = cap;
         self
     }
 
@@ -323,7 +276,7 @@ impl NifdyConfig {
     pub fn total_buffers(&self) -> u16 {
         u16::from(self.pool_entries)
             + u16::from(self.max_dialogs) * u16::from(self.window)
-            + u16::from(self.arrivals_capacity)
+            + ARRIVALS_CAPACITY as u16
     }
 
     /// Validates internal consistency.
@@ -340,25 +293,18 @@ impl NifdyConfig {
             pool_entries,
             max_dialogs,
             window,
-            arrivals_capacity,
             ack_on_insert: _,
             bulk_ack_every_packet: _,
             piggyback_acks: _,
             retx_timeout,
             adaptive_rto,
-            rto_min,
-            rto_max,
             retx_budget,
-            retx_queue_cap,
         } = *self;
         if opt_entries == 0 {
             return Err(ConfigError::ZeroOptEntries);
         }
         if pool_entries == 0 {
             return Err(ConfigError::ZeroPoolEntries);
-        }
-        if arrivals_capacity == 0 {
-            return Err(ConfigError::ZeroArrivalsCapacity);
         }
         if max_dialogs > 0 {
             if window < 2 {
@@ -379,15 +325,6 @@ impl NifdyConfig {
         }
         if adaptive_rto && retx_timeout.is_none() {
             return Err(ConfigError::AdaptiveRtoWithoutTimeout);
-        }
-        if rto_min == 0 || rto_min > rto_max {
-            return Err(ConfigError::BadRtoBounds {
-                min: rto_min,
-                max: rto_max,
-            });
-        }
-        if retx_queue_cap == 0 {
-            return Err(ConfigError::ZeroRetxQueueCap);
         }
         Ok(())
     }
@@ -455,12 +392,6 @@ impl NifdyConfigBuilder {
     /// from validation) when `max_dialogs` is zero.
     pub fn window(mut self, w: u8) -> Self {
         self.cfg.window = w;
-        self
-    }
-
-    /// Overrides the arrivals FIFO capacity.
-    pub fn arrivals_capacity(mut self, cap: u8) -> Self {
-        self.cfg.arrivals_capacity = cap;
         self
     }
 
@@ -543,11 +474,6 @@ mod tests {
         let err = NifdyConfig::builder().pool_entries(0).build().unwrap_err();
         assert_eq!(err, ConfigError::ZeroPoolEntries);
         let err = NifdyConfig::builder()
-            .arrivals_capacity(0)
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::ZeroArrivalsCapacity);
-        let err = NifdyConfig::builder()
             .max_dialogs(1)
             .window(66)
             .build()
@@ -610,21 +536,5 @@ mod tests {
             .with_retx_timeout(500)
             .with_adaptive_rto(true);
         assert!(ok.validate().is_ok());
-    }
-
-    #[test]
-    fn degenerate_rto_bounds_and_queue_cap_rejected() {
-        assert!(NifdyConfig::mesh()
-            .with_rto_bounds(0, 100)
-            .validate()
-            .is_err());
-        assert!(NifdyConfig::mesh()
-            .with_rto_bounds(200, 100)
-            .validate()
-            .is_err());
-        assert!(NifdyConfig::mesh()
-            .with_retx_queue_cap(0)
-            .validate()
-            .is_err());
     }
 }

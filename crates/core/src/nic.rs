@@ -137,7 +137,7 @@ pub struct NicStats {
     /// surfaced as a [`DeliveryFailure`]).
     pub delivery_failures: Counter,
     /// Retransmission-timer firings deferred because the staging queue was
-    /// at [`retx_queue_cap`](crate::NifdyConfig::retx_queue_cap).
+    /// full (64 packets).
     pub retx_queue_overflow: Counter,
     /// Outgoing bulk dialogs torn down mid-window by the retry budget.
     pub dialogs_torn_down: Counter,

@@ -1,5 +1,13 @@
 //! Adaptive retransmission-timeout estimation (RFC 6298 style).
 
+/// Floor for the adaptive RTO in cycles: guards against spuriously
+/// retransmitting when the measured round trip is tiny.
+pub(crate) const RTO_MIN: u64 = 32;
+
+/// Cap for the adaptive RTO in cycles: exponential backoff saturates here
+/// (plus a small random jitter to de-synchronize senders).
+pub(crate) const RTO_MAX: u64 = 20_000;
+
 /// Smoothed round-trip estimator for one destination.
 ///
 /// Maintains an exponentially weighted moving average of the round trip

@@ -41,11 +41,11 @@ use nifdy_net::{AckInfo, BulkGrant, BulkTag, Lane, NetPort, Packet, Wire};
 use nifdy_sim::{Cycle, NodeId, PacketId, SimRng, Wakeup};
 use nifdy_trace::{trace_event, DialogEnd, EventKind, TraceHandle};
 
-use crate::config::NifdyConfig;
+use crate::config::{NifdyConfig, ARRIVALS_CAPACITY};
 use crate::nic::{
     Delivered, DeliveryFailure, FailureKind, Nic, NicOccupancy, NicStats, OutboundPacket,
 };
-use crate::rto::RttEstimator;
+use crate::rto::{RttEstimator, RTO_MAX, RTO_MIN};
 
 /// Sequence numbers travel on the wire modulo this space (the paper notes
 /// they "need only be as large as W"; we carry a byte and document that
@@ -71,6 +71,11 @@ const BULK_REQUEST_MIN_BACKLOG: usize = 1;
 /// `SimRng` stream id of the retransmission-jitter generator (seeded by the
 /// node index, so units never share a jitter sequence).
 const JITTER_STREAM: u64 = 0x717;
+
+/// Bound on the retransmission staging queue, in packets. When it is full,
+/// a firing timer leaves its entry in place (it re-fires next cycle) and
+/// the overflow is counted in [`NicStats::retx_queue_overflow`].
+const RETX_QUEUE_CAP: usize = 64;
 
 /// The §6.2 retransmission timer of one unacknowledged packet, scalar or
 /// bulk; [`NifdyUnit::fire_timer`] is the only code that runs one.
@@ -299,14 +304,14 @@ impl NifdyUnit {
             out_dialog: None,
             copies: VecDeque::new(),
             bulk_request_pending: None,
-            retx_queue: VecDeque::with_capacity(cfg.retx_queue_cap as usize),
+            retx_queue: VecDeque::with_capacity(RETX_QUEUE_CAP),
             jitter: SimRng::from_seed_stream(node.index() as u64, JITTER_STREAM),
             failures: Vec::new(),
-            arrivals: VecDeque::with_capacity(cfg.arrivals_capacity as usize),
+            arrivals: VecDeque::with_capacity(ARRIVALS_CAPACITY),
             dialogs: (0..d).map(|_| Slot::Free).collect(),
             window: (0..d * w).map(|_| None).collect(),
-            ack_queue: VecDeque::with_capacity(2 * cfg.arrivals_capacity as usize),
-            ack_delay: VecDeque::with_capacity(2 * cfg.arrivals_capacity as usize),
+            ack_queue: VecDeque::with_capacity(2 * ARRIVALS_CAPACITY),
+            ack_delay: VecDeque::with_capacity(2 * ARRIVALS_CAPACITY),
             trace: TraceHandle::off(),
             elig_stalled: false,
             next_wake: Wakeup::Now,
@@ -353,7 +358,7 @@ impl NifdyUnit {
 
     /// Timeout for a *fresh* transmission to `peer`: the configured fixed
     /// value, or the per-destination RFC 6298-style estimate clamped to
-    /// `[rto_min, rto_max]` when adaptive RTO is on. (Takes the record, not
+    /// `[RTO_MIN, RTO_MAX]` when adaptive RTO is on. (Takes the record, not
     /// the id, so a caller that already looked the peer up does not again.)
     fn fresh_rto(cfg: &NifdyConfig, peer: Option<&Peer>) -> u64 {
         let base = cfg.retx_timeout.unwrap_or(0);
@@ -361,20 +366,18 @@ impl NifdyUnit {
             return base;
         }
         peer.and_then(|p| p.rtt.rto())
-            .map_or(base, |r| r.clamp(cfg.rto_min, cfg.rto_max))
+            .map_or(base, |r| r.clamp(RTO_MIN, RTO_MAX))
     }
 
     /// Timeout for the retransmission after `retries` attempts: exponential
-    /// backoff saturating at `rto_max`, plus up to 1/8 jitter so synchronized
+    /// backoff saturating at `RTO_MAX`, plus up to 1/8 jitter so synchronized
     /// senders de-correlate. The legacy fixed-timeout path has neither.
     fn backoff_rto(&mut self, dst: NodeId, retries: u32) -> u64 {
         let rto = Self::fresh_rto(&self.cfg, self.peers.get(&dst));
         if !self.cfg.adaptive_rto {
             return rto;
         }
-        let capped = rto
-            .saturating_mul(1u64 << retries.min(10))
-            .min(self.cfg.rto_max);
+        let capped = rto.saturating_mul(1u64 << retries.min(10)).min(RTO_MAX);
         capped + self.jitter.gen_range_u64(0..capped / 8 + 1)
     }
 
@@ -403,11 +406,11 @@ impl NifdyUnit {
     }
 
     /// The longest a sender lets one packet go without a (re)transmission:
-    /// adaptive senders back off as far as `rto_max`, fixed ones never past
+    /// adaptive senders back off as far as `RTO_MAX`, fixed ones never past
     /// the timeout; zero without §6.2 (which adaptive RTO requires).
     fn retx_horizon(&self) -> u64 {
         if self.cfg.adaptive_rto {
-            self.cfg.rto_max
+            RTO_MAX
         } else {
             self.cfg.retx_timeout.unwrap_or(0)
         }
@@ -749,7 +752,7 @@ impl NifdyUnit {
         let w = usize::from(self.cfg.window);
         for slot in 0..self.dialogs.len() {
             loop {
-                if self.arrivals.len() >= self.cfg.arrivals_capacity as usize {
+                if self.arrivals.len() >= ARRIVALS_CAPACITY {
                     return;
                 }
                 let Slot::Live(d) = &mut self.dialogs[slot] else {
@@ -805,7 +808,7 @@ impl NifdyUnit {
     /// Handles an arriving scalar data packet; returns `false` if the
     /// arrivals FIFO was full and the packet must stay in the fabric.
     fn receive_scalar(&mut self, pkt: Packet) -> bool {
-        if self.arrivals.len() >= self.cfg.arrivals_capacity as usize {
+        if self.arrivals.len() >= ARRIVALS_CAPACITY {
             return false;
         }
         let Wire::Data {
@@ -1034,7 +1037,7 @@ impl NifdyUnit {
         if self.cfg.retx_budget.is_some_and(|b| t.retries >= b) {
             return true;
         }
-        if self.retx_queue.len() >= self.cfg.retx_queue_cap as usize {
+        if self.retx_queue.len() >= RETX_QUEUE_CAP {
             self.stats.retx_queue_overflow.incr();
             return false;
         }
@@ -1384,7 +1387,7 @@ impl Nic for NifdyUnit {
                 debug_assert!(false, "ack on request lane");
                 continue;
             };
-            if bulk.is_none() && self.arrivals.len() >= self.cfg.arrivals_capacity as usize {
+            if bulk.is_none() && self.arrivals.len() >= ARRIVALS_CAPACITY {
                 break; // scalar backpressure into the fabric
             }
             let Some(pkt) = fab.eject(self.node, Lane::Request) else {
@@ -1926,7 +1929,7 @@ mod tests {
             },
         );
         assert_eq!(u.srtt(dst), Some(80));
-        // rto = srtt + 4·rttvar = 80 + 4·40, within [rto_min, rto_max].
+        // rto = srtt + 4·rttvar = 80 + 4·40, within [RTO_MIN, RTO_MAX].
         assert_eq!(NifdyUnit::fresh_rto(&u.cfg, u.peers.get(&dst)), 240);
     }
 
@@ -1960,17 +1963,23 @@ mod tests {
         let mut u = unit(
             NifdyConfig::mesh()
                 .with_retx_timeout(100)
-                .with_adaptive_rto(true)
-                .with_rto_bounds(32, 1_000),
+                .with_adaptive_rto(true),
         );
         let dst = NodeId::new(1);
         let w1 = u.backoff_rto(dst, 1);
         assert!((200..=225).contains(&w1), "doubled plus jitter, got {w1}");
-        let w9 = u.backoff_rto(dst, 9);
+        let w7 = u.backoff_rto(dst, 7);
         assert!(
-            (1_000..=1_125).contains(&w9),
-            "capped at rto_max plus jitter, got {w9}"
+            (12_800..=14_400).contains(&w7),
+            "100 · 2^7 is still under the cap, got {w7}"
         );
+        for retries in [8, 9, 30] {
+            let w = u.backoff_rto(dst, retries);
+            assert!(
+                (RTO_MAX..=RTO_MAX + RTO_MAX / 8).contains(&w),
+                "capped at RTO_MAX plus jitter, got {w} after {retries}"
+            );
+        }
     }
 
     #[test]
@@ -2070,11 +2079,7 @@ mod tests {
 
     #[test]
     fn staging_queue_bound_defers_timer_firings() {
-        let mut u = unit(
-            NifdyConfig::mesh()
-                .with_retx_timeout(10)
-                .with_retx_queue_cap(1),
-        );
+        let mut u = unit(NifdyConfig::mesh().with_retx_timeout(10));
         let mk = |n: usize| OptEntry {
             dst: NodeId::new(n),
             dup_bit: false,
@@ -2089,11 +2094,13 @@ mod tests {
                 )),
             ),
         };
-        u.opt.push(mk(1));
-        u.opt.push(mk(2));
+        // One more expired timer than the staging queue holds.
+        for n in 1..=RETX_QUEUE_CAP + 1 {
+            u.opt.push(mk(n));
+        }
         u.now = Cycle::new(20);
         u.check_retx();
-        assert_eq!(u.retx_queue.len(), 1, "cap enforced");
+        assert_eq!(u.retx_queue.len(), RETX_QUEUE_CAP, "cap enforced");
         assert_eq!(u.stats.retx_queue_overflow.get(), 1);
         let deferred = &u
             .opt
@@ -2109,7 +2116,7 @@ mod tests {
         // Once the queue drains, the deferred entry fires immediately.
         u.retx_queue.clear();
         u.check_retx();
-        assert_eq!(u.stats.retransmitted.get(), 2);
+        assert_eq!(u.stats.retransmitted.get(), RETX_QUEUE_CAP as u64 + 1);
     }
 
     #[test]

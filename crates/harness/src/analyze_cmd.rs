@@ -209,9 +209,7 @@ fn carrier_json(c: &CarrierAnalysis) -> Json {
 }
 
 /// Runs the seeded chaos workload on both carriers with the flight
-/// recorder on and analyzes each trace. Requires the `trace` feature
-/// (default) — with it off the recorder captures nothing and every
-/// invariant that needs events fails.
+/// recorder on and analyzes each trace.
 pub fn run(scale: Scale, seed: u64) -> AnalyzeRun {
     let messages = messages(scale);
     let plan = SwarmPlan::rotation(NODES, messages, PACKETS_PER_MESSAGE, 6, true, seed);

@@ -94,7 +94,7 @@ pub fn profile(kind: NetworkKind, seed: u64) -> NetworkProfile {
     let internal = spec.num_internal_links() as f64
         * f64::from(cfg.vc_buf_flits)
         * f64::from(cfg.vcs_per_lane);
-    let eject = 64.0 * f64::from(cfg.max_packet_flits);
+    let eject = 64.0 * f64::from(nifdy_net::MAX_PACKET_FLITS);
     let volume = (internal + eject) / 64.0;
     let p = kind.nifdy_preset();
     NetworkProfile {

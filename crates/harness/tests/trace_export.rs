@@ -5,7 +5,6 @@
 //! async spans, and cause-tagged drop instants; the metrics registry must
 //! carry latency percentiles and occupancy gauges.
 
-#![cfg(feature = "trace")]
 #![expect(
     clippy::disallowed_types,
     reason = "test tally keyed by span id; order never observed"

@@ -1,5 +1,6 @@
 //! Fabric-wide configuration knobs.
 
+use crate::fabric::MAX_PACKET_FLITS;
 use crate::fault::FaultConfig;
 
 /// How routers forward packets.
@@ -21,10 +22,10 @@ pub enum SwitchingPolicy {
 
 /// Static configuration of a [`Fabric`](crate::Fabric).
 ///
-/// Defaults follow the paper's common case: one-byte-wide links (a 32-bit
-/// flit serializes in 4 cycles), wormhole switching, one virtual channel per
-/// logical network, two-flit channel buffers (the simulated mesh's "each flit
-/// buffer holds at most two flits").
+/// Defaults follow the paper's common case: wormhole switching, one virtual
+/// channel per logical network, two-flit channel buffers (the simulated
+/// mesh's "each flit buffer holds at most two flits"). Link width is fixed:
+/// every fabric has one-byte links, so a 32-bit flit serializes in 4 cycles.
 ///
 /// # Examples
 ///
@@ -45,26 +46,12 @@ pub struct FabricConfig {
     pub vc_buf_flits: u16,
     /// Forwarding policy.
     pub policy: SwitchingPolicy,
-    /// Cycles to serialize one flit across a link (4 for the paper's 1-byte
-    /// links carrying 32-bit flits; combined with [`time_mux_lanes`] this
-    /// reproduces the CM-5's 4-bits-per-cycle-per-network links).
-    ///
-    /// [`time_mux_lanes`]: FabricConfig::time_mux_lanes
-    pub flit_cycles: u16,
     /// If set, the two lanes are *strictly* time-multiplexed: a link advances
     /// request flits only on even cycles and reply flits only on odd cycles,
     /// as on the CM-5 ("each network is limited to eight bits every two
     /// cycles regardless of the traffic on the other network"). When unset,
     /// lanes are demand-multiplexed over the full link bandwidth.
     pub time_mux_lanes: bool,
-    /// Capacity of each node's ejection-ready queue, in packets per lane.
-    /// When full, completed packets hold their assembly buffers and flits
-    /// back up into the fabric (end-point congestion becomes secondary
-    /// blocking).
-    pub eject_ready_pkts: u16,
-    /// Largest packet the fabric must carry, in flits; sizes ejection
-    /// assembly buffers and the cut-through reservation check.
-    pub max_packet_flits: u16,
     /// Seed of the fault plane's generator, the fabric's only randomness:
     /// routing never draws, so a fabric whose `fault` is inactive behaves
     /// the same at every seed.
@@ -81,10 +68,7 @@ impl Default for FabricConfig {
             vcs_per_lane: 1,
             vc_buf_flits: 2,
             policy: SwitchingPolicy::Wormhole,
-            flit_cycles: 4,
             time_mux_lanes: false,
-            eject_ready_pkts: 1,
-            max_packet_flits: 8,
             seed: 0,
             fault: FaultConfig::default(),
         }
@@ -107,12 +91,6 @@ impl FabricConfig {
     /// Sets the number of virtual channels per lane.
     pub fn with_vcs_per_lane(mut self, vcs: u8) -> Self {
         self.vcs_per_lane = vcs;
-        self
-    }
-
-    /// Sets the flit serialization time in cycles.
-    pub fn with_flit_cycles(mut self, cycles: u16) -> Self {
-        self.flit_cycles = cycles;
         self
     }
 
@@ -161,10 +139,7 @@ impl FabricConfig {
             vcs_per_lane,
             vc_buf_flits,
             policy,
-            flit_cycles,
             time_mux_lanes: _,
-            eject_ready_pkts: _,
-            max_packet_flits,
             seed: _,
             ref fault,
         } = *self;
@@ -174,15 +149,9 @@ impl FabricConfig {
         if vc_buf_flits == 0 {
             return Err("vc_buf_flits must be at least 1".into());
         }
-        if flit_cycles == 0 {
-            return Err("flit_cycles must be at least 1".into());
-        }
-        if max_packet_flits == 0 {
-            return Err("max_packet_flits must be at least 1".into());
-        }
-        if policy != SwitchingPolicy::Wormhole && vc_buf_flits < max_packet_flits {
+        if policy != SwitchingPolicy::Wormhole && vc_buf_flits < MAX_PACKET_FLITS {
             return Err(format!(
-                "{policy:?} requires vc_buf_flits ({vc_buf_flits}) >= max_packet_flits ({max_packet_flits})"
+                "{policy:?} requires vc_buf_flits ({vc_buf_flits}) >= MAX_PACKET_FLITS ({MAX_PACKET_FLITS})"
             ));
         }
         fault.validate()
@@ -214,10 +183,6 @@ mod tests {
             .is_err());
         assert!(FabricConfig::default()
             .with_vc_buf_flits(0)
-            .validate()
-            .is_err());
-        assert!(FabricConfig::default()
-            .with_flit_cycles(0)
             .validate()
             .is_err());
         assert!(FabricConfig::default()

@@ -25,6 +25,20 @@ use crate::topology::{Candidate, Endpoint, RouteState, Topology, VcSel};
 /// [`Router`] hold one bit per `(out_port, lane)` pair in a `u64`.
 const MAX_OUT_PORTS: usize = 32;
 
+/// Largest packet the fabric carries, in flits; sizes the ejection assembly
+/// buffers and bounds the cut-through reservation check.
+pub const MAX_PACKET_FLITS: u16 = 8;
+
+/// Cycles to serialize one flit across a link: the paper's one-byte links
+/// carry 32-bit flits (with `time_mux_lanes` this reproduces the CM-5's
+/// 4 bits per cycle per network).
+const FLIT_CYCLES: u16 = 4;
+
+/// Capacity of each node's ejection-ready queue, in packets per lane: when
+/// it is full, completed packets hold their assembly buffers and flits back
+/// up into the fabric (end-point congestion becomes secondary blocking).
+const EJECT_READY_PKTS: usize = 1;
+
 /// Bit of `(out_port, lane)` in [`Router::wake`] and [`Router::busy`]: ports
 /// ascending, the request lane below the reply lane — the order the
 /// allocator visits them in.
@@ -376,7 +390,7 @@ impl Fabric {
                         .map(|&dest| {
                             let cap = match dest {
                                 Endpoint::Router { .. } => cfg.vc_buf_flits,
-                                Endpoint::Node(_) => cfg.max_packet_flits,
+                                Endpoint::Node(_) => MAX_PACKET_FLITS,
                             };
                             OutPort {
                                 dest,
@@ -543,14 +557,13 @@ impl Fabric {
     ///
     /// Panics if the lane's injection slot is busy (check
     /// [`Fabric::can_inject`] first), if the packet is larger than the
-    /// configured maximum, or if `node` is not the packet's source.
+    /// [`MAX_PACKET_FLITS`], or if `node` is not the packet's source.
     pub fn inject(&mut self, node: NodeId, mut packet: Packet) {
         assert_eq!(packet.src, node, "packet injected at a foreign node");
         assert!(
-            packet.flits() <= self.cfg.max_packet_flits,
-            "packet of {} flits exceeds configured max {}",
+            packet.flits() <= MAX_PACKET_FLITS,
+            "packet of {} flits exceeds the max {MAX_PACKET_FLITS}",
             packet.flits(),
-            self.cfg.max_packet_flits
         );
         let lane = packet.lane;
         assert!(
@@ -812,7 +825,7 @@ impl Fabric {
             .lane_vc_range(lane)
             .filter(|&vc| self.routers[r].outs[p].owner[vc].is_some())
             .count();
-        self.nodes[node].ready[lane.index()].len() + owned < self.cfg.eject_ready_pkts as usize
+        self.nodes[node].ready[lane.index()].len() + owned < EJECT_READY_PKTS
     }
 
     /// Phase B: each woken output port whose wire is idle picks one
@@ -1108,7 +1121,7 @@ impl Fabric {
         out.rr = ((slot + 1) % (rt.ins.len() * total_vcs)) as u32;
         out.credits[dvc as usize] -= 1;
         debug_assert!(out.in_flight[lane].is_none());
-        out.in_flight[lane] = Some((flit, dvc, self.cfg.flit_cycles));
+        out.in_flight[lane] = Some((flit, dvc, FLIT_CYCLES));
     }
 
     /// Phase C: nodes serialize queued packets onto their injection links.
@@ -1179,7 +1192,7 @@ impl Fabric {
                 idx: next,
             },
             dvc,
-            self.cfg.flit_cycles,
+            FLIT_CYCLES,
         ));
         true
     }
@@ -1439,8 +1452,11 @@ mod tests {
         for _ in 0..2_000 {
             fab.step();
         }
-        assert_eq!(fab.stats().latency.count(), 1);
-        assert!(fab.stats().latency.mean() > 0.0);
+        let latency = fab.stats().latency;
+        assert_eq!(latency.count(), 1);
+        assert!(latency.mean() > 0.0);
+        assert_eq!(latency.min(), latency.mean(), "one sample is its own min");
+        assert_eq!(latency.min(), latency.max());
     }
 
     #[test]
@@ -1528,7 +1544,7 @@ mod tests {
             for time_mux in [false, true] {
                 for (name, topo, vcs) in experiment_shapes() {
                     seed += 1;
-                    let mut cfg = FabricConfig::default()
+                    let cfg = FabricConfig::default()
                         .with_policy(policy)
                         .with_vc_buf_flits(if policy == SwitchingPolicy::Wormhole {
                             2
@@ -1537,7 +1553,6 @@ mod tests {
                         })
                         .with_vcs_per_lane(vcs)
                         .with_time_mux(time_mux);
-                    cfg.eject_ready_pkts = 1 + (seed % 2) as u16;
                     let what = format!("{name} {policy:?} time_mux={time_mux} seed {seed}");
                     let got = audit_under_stalling_receivers(Fabric::new(topo, cfg), seed, &what);
                     assert!(got > 300, "{what}: only {got} packets");

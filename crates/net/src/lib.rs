@@ -52,7 +52,7 @@ mod port;
 pub mod topology;
 
 pub use config::{FabricConfig, SwitchingPolicy};
-pub use fabric::{Fabric, FabricStats};
+pub use fabric::{Fabric, FabricStats, MAX_PACKET_FLITS};
 pub use fault::{FaultConfig, FaultPlane, GilbertElliott, LinkWindow};
 pub use packet::{
     AckInfo, BulkGrant, BulkTag, DialogId, InvalidLane, Lane, Packet, PacketStamp, SeqNo, UserData,

@@ -238,9 +238,9 @@ impl Topology for FatTree {
 
 /// The CM-5-like fat tree: routers in the first two levels have **two**
 /// parents instead of four, reducing bisection bandwidth, and links carry 4
-/// bits per cycle (configure the fabric with `flit_cycles = 4` and
-/// `time_mux_lanes = true` to reproduce the paper's "eight bits every two
-/// cycles" per logical network).
+/// bits per cycle (every fabric serializes a flit in 4 cycles; configure it
+/// with `time_mux_lanes = true` to reproduce the paper's "eight bits every
+/// two cycles" per logical network).
 ///
 /// Structure for `N` nodes (`N` ∈ {32, 64}): `N/4` leaf routers (4 nodes
 /// each, 2 up ports), `N/8` middle routers (4 down, 2 up) in groups of two

@@ -8,7 +8,6 @@
 //! drop path that forgot its event) or double counting — exactly the bugs a
 //! parity check exists to catch.
 
-#![cfg(feature = "trace")]
 #![expect(
     clippy::disallowed_types,
     reason = "test tally keyed by cause, only looked up"

@@ -119,8 +119,7 @@ fn killed_endpoint_restarts_and_the_workload_completes() {
         .with_supervisor(
             SupervisorConfig::default()
                 .with_heartbeat_every(8)
-                .with_peer_timeout(40)
-                .with_backoff(16, 256, 8),
+                .with_peer_timeout(40),
         );
     let mut node: NifdyNode<LoopbackTransport> = NifdyNode::new(cfg);
     for i in 0..2 {

@@ -71,7 +71,7 @@ impl fmt::Display for Counter {
 /// assert_eq!(latency.min(), 10.0);
 /// assert_eq!(latency.max(), 30.0);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Stats {
     count: u64,
     mean: f64,
@@ -147,6 +147,12 @@ impl Stats {
         } else {
             self.max
         }
+    }
+}
+
+impl Default for Stats {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -395,6 +401,16 @@ mod tests {
         let var = data.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / data.len() as f64;
         assert!((s.mean() - mean).abs() < 1e-12);
         assert!((s.variance() - var).abs() < 1e-9);
+    }
+
+    #[test]
+    fn stats_default_tracks_min_and_max_like_new() {
+        // A zeroed `min` would report 0 for any all-positive sample set.
+        let mut s = Stats::default();
+        s.record(5.0);
+        s.record(7.0);
+        assert_eq!((s.min(), s.max()), (5.0, 7.0));
+        assert_eq!(Stats::default(), Stats::new());
     }
 
     #[test]

@@ -247,8 +247,9 @@ fn kind_args(kind: &EventKind) -> Json {
     }
 }
 
-/// Shared fields for one Chrome trace event.
-fn chrome_event(
+/// One Chrome trace event: the five fields every event carries (`name`,
+/// `ph`, `ts`, `pid` 1, `tid`) plus `extra`.
+pub fn chrome_event(
     name: &str,
     ph: &str,
     ts: u64,
@@ -274,9 +275,25 @@ fn dialog_span_id(receiver: usize, dialog: u8, generation: u64) -> String {
     format!("d{receiver}.{dialog}.g{generation}")
 }
 
-/// Converts a time-ordered event snapshot into a Chrome trace-event JSON
-/// document (the `{"traceEvents": […]}` object form).
+/// Renders [`chrome_trace_doc`] without loss accounting.
 pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
+    chrome_trace_doc(events, None).render()
+}
+
+/// Renders [`chrome_trace_doc`] with loss accounting.
+pub fn to_chrome_trace_with_loss(events: &[TraceEvent], loss: &TraceLoss) -> String {
+    chrome_trace_doc(events, Some(loss)).render()
+}
+
+/// Converts a time-ordered event snapshot into a Chrome trace-event
+/// document (the `{"traceEvents": […]}` object form), for callers that
+/// append events of their own before rendering.
+///
+/// With `loss`, per-node `trace_loss` instant events (phase `"i"`, placed
+/// at the last traced cycle on each lossy node's track) show a Perfetto
+/// view *where* ring eviction or sampling shed history, and a top-level
+/// `"traceLoss"` object carries the totals even when no node was lossy.
+pub fn chrome_trace_doc(events: &[TraceEvent], loss: Option<&TraceLoss>) -> Json {
     let mut out: Vec<Json> = Vec::new();
 
     // One named track per NIC that appears in the trace.
@@ -423,47 +440,31 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
         }
     }
 
-    Json::obj([
-        ("traceEvents", Json::Arr(out)),
-        ("displayTimeUnit", Json::str("ns")),
-    ])
-    .render()
-}
-
-/// [`to_chrome_trace`] plus per-node `trace_loss` instant events (phase
-/// `"i"`, placed at the last traced cycle on each lossy node's track) so a
-/// Perfetto view shows *where* ring eviction or sampling shed history. A
-/// top-level `"traceLoss"` object carries the totals even when no node was
-/// lossy.
-pub fn to_chrome_trace_with_loss(events: &[TraceEvent], loss: &TraceLoss) -> String {
-    let base = to_chrome_trace(events);
-    #[expect(clippy::expect_used, reason = "parses to_chrome_trace's own output")]
-    let mut doc = crate::json::parse(&base).expect("to_chrome_trace emits well-formed JSON");
-    let last_ts = events.last().map_or(0, |e| e.at.as_u64());
-    if let Json::Obj(map) = &mut doc {
-        if let Some(Json::Arr(out)) = map.get_mut("traceEvents") {
-            for (node, (&ev, &sk)) in loss.evicted.iter().zip(loss.sampled_out.iter()).enumerate() {
-                if ev == 0 && sk == 0 {
-                    continue;
-                }
-                out.push(chrome_event(
-                    "trace_loss",
-                    "i",
-                    last_ts,
-                    node as u64,
-                    [
-                        ("s", Json::str("t")),
-                        (
-                            "args",
-                            Json::obj([("evicted", Json::u64(ev)), ("sampled_out", Json::u64(sk))]),
-                        ),
-                    ],
-                ));
+    let mut doc = vec![("displayTimeUnit", Json::str("ns"))];
+    if let Some(loss) = loss {
+        let last_ts = events.last().map_or(0, |e| e.at.as_u64());
+        for (node, (&ev, &sk)) in loss.evicted.iter().zip(loss.sampled_out.iter()).enumerate() {
+            if ev == 0 && sk == 0 {
+                continue;
             }
+            out.push(chrome_event(
+                "trace_loss",
+                "i",
+                last_ts,
+                node as u64,
+                [
+                    ("s", Json::str("t")),
+                    (
+                        "args",
+                        Json::obj([("evicted", Json::u64(ev)), ("sampled_out", Json::u64(sk))]),
+                    ),
+                ],
+            ));
         }
-        map.insert("traceLoss".to_string(), loss_json(loss));
+        doc.push(("traceLoss", loss_json(loss)));
     }
-    doc.render()
+    doc.push(("traceEvents", Json::Arr(out)));
+    Json::obj(doc)
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 //! * [`json`] — the dependency-free JSON writer/parser backing the
 //!   exporters and their round-trip tests.
 //!
-//! # Zero cost when disabled
+//! # One build, a detached handle when not recording
 //!
 //! Instrumented code records through the [`trace_event!`] macro:
 //!
@@ -35,20 +35,16 @@
 //!     dst: NodeId::new(1),
 //!     size_words: 8,
 //! });
-//! # #[cfg(feature = "trace")]
 //! assert_eq!(trace.snapshot().len(), 1);
 //! ```
 //!
-//! The macro guards the record call behind
-//! [`TraceHandle::is_enabled`]. With the crate's `trace` cargo feature
-//! disabled that method is a constant `false` — the branch, the record
-//! call, *and the event payload expression* are dead code the optimizer
-//! removes, so production binaries built without the feature pay nothing.
-//! With the feature on but the handle [`off`](TraceHandle::off), the cost
-//! is one pointer-null check per call site. The feature lives here (not in
-//! a `#[cfg]` inside the macro body) because `cfg` inside a
-//! `macro_rules!` expansion would be evaluated against the *calling*
-//! crate's features.
+//! The macro guards the record call behind [`TraceHandle::is_enabled`]. On a
+//! detached handle ([`TraceHandle::off`], the default everywhere) that is
+//! one pointer-null check per call site, and the event payload expression
+//! is never evaluated. There is no build without the event layer: compiling
+//! it out measured within run-to-run noise (`fig6 --full` 1.61 → 1.56 s,
+//! `fig9 --full` 2.78 → 2.82 s, medians of 4–5 interleaved runs, ±10%
+//! spread), so it bought nothing a host can resolve.
 //!
 //! # Bounded when enabled
 //!
@@ -82,8 +78,7 @@ pub use registry::{GaugeSeries, MetricsRegistry, PercentileRow};
 ///
 /// Expands to `if handle.is_enabled() { handle.record(at, node, kind) }`,
 /// so the `kind` expression (which may compute occupancies or RTTs) is
-/// never evaluated when tracing is off, and is removed entirely when the
-/// `trace` feature is disabled.
+/// never evaluated when the handle is detached.
 #[macro_export]
 macro_rules! trace_event {
     ($handle:expr, $at:expr, $node:expr, $kind:expr) => {
@@ -112,7 +107,6 @@ mod tests {
         assert_eq!(trace.recorded(), 0);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn macro_records_through_a_live_handle() {
         let trace = TraceHandle::recording(TraceConfig::new());

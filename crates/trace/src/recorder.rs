@@ -6,15 +6,11 @@
 //! within one replica the lock is never contended (one thread), and the
 //! handle — like every other piece of the replica — is `Send`, which is
 //! what lets a fully assembled `Driver` be moved onto a worker thread.
-//! Every instrumented component holds a cheap [`TraceHandle`] clone; with
-//! the `trace` cargo feature disabled the handle is a zero-sized stub whose
-//! [`is_enabled`](TraceHandle::is_enabled) is a constant `false`, so the
-//! `trace_event!` macro's branch (and the event payload expression inside
-//! it) is statically dead code.
+//! Every instrumented component holds a cheap [`TraceHandle`] clone; a
+//! detached handle's [`is_enabled`](TraceHandle::is_enabled) is `false`, so
+//! the `trace_event!` macro never evaluates the event payload expression.
 
 use std::collections::VecDeque;
-
-#[cfg(feature = "trace")]
 use std::sync::{Arc, Mutex};
 
 use nifdy_sim::{Cycle, NodeId};
@@ -237,15 +233,13 @@ impl Recorder {
 /// A cheap, cloneable handle to a shared [`Recorder`] — or to nothing.
 ///
 /// Instrumented components store one of these and call it through the
-/// [`trace_event!`](crate::trace_event) macro. Three states:
+/// [`trace_event!`](crate::trace_event) macro. Two states:
 ///
-/// * feature `trace` **off**: zero-sized; recording is statically impossible,
-/// * [`TraceHandle::off`]: present but disconnected (`is_enabled()` is a
-///   dynamic `false`, one branch per call site),
+/// * [`TraceHandle::off`]: detached (`is_enabled()` is `false`, one branch
+///   per call site, and the event payload is never evaluated),
 /// * [`TraceHandle::recording`]: connected to a live recorder.
 #[derive(Debug, Clone, Default)]
 pub struct TraceHandle {
-    #[cfg(feature = "trace")]
     inner: Option<Arc<Mutex<Recorder>>>,
 }
 
@@ -253,144 +247,81 @@ pub struct TraceHandle {
 /// panicked mid-record; the recorder state is still consistent (every
 /// mutation is a single push/pop), so recover the guard rather than
 /// cascading the panic into unrelated replicas.
-#[cfg(feature = "trace")]
 fn lock(rec: &Arc<Mutex<Recorder>>) -> std::sync::MutexGuard<'_, Recorder> {
     rec.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 impl TraceHandle {
-    /// A disconnected handle: every record call is a cheap no-op.
+    /// A detached handle: every record call is a cheap no-op.
     pub fn off() -> Self {
         TraceHandle::default()
     }
 
     /// A handle connected to a fresh recorder with the given bounds.
     /// Clones share the same recorder.
-    #[cfg(feature = "trace")]
     pub fn recording(cfg: TraceConfig) -> Self {
         TraceHandle {
             inner: Some(Arc::new(Mutex::new(Recorder::new(cfg)))),
         }
     }
 
-    /// With the `trace` feature off, recording handles cannot exist; this
-    /// stub keeps caller code compiling unchanged.
-    #[cfg(not(feature = "trace"))]
-    pub fn recording(_cfg: TraceConfig) -> Self {
-        TraceHandle::default()
-    }
-
-    /// Whether events will actually be stored. With the `trace` feature off
-    /// this is a constant `false`, making `trace_event!` bodies dead code.
+    /// Whether events will actually be stored: `false` on a detached
+    /// handle, which makes `trace_event!` skip its payload.
     #[inline(always)]
     pub fn is_enabled(&self) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            false
-        }
+        self.inner.is_some()
+    }
+
+    /// Runs `f` on the recorder, or returns `T::default()` when detached.
+    fn read<T: Default>(&self, f: impl FnOnce(&Recorder) -> T) -> T {
+        self.inner
+            .as_ref()
+            .map(|rec| f(&lock(rec)))
+            .unwrap_or_default()
     }
 
     /// Records one event. Call through [`trace_event!`](crate::trace_event)
-    /// so disabled handles skip evaluating the event payload entirely.
+    /// so detached handles skip evaluating the event payload entirely.
     #[inline]
     pub fn record(&self, at: Cycle, node: NodeId, kind: EventKind) {
-        #[cfg(feature = "trace")]
         if let Some(rec) = &self.inner {
             lock(rec).record(at, node, kind);
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (at, node, kind);
         }
     }
 
     /// A merged, time-ordered snapshot of all retained events (empty when
-    /// disconnected or the feature is off).
+    /// detached).
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        #[cfg(feature = "trace")]
-        {
-            match &self.inner {
-                Some(rec) => lock(rec).snapshot(),
-                None => Vec::new(),
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            Vec::new()
-        }
+        self.read(Recorder::snapshot)
     }
 
     /// The last up-to-`n` events for `node`, oldest first (empty when
-    /// disconnected).
+    /// detached).
     pub fn last_events(&self, node: NodeId, n: usize) -> Vec<TraceEvent> {
-        #[cfg(feature = "trace")]
-        {
-            match &self.inner {
-                Some(rec) => lock(rec).last_events(node, n),
-                None => Vec::new(),
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (node, n);
-            Vec::new()
-        }
+        self.read(|rec| rec.last_events(node, n))
     }
 
-    /// Events currently retained (0 when disconnected).
+    /// Events currently retained (0 when detached).
     pub fn recorded(&self) -> usize {
-        #[cfg(feature = "trace")]
-        {
-            match &self.inner {
-                Some(rec) => lock(rec).len(),
-                None => 0,
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            0
-        }
+        self.read(Recorder::len)
     }
 
-    /// Events evicted by ring bounds (0 when disconnected).
+    /// Events evicted by ring bounds (0 when detached).
     pub fn evicted(&self) -> u64 {
-        #[cfg(feature = "trace")]
-        {
-            match &self.inner {
-                Some(rec) => lock(rec).evicted(),
-                None => 0,
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            0
-        }
+        self.read(Recorder::evicted)
     }
 
-    /// Per-node loss accounting (empty when disconnected or the feature is
-    /// off — matching the empty snapshot those states produce).
+    /// Per-node loss accounting (empty when detached — matching the empty
+    /// snapshot a detached handle produces).
     pub fn loss(&self) -> TraceLoss {
-        #[cfg(feature = "trace")]
-        {
-            match &self.inner {
-                Some(rec) => lock(rec).loss(),
-                None => TraceLoss::default(),
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            TraceLoss::default()
-        }
+        self.read(Recorder::loss)
     }
 }
 
 #[cfg(test)]
-mod send_tests {
+mod tests {
     use super::*;
+    use crate::event::DropReason;
 
     #[test]
     fn handles_are_send_and_sync() {
@@ -399,12 +330,6 @@ mod send_tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<TraceHandle>();
     }
-}
-
-#[cfg(all(test, feature = "trace"))]
-mod tests {
-    use super::*;
-    use crate::event::DropReason;
 
     fn send(dst: usize) -> EventKind {
         EventKind::ScalarSend {

@@ -9,6 +9,10 @@ use nifdy_trace::{trace_event, EventKind, MetricsRegistry, TraceHandle};
 use crate::processor::{NodeWorkload, ProcEvent, ProcWake, Processor};
 use crate::SoftwareModel;
 
+/// Cycles charged to every node when a barrier releases: the CM-5's
+/// dedicated control network made barriers cheap.
+const BARRIER_COST: u64 = 40;
+
 /// Which network interface model to attach to every node — the three
 /// configurations the paper compares.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,7 +98,6 @@ pub struct Driver {
     nics: Vec<Box<dyn Nic>>,
     procs: Vec<Processor>,
     wls: Vec<Box<dyn NodeWorkload>>,
-    barrier_cost: u64,
     watchdog: Option<StallWatchdog>,
     failures: Vec<DeliveryFailure>,
     trace: TraceHandle,
@@ -136,7 +139,6 @@ impl Driver {
             nics,
             procs,
             wls,
-            barrier_cost: 40,
             watchdog: None,
             failures: Vec::new(),
             trace: TraceHandle::off(),
@@ -151,14 +153,6 @@ impl Driver {
     /// window; the gap to elapsed time is the skip-ahead's work saved.
     pub fn cycles_stepped(&self) -> u64 {
         self.cycles_stepped
-    }
-
-    /// Overrides the cost charged to every node when a barrier releases
-    /// (the CM-5's dedicated control network made barriers cheap; default
-    /// 40 cycles).
-    pub fn with_barrier_cost(mut self, cost: u64) -> Self {
-        self.barrier_cost = cost;
-        self
     }
 
     /// Arms a per-node stall watchdog: a NIC that stays busy for `limit`
@@ -355,7 +349,7 @@ impl Driver {
         if self.barrier_ready() {
             for (i, p) in self.procs.iter_mut().enumerate() {
                 if p.in_barrier() {
-                    p.release_barrier(now, self.barrier_cost);
+                    p.release_barrier(now, BARRIER_COST);
                     // The release rewrote the processor's delay out from
                     // under the gate; re-arm it conservatively.
                     self.node_due[i] = now;
@@ -639,7 +633,6 @@ mod tests {
         let _ = d.run_until_quiet(1_000_000);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn attached_recorder_captures_protocol_events() {
         use nifdy_trace::TraceConfig;
@@ -671,7 +664,6 @@ mod tests {
         assert!(rendered.contains("fabric.in_flight"), "{rendered}");
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn watchdog_panic_carries_a_flight_recorder_dump() {
         use nifdy_trace::TraceConfig;

@@ -33,7 +33,7 @@ impl Driver {
         }
         if self.barrier_ready() {
             for p in self.procs.iter_mut().filter(|p| p.in_barrier()) {
-                p.release_barrier(now, self.barrier_cost);
+                p.release_barrier(now, BARRIER_COST);
             }
         }
         for i in 0..self.nics.len() {
@@ -537,7 +537,6 @@ impl NodeWorkload for Script {
     fn on_receive(&mut self, _pkt: &Delivered, _now: Cycle) {}
 }
 
-#[cfg(feature = "trace")]
 mod trace_parity {
     use super::*;
     use nifdy_trace::TraceConfig;

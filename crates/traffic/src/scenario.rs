@@ -40,7 +40,6 @@ pub struct Scenario {
     seed: u64,
     choice: NicChoice,
     sw: SoftwareModel,
-    barrier_cost: Option<u64>,
     stall_limit: Option<u64>,
     trace: Option<TraceHandle>,
     metrics_period: Option<u64>,
@@ -55,7 +54,6 @@ impl Scenario {
             seed: 1,
             choice: NicChoice::Plain,
             sw: SoftwareModel::synthetic(),
-            barrier_cost: None,
             stall_limit: None,
             trace: None,
             metrics_period: None,
@@ -88,13 +86,6 @@ impl Scenario {
         self
     }
 
-    /// Overrides the per-release barrier cost
-    /// (see [`Driver::with_barrier_cost`]).
-    pub fn barrier_cost(mut self, cost: u64) -> Self {
-        self.barrier_cost = Some(cost);
-        self
-    }
-
     /// Arms the stall watchdog (see [`Driver::with_stall_watchdog`]).
     pub fn stall_watchdog(mut self, limit: u64) -> Self {
         self.stall_limit = Some(limit);
@@ -123,9 +114,6 @@ impl Scenario {
     pub fn build(self, wls: Vec<Box<dyn NodeWorkload>>) -> Result<Driver, BuildError> {
         let fab = self.kind.fabric(self.nodes, self.seed);
         let mut driver = Driver::new(fab, &self.choice, self.sw, wls)?;
-        if let Some(cost) = self.barrier_cost {
-            driver = driver.with_barrier_cost(cost);
-        }
         if let Some(limit) = self.stall_limit {
             driver = driver.with_stall_watchdog(limit);
         }
@@ -213,7 +201,6 @@ mod tests {
         let kind = NetworkKind::Mesh2D;
         let mut d = Scenario::new(kind)
             .nodes(16)
-            .barrier_cost(10)
             .stall_watchdog(1_000_000)
             .metrics(100)
             .build_with(|sc| SyntheticConfig::light(sc.seed()).build(sc.nodes()))

@@ -56,7 +56,7 @@ pub struct NodeLifecycle {
 }
 
 /// Per-node, per-role dialog-lifecycle event names recorded by `trace`, in
-/// record order (empty when the `trace` feature is off). Two clean runs of
+/// record order (empty when `trace` is detached). Two clean runs of
 /// a pairwise plan must agree on it; under faults they need not, because
 /// the fault planes draw from independent RNG streams.
 pub fn lifecycle_projection(trace: &TraceHandle, nodes: usize) -> Vec<NodeLifecycle> {

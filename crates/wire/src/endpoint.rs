@@ -243,4 +243,24 @@ mod tests {
         assert_eq!(seen, (0..total).collect::<Vec<_>>());
         assert!(eps[0].stats().sent_bulk.get() > 0, "dialog actually opened");
     }
+
+    #[test]
+    fn a_packet_to_a_node_off_the_hub_surfaces_a_typed_failure() {
+        let hub = LoopbackHub::new(2, 1);
+        let n0 = NodeId::new(0);
+        let missing = NodeId::new(7);
+        let cfg = NifdyConfig::mesh()
+            .with_retx_timeout(10)
+            .with_retx_budget(2);
+        let mut eps = [WireEndpoint::new(n0, cfg, hub.endpoint(n0))];
+        assert!(eps[0].try_send(OutboundPacket::new(missing, 6)));
+        drive(&mut eps, &hub, 200);
+        let failures = eps[0].take_failures();
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert_eq!((failures[0].src, failures[0].dst), (n0, missing));
+        assert_eq!(failures[0].kind, nifdy::FailureKind::Scalar);
+        assert_eq!(hub.unknown_peer(), 3, "first send plus two retries");
+        assert_eq!(hub.in_flight(), 0);
+        assert!(eps[0].is_idle());
+    }
 }

@@ -16,7 +16,7 @@
 //!   from a clean slate (`PeerRestart`);
 //! * a [`Supervisor`] owns an endpoint factory and restarts a killed
 //!   endpoint after a bounded, seeded-jitter backoff
-//!   (`min(base·2ᵃᵗᵗᵉᵐᵖᵗˢ, max) + jitter`), bumping the epoch each time
+//!   (`min(64·2ᵃᵗᵗᵉᵐᵖᵗˢ, 4 096) + jitter` cycles), bumping the epoch each time
 //!   (`EndpointRestart`).
 //!
 //! Silence alone never resets protocol state: a partitioned peer that
@@ -36,8 +36,20 @@ use crate::transport::Transport;
 /// chaos plane (`0xFA27_xxxx`) and the loopback jitter stream (`0x17e`).
 const SUPERVISOR_STREAM: u64 = 0xBAC0_0000;
 
-/// Timing knobs for heartbeats, liveness detection, and restart backoff,
-/// all in cycles.
+/// Backoff before the first restart attempt, in cycles; each further
+/// restart doubles it.
+const BACKOFF_BASE: u64 = 64;
+
+/// Upper bound on the exponential restart backoff, in cycles.
+const BACKOFF_MAX: u64 = 4_096;
+
+/// Uniform seeded jitter `0..=BACKOFF_JITTER` added to each backoff, so
+/// simultaneously-killed endpoints do not restart in lockstep.
+const BACKOFF_JITTER: u64 = 32;
+
+/// Timing knobs for heartbeats and liveness detection, in cycles. The
+/// restart backoff is fixed: `min(64·2ᵃᵗᵗᵉᵐᵖᵗˢ, 4 096)` plus up to 32
+/// cycles of seeded jitter.
 ///
 /// # Examples
 ///
@@ -53,13 +65,6 @@ pub struct SupervisorConfig {
     pub heartbeat_every: u64,
     /// Silence (no frame *or* heartbeat) after which a peer is flagged down.
     pub peer_timeout: u64,
-    /// Backoff before the first restart attempt.
-    pub backoff_base: u64,
-    /// Upper bound on the exponential backoff.
-    pub backoff_max: u64,
-    /// Uniform seeded jitter `0..=backoff_jitter` added to each backoff, so
-    /// simultaneously-killed endpoints do not restart in lockstep.
-    pub backoff_jitter: u64,
 }
 
 impl Default for SupervisorConfig {
@@ -67,9 +72,6 @@ impl Default for SupervisorConfig {
         SupervisorConfig {
             heartbeat_every: 256,
             peer_timeout: 2_048,
-            backoff_base: 64,
-            backoff_max: 4_096,
-            backoff_jitter: 32,
         }
     }
 }
@@ -87,30 +89,18 @@ impl SupervisorConfig {
         self
     }
 
-    /// Sets the restart backoff parameters.
-    pub fn with_backoff(mut self, base: u64, max: u64, jitter: u64) -> Self {
-        self.backoff_base = base;
-        self.backoff_max = max;
-        self.backoff_jitter = jitter;
-        self
-    }
-
     /// Validates internal consistency.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated constraint: a zero
-    /// heartbeat period, a timeout that a healthy peer's own heartbeat
-    /// cadence would trip, a backoff cap below its base, or a jitter
-    /// wider than the cap.
+    /// heartbeat period, or a timeout that a healthy peer's own heartbeat
+    /// cadence would trip.
     pub fn validate(&self) -> Result<(), String> {
         // No `..`: a new field compiles only once constrained here or waived with `_`.
         let Self {
             heartbeat_every,
             peer_timeout,
-            backoff_base,
-            backoff_max,
-            backoff_jitter,
         } = *self;
         if heartbeat_every == 0 {
             return Err("heartbeat_every must be at least 1 cycle".into());
@@ -122,17 +112,6 @@ impl SupervisorConfig {
                 peer_timeout,
                 2 * heartbeat_every
             ));
-        }
-        if backoff_base == 0 {
-            return Err("backoff_base must be at least 1 cycle".into());
-        }
-        if backoff_max < backoff_base {
-            return Err("backoff_max must be >= backoff_base".into());
-        }
-        if backoff_jitter > backoff_max {
-            return Err("backoff_jitter must not exceed backoff_max: jitter \
-                 wider than the cap makes the bound meaningless"
-                .into());
         }
         Ok(())
     }
@@ -515,17 +494,15 @@ impl<T: Transport, F: FnMut() -> WireEndpoint<T>> Supervisor<T, F> {
 
     /// Simulates a crash: the incarnation and **all** its protocol state
     /// are dropped on the floor (no goodbye frames), and a restart is
-    /// scheduled after `min(base·2ᵃᵗᵗᵉᵐᵖᵗˢ, max)` plus seeded jitter.
+    /// scheduled after `min(BACKOFF_BASE·2ᵃᵗᵗᵉᵐᵖᵗˢ, BACKOFF_MAX)` plus seeded
+    /// jitter of up to `BACKOFF_JITTER`.
     pub fn kill(&mut self, now: Cycle) {
         if self.ep.take().is_none() {
             return;
         }
         let shift = self.restarts.min(63);
-        let exp = self.cfg.backoff_base.saturating_mul(1u64 << shift);
-        let mut backoff = exp.min(self.cfg.backoff_max);
-        if self.cfg.backoff_jitter > 0 {
-            backoff += self.rng.next_u64() % (self.cfg.backoff_jitter + 1);
-        }
+        let exp = BACKOFF_BASE.saturating_mul(1u64 << shift);
+        let backoff = exp.min(BACKOFF_MAX) + self.rng.next_u64() % (BACKOFF_JITTER + 1);
         self.restart_at = Some((now + backoff, backoff));
     }
 
@@ -712,8 +689,7 @@ mod tests {
         let hub = LoopbackHub::new(2, 1);
         let cfg = SupervisorConfig::default()
             .with_heartbeat_every(8)
-            .with_peer_timeout(40)
-            .with_backoff(16, 256, 8);
+            .with_peer_timeout(40);
         let node = NodeId::new(0);
         let hub2 = hub.clone();
         let mut sup = Supervisor::new(
@@ -737,7 +713,8 @@ mod tests {
             }
         }
         let t = restarted_at.expect("restarted within the bound");
-        assert!((116..=124).contains(&t), "base 16 + jitter <= 8, got {t}");
+        let first = 100 + BACKOFF_BASE..=100 + BACKOFF_BASE + BACKOFF_JITTER;
+        assert!(first.contains(&t), "base + jitter, got {t}");
         assert_eq!(sup.epoch(), 1);
         assert_eq!(sup.restarts(), 1);
         // Second crash backs off twice as far.
@@ -751,7 +728,8 @@ mod tests {
             }
         }
         let t = second.expect("second restart");
-        assert!((532..=540).contains(&t), "base doubled to 32, got {t}");
+        let doubled = 500 + 2 * BACKOFF_BASE..=500 + 2 * BACKOFF_BASE + BACKOFF_JITTER;
+        assert!(doubled.contains(&t), "base doubled, got {t}");
     }
 
     #[test]
@@ -763,14 +741,6 @@ mod tests {
         assert!(SupervisorConfig::default()
             .with_heartbeat_every(100)
             .with_peer_timeout(150)
-            .validate()
-            .is_err());
-        assert!(SupervisorConfig::default()
-            .with_backoff(16, 8, 0)
-            .validate()
-            .is_err());
-        assert!(SupervisorConfig::default()
-            .with_backoff(16, 32, 64)
             .validate()
             .is_err());
         assert!(SupervisorConfig::default().validate().is_ok());

@@ -104,17 +104,23 @@ struct HubInner {
     seq: u64,
     /// `queues[node][lane]`.
     queues: Vec<[DeliveryQueue; 2]>,
+    /// Frames addressed to a node outside `queues`, dropped on send.
+    unknown_peer: u64,
 }
 
 impl HubInner {
     fn enqueue(&mut self, dst: NodeId, lane: Lane, frame: Vec<u8>) {
+        let Some(queue) = self.queues.get_mut(dst.index()) else {
+            self.unknown_peer += 1;
+            return;
+        };
         let mut deliver_at = self.now.as_u64() + self.latency;
         if let Some((rng, max_extra)) = &mut self.jitter {
             deliver_at += rng.next_u64() % (*max_extra + 1);
         }
         let seq = self.seq;
         self.seq += 1;
-        self.queues[dst.index()][lane.index()].push(Reverse((deliver_at, seq, frame)));
+        queue[lane.index()].push(Reverse((deliver_at, seq, frame)));
     }
 
     /// The earliest frame for `node` on `lane`, once it is due.
@@ -172,6 +178,7 @@ impl LoopbackHub {
                 queues: (0..nodes)
                     .map(|_| [BinaryHeap::new(), BinaryHeap::new()])
                     .collect(),
+                unknown_peer: 0,
             })),
         }
     }
@@ -221,6 +228,13 @@ impl LoopbackHub {
             .iter()
             .map(|lanes| lanes[0].len() + lanes[1].len())
             .sum()
+    }
+
+    /// Frames addressed to a node outside the hub's range. Like
+    /// [`UdpTransport::unknown_peer`](crate::UdpTransport::unknown_peer),
+    /// the hub counts and drops them instead of delivering.
+    pub fn unknown_peer(&self) -> u64 {
+        self.lock().unknown_peer
     }
 
     /// Creates the endpoint for `node`.
@@ -351,6 +365,26 @@ mod tests {
         assert_eq!(b.recv_batch(Lane::Request, 8, &mut out), 2, "remainder");
         let got: Vec<u8> = out.iter().map(|f| f[0]).collect();
         assert_eq!(got, vec![0, 1, 2, 3, 4], "send order preserved");
+    }
+
+    #[test]
+    fn frames_to_a_node_outside_the_hub_are_counted_and_dropped() {
+        let hub = LoopbackHub::new(2, 1);
+        let mut a = hub.endpoint(NodeId::new(0));
+        a.send(NodeId::new(7), Lane::Request, vec![1]);
+        assert_eq!(hub.unknown_peer(), 1);
+        assert_eq!(hub.in_flight(), 0);
+        let mut batch = vec![
+            (NodeId::new(9), Lane::Reply, vec![2]),
+            (NodeId::new(1), Lane::Request, vec![3]),
+        ];
+        a.send_batch(&mut batch);
+        assert_eq!(hub.unknown_peer(), 2);
+        assert_eq!(hub.in_flight(), 1, "only the in-range frame is queued");
+        hub.tick();
+        let mut b = hub.endpoint(NodeId::new(1));
+        assert_eq!(b.recv(Lane::Request), Some(vec![3]));
+        assert_eq!(hub.in_flight(), 0);
     }
 
     #[test]

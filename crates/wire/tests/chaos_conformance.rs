@@ -70,7 +70,6 @@ fn chaos_runs_are_deterministic_per_seed() {
 /// conservation invariants hold on both, and the per-flow journey
 /// populations agree — same packet counts completed on the same flows,
 /// whatever each carrier's chaos plane did along the way.
-#[cfg(feature = "trace")]
 #[test]
 fn journey_reconstruction_is_carrier_equivalent() {
     use nifdy_analyze::{analyze, AnomalyConfig, ExternalCounts};

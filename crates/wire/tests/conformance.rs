@@ -25,9 +25,9 @@ fn clean_rows_match_across_stacks() {
             let sim_life = lifecycle_projection(&sim_trace, plan.nodes);
             let wire_life = lifecycle_projection(&wire_trace, plan.nodes);
             assert_eq!(sim_life, wire_life, "{label}: dialog lifecycles diverge");
-            // With tracing compiled in, the projection must actually record
-            // the dialog machinery (not just trivially match as empty).
-            if cfg!(feature = "trace") && plan.want_bulk {
+            // The projection must actually record the dialog machinery
+            // (not just trivially match as empty).
+            if plan.want_bulk {
                 assert!(
                     sim_life.iter().any(|n| n.sender.contains(&"dialog_open")),
                     "{label}: a bulk workload must open dialogs"

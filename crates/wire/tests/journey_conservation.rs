@@ -8,7 +8,6 @@
 //!
 //! [`FabricStats`]: nifdy_net::FabricStats
 //! [`WireFaultStats`]: nifdy_wire::WireFaultStats
-#![cfg(feature = "trace")]
 
 use nifdy_analyze::{analyze, AnalysisReport, AnomalyConfig, ExternalCounts};
 use nifdy_net::{FaultConfig, GilbertElliott};

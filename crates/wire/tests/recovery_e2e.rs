@@ -62,10 +62,9 @@ fn killed_endpoint_recovers_and_the_rotation_completes() {
     let hub = LoopbackHub::new(2, 1);
     let sup_cfg = SupervisorConfig::default()
         .with_heartbeat_every(16)
-        .with_peer_timeout(100)
-        // Backoff longer than the peer timeout so the survivor visibly
+        // Below the fixed 64-cycle restart backoff, so the survivor visibly
         // flags the peer down before the new incarnation announces itself.
-        .with_backoff(200, 512, 8);
+        .with_peer_timeout(40);
     let trace = TraceHandle::recording(TraceConfig::new().with_capacity_per_node(1 << 16));
 
     // Node 0 survives the whole run.
@@ -182,25 +181,19 @@ fn killed_endpoint_recovers_and_the_rotation_completes() {
     );
 
     // Recovery must be visible in the flight recorder as typed events.
-    #[cfg(feature = "trace")]
-    {
-        let names: BTreeSet<&'static str> =
-            trace.snapshot().iter().map(|ev| ev.kind.name()).collect();
-        for required in [
-            "heartbeat",
-            "peer_down",
-            "endpoint_restart",
-            "peer_restart",
-            "dialog_close",
-        ] {
-            assert!(
-                names.contains(required),
-                "recovery left no {required:?} event in the trace; saw {names:?}"
-            );
-        }
+    let names: BTreeSet<&'static str> = trace.snapshot().iter().map(|ev| ev.kind.name()).collect();
+    for required in [
+        "heartbeat",
+        "peer_down",
+        "endpoint_restart",
+        "peer_restart",
+        "dialog_close",
+    ] {
+        assert!(
+            names.contains(required),
+            "recovery left no {required:?} event in the trace; saw {names:?}"
+        );
     }
-    #[cfg(not(feature = "trace"))]
-    let _ = trace;
 }
 
 /// The same crash-and-recover rotation, driven event-style: instead of
@@ -209,14 +202,14 @@ fn killed_endpoint_recovers_and_the_rotation_completes() {
 /// [`LoopbackHub::next_delivery`]) and jumps the clock to the earliest
 /// deadline. Under the [`Wakeup`] contract the skipped cycles are no-ops,
 /// so the run must still complete — through a kill, a backoff window, and
-/// a restart — while stepping far fewer rounds than cycles elapse.
+/// a restart — while stepping far fewer rounds than the backoff window
+/// spans.
 #[test]
 fn event_driven_driver_recovers_with_fewer_stepped_rounds() {
     let hub = LoopbackHub::new(2, 1);
     let sup_cfg = SupervisorConfig::default()
         .with_heartbeat_every(16)
-        .with_peer_timeout(100)
-        .with_backoff(200, 512, 8);
+        .with_peer_timeout(40);
     let trace = TraceHandle::recording(TraceConfig::new().with_capacity_per_node(1 << 16));
 
     let mut n0 = SupervisedEndpoint::new(
@@ -251,6 +244,10 @@ fn event_driven_driver_recovers_with_fewer_stepped_rounds() {
     let mut killed = false;
     let mut last_epoch = 0;
     let mut stepped = 0u64;
+    // Rounds stepped from the kill through the restart, and the cycle of
+    // each end of that window.
+    let mut down_rounds = 0u64;
+    let (mut killed_at, mut restarted_at) = (0u64, 0u64);
 
     let total = all0.len();
     let bound = Cycle::new(120_000);
@@ -264,8 +261,12 @@ fn event_driven_driver_recovers_with_fewer_stepped_rounds() {
         let mut active = false;
         if !killed && delivered_at_1.len() >= 4 && delivered_at_0.len() >= 4 {
             sup.kill(hub.now());
+            killed_at = hub.now().as_u64();
             killed = true;
             active = true;
+        }
+        if killed && !sup.is_up() {
+            down_rounds += 1;
         }
 
         if let Some(user) = remaining0.last().copied() {
@@ -289,6 +290,7 @@ fn event_driven_driver_recovers_with_fewer_stepped_rounds() {
 
         sup.step(hub.now());
         if sup.epoch() > last_epoch {
+            restarted_at = hub.now().as_u64();
             last_epoch = sup.epoch();
             refill(&mut remaining1, &all1, &delivered_at_0);
             refill(&mut remaining0, &all0, &delivered_at_1);
@@ -347,23 +349,19 @@ fn event_driven_driver_recovers_with_fewer_stepped_rounds() {
     assert!(killed, "the crash was never triggered");
     assert_eq!(sup.restarts(), 1, "exactly one restart");
     assert_eq!(sup.epoch(), 1);
+    let backoff = restarted_at - killed_at;
     assert!(
-        stepped * 2 < elapsed,
-        "skip-ahead stepped {stepped} rounds over {elapsed} cycles — \
-         the backoff and retransmission windows were not skipped"
+        down_rounds * 2 < backoff,
+        "skip-ahead stepped {down_rounds} rounds over the {backoff}-cycle backoff \
+         ({stepped} over {elapsed} in all) — the backoff and retransmission \
+         windows were not skipped"
     );
 
-    #[cfg(feature = "trace")]
-    {
-        let names: BTreeSet<&'static str> =
-            trace.snapshot().iter().map(|ev| ev.kind.name()).collect();
-        for required in ["endpoint_restart", "peer_restart"] {
-            assert!(
-                names.contains(required),
-                "recovery left no {required:?} event in the trace; saw {names:?}"
-            );
-        }
+    let names: BTreeSet<&'static str> = trace.snapshot().iter().map(|ev| ev.kind.name()).collect();
+    for required in ["endpoint_restart", "peer_restart"] {
+        assert!(
+            names.contains(required),
+            "recovery left no {required:?} event in the trace; saw {names:?}"
+        );
     }
-    #[cfg(not(feature = "trace"))]
-    let _ = trace;
 }
