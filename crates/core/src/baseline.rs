@@ -38,8 +38,8 @@ impl FifoNic {
             node,
             out_cap,
             arr_cap,
-            outgoing: VecDeque::with_capacity(out_cap),
-            arrivals: VecDeque::with_capacity(arr_cap),
+            outgoing: VecDeque::new(),
+            arrivals: VecDeque::new(),
             pkt_counter: 0,
             stats: NicStats::default(),
         }

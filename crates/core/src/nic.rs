@@ -136,8 +136,8 @@ pub struct NicStats {
     /// Transfers abandoned after exhausting the retry budget (each one
     /// surfaced as a [`DeliveryFailure`]).
     pub delivery_failures: Counter,
-    /// Retransmission-timer firings deferred because the staging queue was
-    /// full (64 packets).
+    /// Retransmission-timer firings deferred because the staging queue had
+    /// reached its bound (64 packets; the queue grows on first use up to it).
     pub retx_queue_overflow: Counter,
     /// Outgoing bulk dialogs torn down mid-window by the retry budget.
     pub dialogs_torn_down: Counter,

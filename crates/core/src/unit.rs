@@ -72,9 +72,11 @@ const BULK_REQUEST_MIN_BACKLOG: usize = 1;
 /// node index, so units never share a jitter sequence).
 const JITTER_STREAM: u64 = 0x717;
 
-/// Bound on the retransmission staging queue, in packets. When it is full,
-/// a firing timer leaves its entry in place (it re-fires next cycle) and
-/// the overflow is counted in [`NicStats::retx_queue_overflow`].
+/// Bound on the retransmission staging queue, in packets — a length check,
+/// not a reservation: the queue starts empty and grows on first use. When
+/// it reaches the bound, a firing timer leaves its entry in place (it
+/// re-fires next cycle) and the overflow is counted in
+/// [`NicStats::retx_queue_overflow`].
 const RETX_QUEUE_CAP: usize = 64;
 
 /// The §6.2 retransmission timer of one unacknowledged packet, scalar or
@@ -293,25 +295,28 @@ impl NifdyUnit {
         if let Err(e) = cfg.validate() {
             panic!("invalid NIFDY config: {e}");
         }
+        // Queues start empty and grow on first use, bounded by their length
+        // checks (DESIGN.md §13.4); only the indexed dialog slots and the
+        // `D × W` reorder array are allocated here.
         let (d, w) = (usize::from(cfg.max_dialogs), usize::from(cfg.window));
         NifdyUnit {
             node,
             now: Cycle::ZERO,
             pkt_counter: 0,
             peers: BTreeMap::new(),
-            pool: VecDeque::with_capacity(cfg.pool_entries as usize),
-            opt: Vec::with_capacity(cfg.opt_entries as usize),
+            pool: VecDeque::new(),
+            opt: Vec::new(),
             out_dialog: None,
             copies: VecDeque::new(),
             bulk_request_pending: None,
-            retx_queue: VecDeque::with_capacity(RETX_QUEUE_CAP),
+            retx_queue: VecDeque::new(),
             jitter: SimRng::from_seed_stream(node.index() as u64, JITTER_STREAM),
             failures: Vec::new(),
-            arrivals: VecDeque::with_capacity(ARRIVALS_CAPACITY),
+            arrivals: VecDeque::new(),
             dialogs: (0..d).map(|_| Slot::Free).collect(),
             window: (0..d * w).map(|_| None).collect(),
-            ack_queue: VecDeque::with_capacity(2 * ARRIVALS_CAPACITY),
-            ack_delay: VecDeque::with_capacity(2 * ARRIVALS_CAPACITY),
+            ack_queue: VecDeque::new(),
+            ack_delay: VecDeque::new(),
             trace: TraceHandle::off(),
             elig_stalled: false,
             next_wake: Wakeup::Now,

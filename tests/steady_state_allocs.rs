@@ -13,7 +13,12 @@
 //! frame buffer (DESIGN.md §14.1), so allocations per frame demultiplexed
 //! stay near zero.
 //!
-//! The counter is per thread, so the tests of this binary can run side by
+//! The footprint cases measure what construction leaves on the heap: an
+//! interface's queues start empty and grow on first use (DESIGN.md §13.4),
+//! so a unit holds little more than its dialog slots and `D × W` reorder
+//! array, and the protocol-free NICs hold nothing until used.
+//!
+//! The counters are per thread, so the tests of this binary can run side by
 //! side without counting each other's allocations.
 
 #![allow(unsafe_code, reason = "GlobalAlloc impl that forwards to System")]
@@ -21,48 +26,65 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use nifdy::NifdyConfig;
+use nifdy::{BufferedNic, NifdyConfig, NifdyUnit, PlainNic};
 use nifdy_harness::NetworkKind;
 use nifdy_net::Fabric;
 use nifdy_node::workload::{DaemonSet, PlanFeeder, SwarmPlan};
-use nifdy_node::NodeConfig;
+use nifdy_node::{NifdyNode, NodeConfig};
+use nifdy_sim::NodeId;
 use nifdy_traffic::{Driver, NicChoice, SoftwareModel, SyntheticConfig};
 use nifdy_wire::conformance::NodeSet;
+use nifdy_wire::LoopbackTransport;
 
 thread_local! {
     /// `alloc` + `realloc` calls made by this thread.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed by this thread.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
 }
 
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
+fn live_bytes() -> isize {
+    LIVE.with(Cell::get)
+}
+
 struct Counting;
 
 impl Counting {
-    fn count() {
+    /// Records one allocator call that changed this thread's live heap by
+    /// `delta` bytes (`calls` is 0 for a `dealloc`).
+    fn count(calls: u64, delta: isize) {
         // A thread past its TLS teardown is not one under measurement.
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + calls));
+        let _ = LIVE.try_with(|n| n.set(n.get().wrapping_add(delta)));
     }
 }
 
+/// A size as a signed byte delta (a `Layout` size never exceeds `isize::MAX`).
+fn bytes(size: usize) -> isize {
+    size as isize
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a side effect only.
+// upholds the `GlobalAlloc` contract; the counters are a side effect only.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::count();
+        Self::count(1, bytes(layout.size()));
         // SAFETY: the caller's obligations are passed through as is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        Self::count(0, -bytes(layout.size()));
         // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::count();
+        Self::count(1, bytes(new_size) - bytes(layout.size()));
         // SAFETY: as for `dealloc`; the size obligations pass through.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -161,4 +183,56 @@ fn a_daemon_recycles_its_frame_buffers() {
 fn two_daemons_recycle_frame_buffers_across_a_carrier() {
     let ratio = allocs_per_frame(2);
     assert!(ratio < 0.05, "{ratio} allocs/frame");
+}
+
+/// Heap bytes the value `make` builds holds on this thread, measured while
+/// it is alive.
+fn footprint<T>(make: impl FnOnce() -> T) -> usize {
+    let before = live_bytes();
+    let value = make();
+    let held = live_bytes() - before;
+    drop(value);
+    usize::try_from(held).expect("construction freed more than it allocated")
+}
+
+#[test]
+fn a_fresh_interface_holds_only_its_indexed_buffers() {
+    let node = NodeId::new(0);
+    let daemon = NodeConfig::default().protocol;
+    let preset = NetworkKind::FatTree.nifdy_preset();
+    let budget = daemon.total_buffers();
+    let unit_daemon = footprint(|| NifdyUnit::new(node, daemon.clone()));
+    let unit_preset = footprint(|| NifdyUnit::new(node, preset.clone()));
+    let plain = footprint(|| PlainNic::new(node));
+    let buffered = footprint(|| BufferedNic::new(node, budget));
+    for (label, held) in [
+        ("NifdyUnit::new, daemon config", unit_daemon),
+        ("NifdyUnit::new, fat-tree preset", unit_preset),
+        ("PlainNic::new", plain),
+        ("BufferedNic::new, daemon budget", buffered),
+    ] {
+        println!("{label:<32} {held:>5} B");
+    }
+    assert!(unit_daemon <= 512, "daemon config: {unit_daemon} B");
+    assert!(unit_preset <= 512, "fat-tree preset: {unit_preset} B");
+    assert_eq!(plain, 0, "PlainNic::new holds {plain} B");
+    assert_eq!(buffered, 0, "BufferedNic::new holds {buffered} B");
+}
+
+const HOSTED: usize = 1024;
+
+#[test]
+fn a_fresh_daemon_holds_under_two_kilobytes_per_endpoint() {
+    // The daemon workloads' shape: one carrier-less daemon, eight shards.
+    let held = footprint(|| {
+        let mut node: NifdyNode<LoopbackTransport> =
+            NifdyNode::new(NodeConfig::default().with_shards(8));
+        for i in 0..HOSTED {
+            node.add_endpoint(NodeId::new(i), Vec::new());
+        }
+        node
+    });
+    let per_endpoint = held / HOSTED;
+    println!("NifdyNode, {HOSTED} endpoints: {held} B = {per_endpoint} B per endpoint");
+    assert!(per_endpoint <= 2048, "{per_endpoint} B per endpoint");
 }
