@@ -272,8 +272,7 @@ pub fn run_serve(scale: Scale, seed: u64, extra: &[String]) -> Result<ServeOutco
     let plan = build_plan(&opts, scale, seed, opts.nodes);
     let cfg = NodeConfig::default()
         .with_shards(opts.shards)
-        .with_batch(opts.batch)
-        .with_seed(seed);
+        .with_batch(opts.batch);
     let start = Instant::now();
     let mut set = DaemonSet::new(plan.nodes, 1, &cfg);
     let served = run(&mut set, &plan, 0, MAX_TICKS);
@@ -417,8 +416,7 @@ fn swarm_child(scale: Scale, seed: u64, opts: &NodeOpts) -> Result<(), String> {
         .with_batch(opts.batch)
         .with_protocol(swarm_protocol(opts.kill))
         .with_supervisor(swarm_supervisor())
-        .with_initial_epoch(opts.epoch)
-        .with_seed(seed.wrapping_add(me as u64));
+        .with_initial_epoch(opts.epoch);
     let mut node: NifdyNode<UdpTransport> = NifdyNode::new(cfg);
     let c0 = node.add_carrier(carrier);
     for n in hosted.clone() {
@@ -577,7 +575,6 @@ fn swarm_child(scale: Scale, seed: u64, opts: &NodeOpts) -> Result<(), String> {
         ("local_frames", Json::u64(stats.local_frames)),
         ("unroutable", Json::u64(stats.unroutable)),
         ("foreign", Json::u64(stats.foreign)),
-        ("dropped_down", Json::u64(stats.dropped_down)),
         ("refused", Json::u64(udp.refused())),
         ("oversize", Json::u64(udp.oversize())),
         ("unknown_peer", Json::u64(udp.unknown_peer())),
@@ -969,7 +966,6 @@ pub fn run_swarm(scale: Scale, seed: u64, extra: &[String]) -> Result<SwarmRepor
             "frames in".into(),
             "frames out".into(),
             "local".into(),
-            "dropped down".into(),
             "refused".into(),
         ],
     );
@@ -983,7 +979,6 @@ pub fn run_swarm(scale: Scale, seed: u64, extra: &[String]) -> Result<SwarmRepor
             stat(s, "frames_in").to_string(),
             stat(s, "frames_out").to_string(),
             stat(s, "local_frames").to_string(),
-            stat(s, "dropped_down").to_string(),
             stat(s, "refused").to_string(),
         ]);
     }

@@ -24,14 +24,15 @@ pub struct NodeConfig {
     pub batch: usize,
     /// The NIFDY protocol config every hosted endpoint runs.
     pub protocol: NifdyConfig,
-    /// Heartbeat/liveness/backoff timing for the per-endpoint supervisors.
+    /// Heartbeat and liveness timing for every hosted endpoint.
     pub supervisor: SupervisorConfig,
-    /// The epoch the first incarnation of every endpoint announces: each
-    /// endpoint's [`Supervisor::new`](nifdy_wire::Supervisor::new) gets it
-    /// as `epoch`. A daemon process restarted from outside passes the next
-    /// epoch here so surviving peers in other processes detect the restart.
+    /// The epoch every hosted endpoint announces. An endpoint restarts only
+    /// as a new incarnation: a restarted daemon process passes the next
+    /// epoch here, so surviving peers in other processes see the epoch rise
+    /// and reset what they held for the dead incarnation.
     pub initial_epoch: u32,
-    /// Seed for supervisor backoff jitter (decorrelated per node inside).
+    /// Read by nothing in the daemon. Kept only because `nifdy-bench` calls
+    /// [`with_seed`](Self::with_seed); remove it once the benchmark does not.
     pub seed: u64,
 }
 
@@ -79,7 +80,7 @@ impl NodeConfig {
         self
     }
 
-    /// Sets the supervisor jitter seed.
+    /// Sets [`seed`](Self::seed), which the daemon does not read.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self

@@ -1,6 +1,10 @@
 //! The daemon: N supervised endpoints behind flow-affine shards, driven by
 //! a batched poll loop over a handful of carriers.
 //!
+//! Every endpoint is built once, in [`add_endpoint`](NifdyNode::add_endpoint),
+//! at [`NodeConfig::initial_epoch`]; an endpoint restarts only with its
+//! whole daemon, as a new process at the next epoch.
+//!
 //! One [`poll_round`](NifdyNode::poll_round) is the daemon's unit of work:
 //!
 //! 1. deliver frames routed daemon-internally in the previous round;
@@ -27,20 +31,16 @@ use nifdy::{Delivered, DeliveryFailure, OutboundPacket};
 use nifdy_net::Lane;
 use nifdy_sim::{Cycle, NodeId};
 use nifdy_trace::{MetricsRegistry, TraceHandle};
-use nifdy_wire::{peek_route, BatchTransport, PeerEvent, Supervisor, WireEndpoint};
+use nifdy_wire::{peek_route, BatchTransport, PeerEvent, SupervisedEndpoint, WireEndpoint};
 
 use crate::config::NodeConfig;
 use crate::mux::{shard_of, MuxPort};
 use crate::stats::NodeStats;
 
-/// Builds a fresh incarnation of one hosted endpoint (the supervisor calls
-/// it on every restart).
-type EndpointFactory = Box<dyn FnMut() -> WireEndpoint<MuxPort> + Send>;
-
 /// One hosted logical node.
 struct Slot {
     node: NodeId,
-    sup: Supervisor<MuxPort, EndpointFactory>,
+    ep: SupervisedEndpoint<MuxPort>,
 }
 
 /// One flow-affine partition of the endpoint table.
@@ -168,20 +168,23 @@ impl<C: BatchTransport> NifdyNode<C> {
         }
     }
 
-    /// Connects every hosted endpoint (current and future incarnations) to
-    /// a flight recorder.
+    /// Connects every hosted endpoint, current and later added, to a
+    /// flight recorder.
     pub fn attach_trace(&mut self, trace: TraceHandle) {
         for shard in &mut self.shards {
             for slot in &mut shard.slots {
-                slot.sup.attach_trace(trace.clone());
+                slot.ep.attach_trace(trace.clone());
             }
         }
         self.trace = trace;
     }
 
     /// Hosts logical node `node`, placed in its flow-affine shard
-    /// ([`shard_of`]). `watched` lists the peers every incarnation
-    /// heartbeats and monitors for liveness.
+    /// ([`shard_of`]), as incarnation [`NodeConfig::initial_epoch`].
+    /// `watched` lists the peers it heartbeats and monitors for liveness.
+    /// A peer's restart is detected only if that peer is watched
+    /// ([`SupervisedEndpoint::watch`]), so the list must include every
+    /// node that sends to `node`.
     ///
     /// # Panics
     ///
@@ -192,19 +195,14 @@ impl<C: BatchTransport> NifdyNode<C> {
             "node {node} already hosted"
         );
         let s = shard_of(node, self.cfg.shards);
-        let protocol = self.cfg.protocol.clone();
-        let factory: EndpointFactory =
-            Box::new(move || WireEndpoint::new(node, protocol.clone(), MuxPort::new(node)));
-        let mut sup = Supervisor::new(
-            self.cfg.supervisor,
-            watched,
-            factory,
-            self.cfg.seed,
-            self.cfg.initial_epoch,
-        );
-        sup.attach_trace(self.trace.clone());
+        let wire = WireEndpoint::new(node, self.cfg.protocol.clone(), MuxPort::new(node));
+        let mut ep = SupervisedEndpoint::new(wire, self.cfg.supervisor, self.cfg.initial_epoch);
+        for peer in watched {
+            ep.watch(peer);
+        }
+        ep.attach_trace(self.trace.clone());
         let slot = self.shards[s].slots.len();
-        self.shards[s].slots.push(Slot { node, sup });
+        self.shards[s].slots.push(Slot { node, ep });
         *self.dest_mut(node) = Dest::Hosted { shard: s, slot };
     }
 
@@ -250,45 +248,23 @@ impl<C: BatchTransport> NifdyNode<C> {
         self.now
     }
 
-    /// Whether `node`'s current incarnation is running.
-    pub fn is_up(&self, node: NodeId) -> bool {
-        self.slot(node).sup.is_up()
-    }
-
-    /// `node`'s running supervised endpoint, if up (counter inspection).
-    pub fn supervised(&self, node: NodeId) -> Option<&nifdy_wire::SupervisedEndpoint<MuxPort>> {
-        self.slot(node).sup.endpoint()
-    }
-
-    /// Completed supervisor restarts of `node`.
-    pub fn restarts(&self, node: NodeId) -> u32 {
-        self.slot(node).sup.restarts()
-    }
-
-    /// The epoch `node`'s current (or most recent) incarnation announces.
-    pub fn epoch(&self, node: NodeId) -> u32 {
-        self.slot(node).sup.epoch()
-    }
-
-    /// Simulates a crash of `node`: its incarnation and all protocol state
-    /// drop on the floor; the supervisor restarts it (next epoch) after the
-    /// configured backoff.
-    pub fn kill(&mut self, node: NodeId) {
-        let now = self.now;
-        self.slot_mut(node).sup.kill(now);
+    /// `node`'s supervised endpoint (counter inspection), or `None` if
+    /// `node` is not hosted here.
+    pub fn supervised(&self, node: NodeId) -> Option<&SupervisedEndpoint<MuxPort>> {
+        match self.dest(node) {
+            Dest::Hosted { shard, slot } => Some(&self.shards[shard].slots[slot].ep),
+            Dest::Unknown | Dest::Routed { .. } => None,
+        }
     }
 
     /// Hands an outbound packet to `src`'s interface; `false` means the
-    /// buffer pool is full (retry later) or the endpoint is down.
+    /// buffer pool is full and the caller retries later.
     ///
     /// # Panics
     ///
     /// Panics if `src` is not hosted.
     pub fn try_send(&mut self, src: NodeId, pkt: OutboundPacket) -> bool {
-        match self.slot_mut(src).sup.endpoint_mut() {
-            Some(sup_ep) => sup_ep.endpoint_mut().try_send(pkt),
-            None => false,
-        }
+        self.slot_mut(src).ep.endpoint_mut().try_send(pkt)
     }
 
     /// Removes the next delivered packet as `(receiving node, delivery)`,
@@ -328,7 +304,7 @@ impl<C: BatchTransport> NifdyNode<C> {
         &mut self.carriers[i]
     }
 
-    /// True when every running endpoint is idle and no frames wait in the
+    /// True when every hosted endpoint is idle and no frames wait in the
     /// daemon's own queues (pending local routes, outboxes, undrained
     /// deliveries). Frames inside a carrier are invisible here — ask the
     /// carrier, exactly as for [`WireEndpoint::is_idle`].
@@ -336,18 +312,14 @@ impl<C: BatchTransport> NifdyNode<C> {
         self.pending_local.is_empty()
             && self.deliveries.is_empty()
             && self.outboxes.iter().all(Vec::is_empty)
-            && self.shards.iter().all(|shard| {
-                shard.slots.iter().all(|slot| match slot.sup.endpoint() {
-                    Some(sup_ep) => sup_ep.endpoint().is_idle(),
-                    None => true,
-                })
-            })
+            && self
+                .shards
+                .iter()
+                .all(|shard| shard.slots.iter().all(|slot| slot.ep.endpoint().is_idle()))
     }
 
     /// One round of daemon work; see the module docs for the four phases.
     pub fn poll_round(&mut self) {
-        let now = self.now;
-
         // Phase 1: frames routed daemon-internally last round.
         let mut local = std::mem::take(&mut self.pending_local);
         for (dst, lane, frame) in local.drain(..) {
@@ -380,26 +352,24 @@ impl<C: BatchTransport> NifdyNode<C> {
             for i in 0..self.shards[s].slots.len() {
                 {
                     let slot = &mut self.shards[s].slots[i];
-                    slot.sup.step(now);
+                    slot.ep.step();
                     let node = slot.node;
-                    if let Some(sup_ep) = slot.sup.endpoint_mut() {
-                        for ev in sup_ep.take_peer_events() {
-                            self.peer_events.push((node, ev));
-                        }
-                        let ep = sup_ep.endpoint_mut();
-                        while let Some(d) = ep.poll() {
-                            self.deliveries.push_back((node, d));
-                            self.stats.delivered += 1;
-                            self.stats.shards[s].delivered += 1;
-                        }
-                        for f in ep.take_failures() {
-                            self.failures.push(f);
-                            self.stats.shards[s].failures += 1;
-                        }
-                        let port = ep.transport_mut();
-                        port.take_outbound_into(&mut scratch);
-                        port.level(&mut self.pool, POOL_CAP, !scratch.is_empty());
+                    for ev in slot.ep.take_peer_events() {
+                        self.peer_events.push((node, ev));
                     }
+                    let ep = slot.ep.endpoint_mut();
+                    while let Some(d) = ep.poll() {
+                        self.deliveries.push_back((node, d));
+                        self.stats.delivered += 1;
+                        self.stats.shards[s].delivered += 1;
+                    }
+                    for f in ep.take_failures() {
+                        self.failures.push(f);
+                        self.stats.shards[s].failures += 1;
+                    }
+                    let port = ep.transport_mut();
+                    port.take_outbound_into(&mut scratch);
+                    port.level(&mut self.pool, POOL_CAP, !scratch.is_empty());
                 }
                 for (dst, lane, frame) in scratch.drain(..) {
                     self.route_outbound(s, dst, lane, frame);
@@ -427,17 +397,13 @@ impl<C: BatchTransport> NifdyNode<C> {
             self.stats.unroutable += 1;
             return;
         };
-        match self.shards[s].slots[slot].sup.endpoint_mut() {
-            Some(sup_ep) => {
-                sup_ep
-                    .endpoint_mut()
-                    .transport_mut()
-                    .push_inbound(lane, frame);
-                self.stats.frames_in += 1;
-                self.stats.shards[s].frames_in += 1;
-            }
-            None => self.stats.dropped_down += 1,
-        }
+        self.shards[s].slots[slot]
+            .ep
+            .endpoint_mut()
+            .transport_mut()
+            .push_inbound(lane, frame);
+        self.stats.frames_in += 1;
+        self.stats.shards[s].frames_in += 1;
     }
 
     /// Routes one endpoint-emitted frame: hosted destinations loop back
@@ -473,22 +439,11 @@ impl<C: BatchTransport> NifdyNode<C> {
         &mut self.dests[node.index()]
     }
 
-    /// `(shard, slot)` of a hosted node.
-    fn hosted(&self, node: NodeId) -> (usize, usize) {
-        #[expect(clippy::panic, reason = "hosting is the accessors' API precondition")]
+    fn slot_mut(&mut self, node: NodeId) -> &mut Slot {
+        #[expect(clippy::panic, reason = "hosting is `try_send`'s API precondition")]
         let Dest::Hosted { shard, slot } = self.dest(node) else {
             panic!("node {node} not hosted")
         };
-        (shard, slot)
-    }
-
-    fn slot(&self, node: NodeId) -> &Slot {
-        let (shard, slot) = self.hosted(node);
-        &self.shards[shard].slots[slot]
-    }
-
-    fn slot_mut(&mut self, node: NodeId) -> &mut Slot {
-        let (shard, slot) = self.hosted(node);
         &mut self.shards[shard].slots[slot]
     }
 }
@@ -567,25 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn down_endpoints_drop_frames_and_refuse_sends() {
-        let mut node = daemon(2);
-        node.kill(NodeId::new(1));
-        assert!(!node.is_up(NodeId::new(1)));
-        assert!(
-            !node.try_send(NodeId::new(1), OutboundPacket::new(NodeId::new(0), 6)),
-            "down endpoint refuses work"
-        );
-        assert!(node.try_send(NodeId::new(0), OutboundPacket::new(NodeId::new(1), 6)));
-        for _ in 0..4 {
-            node.poll_round();
-        }
-        assert!(
-            node.stats().dropped_down > 0,
-            "frames for the dead node dropped"
-        );
-    }
-
-    #[test]
     fn a_burst_then_idleness_leaves_every_buffer_list_within_its_cap() {
         use nifdy_net::Packet;
         use nifdy_sim::PacketId;
@@ -604,7 +540,7 @@ mod tests {
         for n in node.endpoints().collect::<Vec<_>>() {
             let port = node
                 .supervised(n)
-                .expect("up")
+                .expect("hosted")
                 .endpoint()
                 .port()
                 .transport();
@@ -624,5 +560,6 @@ mod tests {
             node.poll_round();
         }
         assert!(node.stats().unroutable > 0);
+        assert!(node.supervised(NodeId::new(7)).is_none(), "not hosted");
     }
 }

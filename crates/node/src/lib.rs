@@ -22,8 +22,11 @@
 //!   delivery-order parity against the cycle-accurate simulation.
 //!
 //! The protocol state machine is untouched: each logical node is a plain
-//! [`nifdy::NifdyUnit`] under a [`Supervisor`](nifdy_wire::Supervisor), so
-//! PR 6's heartbeat/epoch recovery machinery works at daemon scale.
+//! [`nifdy::NifdyUnit`] inside a
+//! [`SupervisedEndpoint`](nifdy_wire::SupervisedEndpoint), so the
+//! heartbeat/epoch recovery machinery works at daemon scale. An endpoint
+//! restarts only with its process, as a new incarnation at
+//! [`NodeConfig::initial_epoch`] + 1.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

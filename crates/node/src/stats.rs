@@ -33,8 +33,9 @@ pub struct NodeStats {
     pub unroutable: u64,
     /// Carrier frames too short to carry a destination (no route peeked).
     pub foreign: u64,
-    /// Frames addressed to a hosted endpoint that was down (crashed
-    /// incarnation; the frame is dropped, exactly as a dead process would).
+    /// Always 0: a hosted endpoint is never down while its daemon runs.
+    /// Kept only because `nifdy-bench` sums it; remove it once the
+    /// benchmark does not.
     pub dropped_down: u64,
     /// Packets delivered across all shards.
     pub delivered: u64,

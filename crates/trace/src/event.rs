@@ -375,20 +375,13 @@ pub enum EventKind {
         /// The peer's new incarnation epoch.
         epoch: u32,
     },
-    /// A supervisor restarted its endpoint after a crash, with backoff.
-    EndpointRestart {
-        /// The new incarnation's epoch.
-        epoch: u32,
-        /// Backoff waited before this restart, in cycles.
-        backoff: u64,
-    },
 }
 
 impl EventKind {
     /// Number of `EventKind` variants. Kept next to the enum; the
     /// exporter-coverage fixture (`tests/exporter_coverage.rs`) matches
     /// every variant exhaustively and cross-checks this count.
-    pub const VARIANT_COUNT: usize = 28;
+    pub const VARIANT_COUNT: usize = 27;
 
     /// Stable event name (JSONL `ev` field and Perfetto slice name).
     pub const fn name(&self) -> &'static str {
@@ -420,7 +413,6 @@ impl EventKind {
             EventKind::Heartbeat { .. } => "heartbeat",
             EventKind::PeerDown { .. } => "peer_down",
             EventKind::PeerRestart { .. } => "peer_restart",
-            EventKind::EndpointRestart { .. } => "endpoint_restart",
         }
     }
 
@@ -444,7 +436,6 @@ impl EventKind {
                 | EventKind::WireFault { .. }
                 | EventKind::PeerDown { .. }
                 | EventKind::PeerRestart { .. }
-                | EventKind::EndpointRestart { .. }
         )
     }
 }

@@ -240,10 +240,6 @@ fn kind_args(kind: &EventKind) -> Json {
             ("peer", Json::u64(peer.index() as u64)),
             ("epoch", Json::u64(epoch as u64)),
         ]),
-        EventKind::EndpointRestart { epoch, backoff } => Json::obj([
-            ("epoch", Json::u64(epoch as u64)),
-            ("backoff", Json::u64(backoff)),
-        ]),
     }
 }
 

@@ -118,10 +118,6 @@ fn one_of_each() -> Vec<EventKind> {
             silent_for: 4_000,
         },
         EventKind::PeerRestart { peer: b, epoch: 3 },
-        EventKind::EndpointRestart {
-            epoch: 3,
-            backoff: 128,
-        },
     ]
 }
 
@@ -156,7 +152,6 @@ fn fixture_index(kind: &EventKind) -> usize {
         EventKind::Heartbeat { .. } => 24,
         EventKind::PeerDown { .. } => 25,
         EventKind::PeerRestart { .. } => 26,
-        EventKind::EndpointRestart { .. } => 27,
     }
 }
 

@@ -21,6 +21,11 @@
 //! implements that port by encoding on inject and decoding on eject.
 //! [`codec::decode`] is total — arbitrary bytes produce a
 //! [`WireError`], never a panic (property-tested).
+//!
+//! [`SupervisedEndpoint`] adds crash recovery: epoch-stamped heartbeats,
+//! peer-down detection, and a [`reset_peer`](nifdy::NifdyUnit::reset_peer)
+//! when a watched peer's epoch rises. A crashed endpoint comes back only as
+//! a new incarnation built at the next epoch.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,6 +53,6 @@ pub use codec::{
 pub use endpoint::WireEndpoint;
 pub use fault::{FaultyTransport, WireFaultConfig, WireFaultStats};
 pub use port::TransportPort;
-pub use supervisor::{PeerEvent, SupervisedEndpoint, Supervisor, SupervisorConfig};
+pub use supervisor::{PeerEvent, SupervisedEndpoint, SupervisorConfig};
 pub use transport::{BatchTransport, LoopbackHub, LoopbackTransport, Transport};
 pub use udp::{TransportError, UdpTransport};

@@ -17,13 +17,21 @@ use nifdy_trace::{trace_event, EventKind, TraceHandle};
 use crate::codec::{self, Heartbeat, WireFrame, WirePacket, WireSource};
 use crate::transport::Transport;
 
+/// Most received heartbeats a port holds unconsumed; past it the oldest
+/// goes. Only a [`SupervisedEndpoint`](crate::SupervisedEndpoint) drains
+/// them, once per step, so the cap must exceed what one tick can bring it —
+/// about one beacon per watched peer, and a full-scale swarm endpoint
+/// watches at most 255.
+const HEARTBEAT_BACKLOG: usize = 1024;
+
 /// One node's [`NetPort`] view of a byte [`Transport`].
 #[derive(Debug)]
 pub struct TransportPort<T: Transport> {
     transport: T,
     /// Decoded packets awaiting ejection, per lane.
     pending: [VecDeque<Packet>; 2],
-    /// Liveness beacons received and not yet [`pop_heartbeat`]ed.
+    /// Liveness beacons received and not yet [`pop_heartbeat`]ed, at most
+    /// [`HEARTBEAT_BACKLOG`].
     ///
     /// [`pop_heartbeat`]: TransportPort::pop_heartbeat
     heartbeats: VecDeque<Heartbeat>,
@@ -174,6 +182,9 @@ impl<T: Transport> TransportPort<T> {
                     me,
                     EventKind::FrameRecv { src, ack, bytes }
                 );
+                if self.heartbeats.len() == HEARTBEAT_BACKLOG {
+                    self.heartbeats.pop_front();
+                }
                 self.heartbeats.push_back(hb);
             }
             Ok(WireFrame::Packet(_) | WireFrame::Heartbeat(_)) => {
@@ -289,6 +300,26 @@ mod tests {
         b.tick();
         assert_eq!(b.foreign(), 1);
         assert!(b.peek_eject(NodeId::new(1), Lane::Request).is_none());
+    }
+
+    #[test]
+    fn an_unsupervised_endpoint_keeps_a_bounded_heartbeat_backlog() {
+        let hub = LoopbackHub::new(2, 0);
+        let mut tx = hub.endpoint(NodeId::new(1));
+        let node = NodeId::new(0);
+        let mut ep = crate::WireEndpoint::new(node, nifdy::NifdyConfig::mesh(), hub.endpoint(node));
+        let hb = Heartbeat {
+            src: NodeId::new(1),
+            dst: node,
+            epoch: 0,
+        };
+        for _ in 0..10_000 {
+            tx.send(node, Lane::Reply, codec::encode_heartbeat(&hb));
+        }
+        hub.tick();
+        ep.step();
+        let backlog = ep.port().heartbeats.len();
+        assert!(backlog <= HEARTBEAT_BACKLOG, "backlog {backlog}");
     }
 
     #[test]

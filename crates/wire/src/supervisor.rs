@@ -1,5 +1,5 @@
-//! Endpoint liveness and crash recovery: heartbeat beacons, peer-restart
-//! detection, and a supervised run loop with bounded jittered backoff.
+//! Endpoint liveness and crash recovery: heartbeat beacons and
+//! peer-restart detection.
 //!
 //! The protocol unit assumes its peer's interface state is durable — bulk
 //! dialogs, duplicate bits, and grants all persist "forever" in the paper's
@@ -13,11 +13,11 @@
 //!   event), and an **epoch increase** proves the peer restarted — the
 //!   survivor then calls [`NifdyUnit::reset_peer`](nifdy::NifdyUnit::reset_peer), tearing down dialogs
 //!   entangled with the dead incarnation so both sides can re-handshake
-//!   from a clean slate (`PeerRestart`);
-//! * a [`Supervisor`] owns an endpoint factory and restarts a killed
-//!   endpoint after a bounded, seeded-jitter backoff
-//!   (`min(64·2ᵃᵗᵗᵉᵐᵖᵗˢ, 4 096) + jitter` cycles), bumping the epoch each time
-//!   (`EndpointRestart`).
+//!   from a clean slate (`PeerRestart`).
+//!
+//! A crashed endpoint comes back only as a new incarnation: a fresh
+//! [`SupervisedEndpoint`] built at the next epoch on the same address (a
+//! restarted process passes it in). Nothing here schedules restarts.
 //!
 //! Silence alone never resets protocol state: a partitioned peer that
 //! reappears with the *same* epoch resumes exactly where it left off (its
@@ -26,30 +26,13 @@
 
 use std::collections::BTreeMap;
 
-use nifdy_sim::{Cycle, NodeId, SimRng, Wakeup};
+use nifdy_sim::{Cycle, NodeId, Wakeup};
 use nifdy_trace::{trace_event, EventKind, TraceHandle};
 
 use crate::endpoint::WireEndpoint;
 use crate::transport::Transport;
 
-/// Stream id for the supervisor's backoff jitter, decorrelated from the
-/// chaos plane (`0xFA27_xxxx`) and the loopback jitter stream (`0x17e`).
-const SUPERVISOR_STREAM: u64 = 0xBAC0_0000;
-
-/// Backoff before the first restart attempt, in cycles; each further
-/// restart doubles it.
-const BACKOFF_BASE: u64 = 64;
-
-/// Upper bound on the exponential restart backoff, in cycles.
-const BACKOFF_MAX: u64 = 4_096;
-
-/// Uniform seeded jitter `0..=BACKOFF_JITTER` added to each backoff, so
-/// simultaneously-killed endpoints do not restart in lockstep.
-const BACKOFF_JITTER: u64 = 32;
-
-/// Timing knobs for heartbeats and liveness detection, in cycles. The
-/// restart backoff is fixed: `min(64·2ᵃᵗᵗᵉᵐᵖᵗˢ, 4 096)` plus up to 32
-/// cycles of seeded jitter.
+/// Timing knobs for heartbeats and liveness detection, in cycles.
 ///
 /// # Examples
 ///
@@ -172,8 +155,8 @@ impl<T: Transport> SupervisedEndpoint<T> {
     pub fn new(ep: WireEndpoint<T>, cfg: SupervisorConfig, epoch: u32) -> Self {
         #[expect(
             clippy::panic,
-            reason = "documented contract; the Supervisor validates the same config before \
-                      its first incarnation, so a restart repeats a check that passed"
+            reason = "documented contract; the daemon's `NodeConfig::validate` runs the same \
+                      check before it builds any endpoint"
         )]
         if let Err(why) = cfg.validate() {
             panic!("invalid supervisor config: {why}");
@@ -191,6 +174,14 @@ impl<T: Transport> SupervisedEndpoint<T> {
     }
 
     /// Adds a peer to the heartbeat broadcast and liveness watch list.
+    ///
+    /// Beacons from unwatched nodes are ignored, so a peer's restart is
+    /// detected (and [`NifdyUnit::reset_peer`] called) only if that peer
+    /// is watched: the list must include every node that sends to this
+    /// endpoint, or a stale dup bit for a restarted sender can swallow
+    /// its new incarnation's first packet.
+    ///
+    /// [`NifdyUnit::reset_peer`]: nifdy::NifdyUnit::reset_peer
     pub fn watch(&mut self, peer: NodeId) {
         if !self.watched.contains(&peer) {
             self.watched.push(peer);
@@ -242,18 +233,22 @@ impl<T: Transport> SupervisedEndpoint<T> {
 
     /// When this supervised endpoint next needs a [`step`](Self::step),
     /// under the [`Wakeup`] contract: the earliest of the protocol unit's
-    /// own wakeup, the next heartbeat-broadcast deadline, and the earliest
-    /// watched peer's silence deadline. Frames still inside the transport
-    /// are invisible here, exactly as for [`WireEndpoint::next_event`] — an
-    /// event-driven driver must also consult the transport's clock.
+    /// own wakeup, the next heartbeat-broadcast deadline (none while the
+    /// watch list is empty: a broadcast to nobody is no work), and the
+    /// earliest watched peer's silence deadline. Frames still inside the
+    /// transport are invisible here, exactly as for
+    /// [`WireEndpoint::next_event`] — an event-driven driver must also
+    /// consult the transport's clock.
     pub fn next_event(&self) -> Wakeup {
         let now = self.ep.now();
         let mut wake = self.ep.next_event();
-        wake = wake.earliest(match self.last_beat {
-            // Never beaten: the next step broadcasts immediately.
-            None => Wakeup::Now,
-            Some(at) => Wakeup::at_or_now(at + self.cfg.heartbeat_every, now),
-        });
+        if !self.watched.is_empty() {
+            wake = wake.earliest(match self.last_beat {
+                // Never beaten: the next step broadcasts immediately.
+                None => Wakeup::Now,
+                Some(at) => Wakeup::at_or_now(at + self.cfg.heartbeat_every, now),
+            });
+        }
         for state in self.peers.values() {
             if !state.down {
                 wake = wake.earliest(Wakeup::at_or_now(
@@ -307,6 +302,9 @@ impl<T: Transport> SupervisedEndpoint<T> {
                     state.epoch = hb.epoch;
                     state.down = false;
                 }
+                // A beacon from a node we never watched (stray or forged)
+                // creates no state, so it can never raise a `PeerDown`.
+                None if !self.watched.contains(&hb.src) => {}
                 None => {
                     self.peers.insert(
                         hb.src,
@@ -368,182 +366,6 @@ impl<T: Transport> SupervisedEndpoint<T> {
                 self.events.push(PeerEvent::Down { peer, silent_for });
             }
         }
-    }
-}
-
-/// Owns an endpoint factory and keeps one [`SupervisedEndpoint`] running:
-/// [`kill`](Supervisor::kill) simulates a crash (all endpoint state is
-/// dropped), and [`step`](Supervisor::step) restarts a fresh incarnation —
-/// next epoch — once the bounded jittered backoff elapses.
-///
-/// The supervisor is driven by an external clock (`step(now)`) because
-/// during downtime there is no transport to ask for the time.
-pub struct Supervisor<T: Transport, F: FnMut() -> WireEndpoint<T>> {
-    factory: F,
-    cfg: SupervisorConfig,
-    watched: Vec<NodeId>,
-    ep: Option<SupervisedEndpoint<T>>,
-    epoch: u32,
-    restarts: u32,
-    restart_at: Option<(Cycle, u64)>,
-    rng: SimRng,
-    trace: TraceHandle,
-}
-
-impl<T: Transport, F: FnMut() -> WireEndpoint<T>> std::fmt::Debug for Supervisor<T, F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Supervisor")
-            .field("epoch", &self.epoch)
-            .field("restarts", &self.restarts)
-            .field("up", &self.ep.is_some())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<T: Transport, F: FnMut() -> WireEndpoint<T>> Supervisor<T, F> {
-    /// Builds the supervisor and starts its first incarnation immediately,
-    /// announcing `epoch` (0 for a fresh system). `watched` lists the peers
-    /// every incarnation heartbeats and monitors; `seed` feeds the backoff
-    /// jitter. A daemon process restarted *from outside* (its whole OS
-    /// process died) passes the next epoch so surviving peers see the epoch
-    /// increase and reset their entangled protocol state — the in-process
-    /// restart path bumps the epoch itself, but a fresh process has no
-    /// memory of the old incarnation's count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails [`SupervisorConfig::validate`].
-    pub fn new(
-        cfg: SupervisorConfig,
-        watched: Vec<NodeId>,
-        mut factory: F,
-        seed: u64,
-        epoch: u32,
-    ) -> Self {
-        let ep = Self::incarnate(&mut factory, cfg, &watched, epoch, TraceHandle::off());
-        let node = ep.endpoint().node().index() as u64;
-        Supervisor {
-            factory,
-            cfg,
-            watched,
-            ep: Some(ep),
-            epoch,
-            restarts: 0,
-            restart_at: None,
-            rng: SimRng::from_seed_stream(seed, SUPERVISOR_STREAM | node),
-            trace: TraceHandle::off(),
-        }
-    }
-
-    fn incarnate(
-        factory: &mut F,
-        cfg: SupervisorConfig,
-        watched: &[NodeId],
-        epoch: u32,
-        trace: TraceHandle,
-    ) -> SupervisedEndpoint<T> {
-        let mut sup = SupervisedEndpoint::new(factory(), cfg, epoch);
-        for &peer in watched {
-            sup.watch(peer);
-        }
-        sup.attach_trace(trace);
-        sup
-    }
-
-    /// Connects current and future incarnations to a flight recorder.
-    pub fn attach_trace(&mut self, trace: TraceHandle) {
-        if let Some(ep) = &mut self.ep {
-            ep.attach_trace(trace.clone());
-        }
-        self.trace = trace;
-    }
-
-    /// Whether an incarnation is currently running.
-    pub fn is_up(&self) -> bool {
-        self.ep.is_some()
-    }
-
-    /// The current (or, while down, the most recent) epoch.
-    pub fn epoch(&self) -> u32 {
-        self.epoch
-    }
-
-    /// Completed restarts so far.
-    pub fn restarts(&self) -> u32 {
-        self.restarts
-    }
-
-    /// The running incarnation, if up.
-    pub fn endpoint(&self) -> Option<&SupervisedEndpoint<T>> {
-        self.ep.as_ref()
-    }
-
-    /// The running incarnation, mutably, if up.
-    pub fn endpoint_mut(&mut self) -> Option<&mut SupervisedEndpoint<T>> {
-        self.ep.as_mut()
-    }
-
-    /// Simulates a crash: the incarnation and **all** its protocol state
-    /// are dropped on the floor (no goodbye frames), and a restart is
-    /// scheduled after `min(BACKOFF_BASE·2ᵃᵗᵗᵉᵐᵖᵗˢ, BACKOFF_MAX)` plus seeded
-    /// jitter of up to `BACKOFF_JITTER`.
-    pub fn kill(&mut self, now: Cycle) {
-        if self.ep.take().is_none() {
-            return;
-        }
-        let shift = self.restarts.min(63);
-        let exp = BACKOFF_BASE.saturating_mul(1u64 << shift);
-        let backoff = exp.min(BACKOFF_MAX) + self.rng.next_u64() % (BACKOFF_JITTER + 1);
-        self.restart_at = Some((now + backoff, backoff));
-    }
-
-    /// When this supervisor next needs a [`step`](Self::step): the running
-    /// incarnation's wakeup while up, the restart deadline while down, and
-    /// [`Wakeup::Quiescent`] when down with no restart scheduled (nothing
-    /// short of external input — a [`kill`](Self::kill) — changes that).
-    pub fn next_event(&self, now: Cycle) -> Wakeup {
-        match &self.ep {
-            Some(ep) => ep.next_event(),
-            None => match self.restart_at {
-                Some((at, _)) => Wakeup::at_or_now(at, now),
-                None => Wakeup::Quiescent,
-            },
-        }
-    }
-
-    /// One cycle: step the running incarnation, or — while down — restart
-    /// once the backoff deadline passes `now`.
-    pub fn step(&mut self, now: Cycle) {
-        if let Some(ep) = &mut self.ep {
-            ep.step();
-            return;
-        }
-        let Some((at, backoff)) = self.restart_at else {
-            return;
-        };
-        if now < at {
-            return;
-        }
-        self.restart_at = None;
-        self.epoch = self.epoch.wrapping_add(1);
-        self.restarts += 1;
-        let ep = Self::incarnate(
-            &mut self.factory,
-            self.cfg,
-            &self.watched,
-            self.epoch,
-            self.trace.clone(),
-        );
-        trace_event!(
-            self.trace,
-            now,
-            ep.endpoint().node(),
-            EventKind::EndpointRestart {
-                epoch: self.epoch,
-                backoff,
-            }
-        );
-        self.ep = Some(ep);
     }
 }
 
@@ -676,52 +498,36 @@ mod tests {
     }
 
     #[test]
-    fn supervisor_restarts_after_bounded_backoff() {
-        let hub = LoopbackHub::new(2, 1);
+    fn a_beacon_from_an_unwatched_node_leaves_no_state() {
+        let hub = LoopbackHub::new(3, 1);
         let cfg = SupervisorConfig::default()
             .with_heartbeat_every(8)
             .with_peer_timeout(40);
+        let [mut zero, _] = pair(&hub, cfg);
+        let stray = crate::codec::Heartbeat {
+            src: NodeId::new(2),
+            dst: NodeId::new(0),
+            epoch: 0,
+        };
+        let frame = crate::codec::encode_heartbeat(&stray);
+        hub.endpoint(stray.src)
+            .send(stray.dst, nifdy_net::Lane::Reply, frame);
+        for _ in 0..200 {
+            zero.step();
+            hub.tick();
+        }
+        assert!(zero.peers.is_empty(), "{:?}", zero.peers);
+        assert_eq!(zero.take_peer_events(), []);
+    }
+
+    #[test]
+    fn an_endpoint_watching_nobody_goes_quiescent() {
+        let hub = LoopbackHub::new(1, 1);
         let node = NodeId::new(0);
-        let hub2 = hub.clone();
-        let mut sup = Supervisor::new(
-            cfg,
-            vec![NodeId::new(1)],
-            move || WireEndpoint::new(node, NifdyConfig::mesh(), hub2.endpoint(node)),
-            7,
-            0,
-        );
-        assert!(sup.is_up());
-        assert_eq!(sup.epoch(), 0);
-        sup.kill(Cycle::new(100));
-        assert!(!sup.is_up());
-        sup.step(Cycle::new(100));
-        assert!(!sup.is_up(), "backoff holds the restart");
-        let mut restarted_at = None;
-        for t in 101..400 {
-            sup.step(Cycle::new(t));
-            if sup.is_up() {
-                restarted_at = Some(t);
-                break;
-            }
-        }
-        let t = restarted_at.expect("restarted within the bound");
-        let first = 100 + BACKOFF_BASE..=100 + BACKOFF_BASE + BACKOFF_JITTER;
-        assert!(first.contains(&t), "base + jitter, got {t}");
-        assert_eq!(sup.epoch(), 1);
-        assert_eq!(sup.restarts(), 1);
-        // Second crash backs off twice as far.
-        sup.kill(Cycle::new(500));
-        let mut second = None;
-        for t in 500..900 {
-            sup.step(Cycle::new(t));
-            if sup.is_up() {
-                second = Some(t);
-                break;
-            }
-        }
-        let t = second.expect("second restart");
-        let doubled = 500 + 2 * BACKOFF_BASE..=500 + 2 * BACKOFF_BASE + BACKOFF_JITTER;
-        assert!(doubled.contains(&t), "base doubled, got {t}");
+        let ep = WireEndpoint::new(node, NifdyConfig::mesh(), hub.endpoint(node));
+        let mut sup = SupervisedEndpoint::new(ep, SupervisorConfig::default(), 0);
+        sup.step();
+        assert_eq!(sup.next_event(), Wakeup::Quiescent);
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! End-to-end crash recovery: a supervised endpoint is killed mid-run —
-//! losing every byte of protocol state — restarts after a bounded backoff,
-//! and the two-node rotation workload still completes. Recovery must be
-//! *visible*: the flight recorder has to show the restart, the survivor's
-//! epoch-based detection, and the typed teardown of state entangled with
-//! the dead incarnation.
+//! End-to-end crash recovery: a supervised endpoint is dropped mid-run —
+//! losing every byte of protocol state — and after a down window a new
+//! incarnation at the next epoch takes over its hub address; the two-node
+//! rotation workload still completes. Recovery must be *visible*: the
+//! flight recorder has to show the survivor flagging the silence, its
+//! epoch-based detection of the restart, and the typed teardown of state
+//! entangled with the dead incarnation.
 
 use std::collections::BTreeSet;
 
@@ -11,11 +12,17 @@ use nifdy::{NifdyConfig, OutboundPacket};
 use nifdy_net::UserData;
 use nifdy_sim::{Cycle, NodeId, Wakeup};
 use nifdy_trace::{TraceConfig, TraceHandle};
-use nifdy_wire::{LoopbackHub, SupervisedEndpoint, Supervisor, SupervisorConfig, WireEndpoint};
+use nifdy_wire::{
+    LoopbackHub, LoopbackTransport, SupervisedEndpoint, SupervisorConfig, WireEndpoint,
+};
 
 const MESSAGES: u64 = 3;
 const PACKETS_PER_MESSAGE: u32 = 4;
 const SIZE_WORDS: u16 = 6;
+/// Cycles node 1 stays dead: longer than the 40-cycle `peer_timeout`, so
+/// the survivor visibly flags the peer down before the new incarnation
+/// announces itself.
+const DOWN_WINDOW: u64 = 80;
 
 fn node(i: usize) -> NodeId {
     NodeId::new(i)
@@ -43,6 +50,24 @@ fn protocol_config() -> NifdyConfig {
         .with_retx_budget(6)
 }
 
+/// Incarnation `epoch` of node `me` on its hub address, watching the other
+/// node: a fresh endpoint that knows nothing of any earlier incarnation.
+fn incarnation(
+    hub: &LoopbackHub,
+    me: usize,
+    epoch: u32,
+    trace: &TraceHandle,
+) -> SupervisedEndpoint<LoopbackTransport> {
+    let cfg = SupervisorConfig::default()
+        .with_heartbeat_every(16)
+        .with_peer_timeout(40);
+    let ep = WireEndpoint::new(node(me), protocol_config(), hub.endpoint(node(me)));
+    let mut sup = SupervisedEndpoint::new(ep, cfg, epoch);
+    sup.watch(node(1 - me));
+    sup.attach_trace(trace.clone());
+    sup
+}
+
 /// The application-level reliability shim a real system would run above
 /// the interface: anything not confirmed delivered gets re-offered after a
 /// failure. The test's "omniscient" confirmation (reading the receiver's
@@ -60,38 +85,11 @@ fn refill(remaining: &mut Vec<UserData>, all: &[UserData], delivered: &BTreeSet<
 #[test]
 fn killed_endpoint_recovers_and_the_rotation_completes() {
     let hub = LoopbackHub::new(2, 1);
-    let sup_cfg = SupervisorConfig::default()
-        .with_heartbeat_every(16)
-        // Below the fixed 64-cycle restart backoff, so the survivor visibly
-        // flags the peer down before the new incarnation announces itself.
-        .with_peer_timeout(40);
     let trace = TraceHandle::recording(TraceConfig::new().with_capacity_per_node(1 << 16));
 
-    // Node 0 survives the whole run.
-    let mut n0 = SupervisedEndpoint::new(
-        WireEndpoint::new(node(0), protocol_config(), hub.endpoint(node(0))),
-        sup_cfg,
-        0,
-    );
-    n0.watch(node(1));
-    n0.attach_trace(trace.clone());
-
-    // Node 1 runs under a supervisor and will be killed mid-run.
-    let hub_for_factory = hub.clone();
-    let mut sup = Supervisor::new(
-        sup_cfg,
-        vec![node(0)],
-        move || {
-            WireEndpoint::new(
-                node(1),
-                protocol_config(),
-                hub_for_factory.endpoint(node(1)),
-            )
-        },
-        42,
-        0,
-    );
-    sup.attach_trace(trace.clone());
+    // Node 0 survives the whole run; node 1 is dropped mid-run.
+    let mut n0 = incarnation(&hub, 0, 0, &trace);
+    let mut n1 = Some(incarnation(&hub, 1, 0, &trace));
 
     let all0 = workload(0); // node 0 -> node 1
     let all1 = workload(1); // node 1 -> node 0
@@ -100,15 +98,15 @@ fn killed_endpoint_recovers_and_the_rotation_completes() {
     let mut delivered_at_1 = BTreeSet::new();
     let mut delivered_at_0 = BTreeSet::new();
     let mut n0_failures = 0usize;
-    let mut killed = false;
-    let mut last_epoch = 0;
+    let mut restart_at = None;
+    let mut restarts = 0;
 
     let total = all0.len();
     for cycle in 0..120_000u64 {
         // Crash node 1 once real traffic is flowing in both directions.
-        if !killed && delivered_at_1.len() >= 4 && delivered_at_0.len() >= 4 {
-            sup.kill(hub.now());
-            killed = true;
+        if restart_at.is_none() && delivered_at_1.len() >= 4 && delivered_at_0.len() >= 4 {
+            n1 = None;
+            restart_at = Some(hub.now().as_u64() + DOWN_WINDOW);
         }
 
         // Node 0: feed, step, poll, and re-offer anything that failed.
@@ -130,17 +128,19 @@ fn killed_endpoint_recovers_and_the_rotation_completes() {
             refill(&mut remaining0, &all0, &delivered_at_1);
         }
 
-        // Node 1: under supervision; a fresh incarnation knows nothing, so
-        // its send queue is rebuilt from what provably arrived.
-        sup.step(hub.now());
-        if sup.epoch() > last_epoch {
-            last_epoch = sup.epoch();
+        // Node 1: once the down window is over, a new incarnation at the
+        // next epoch knows nothing, so its send queue is rebuilt from what
+        // provably arrived.
+        if n1.is_none() && restart_at.is_some_and(|at| hub.now().as_u64() >= at) {
+            n1 = Some(incarnation(&hub, 1, 1, &trace));
+            restarts += 1;
             refill(&mut remaining1, &all1, &delivered_at_0);
             // The survivor's outbound state may already be poisoned against
             // the dead incarnation; re-offer its remainder too.
             refill(&mut remaining0, &all0, &delivered_at_1);
         }
-        if let Some(ep) = sup.endpoint_mut() {
+        if let Some(ep) = n1.as_mut() {
+            ep.step();
             if let Some(user) = remaining1.last().copied() {
                 let pkt = OutboundPacket::new(node(0), SIZE_WORDS)
                     .with_bulk(true)
@@ -157,15 +157,18 @@ fn killed_endpoint_recovers_and_the_rotation_completes() {
 
         hub.tick();
 
-        if delivered_at_1.len() == total && delivered_at_0.len() == total && killed {
+        if delivered_at_1.len() == total && delivered_at_0.len() == total && restarts > 0 {
             assert!(cycle > 0);
             break;
         }
     }
 
-    assert!(killed, "the crash was never triggered — workload too small");
-    assert_eq!(sup.restarts(), 1, "exactly one restart");
-    assert_eq!(sup.epoch(), 1);
+    assert!(
+        restart_at.is_some(),
+        "the crash was never triggered — workload too small"
+    );
+    assert_eq!(restarts, 1, "exactly one restart");
+    assert_eq!(n1.as_ref().map(SupervisedEndpoint::epoch), Some(1));
     assert_eq!(
         delivered_at_1.len(),
         total,
@@ -183,13 +186,7 @@ fn killed_endpoint_recovers_and_the_rotation_completes() {
 
     // Recovery must be visible in the flight recorder as typed events.
     let names: BTreeSet<&'static str> = trace.snapshot().iter().map(|ev| ev.kind.name()).collect();
-    for required in [
-        "heartbeat",
-        "peer_down",
-        "endpoint_restart",
-        "peer_restart",
-        "dialog_close",
-    ] {
+    for required in ["heartbeat", "peer_down", "peer_restart", "dialog_close"] {
         assert!(
             names.contains(required),
             "recovery left no {required:?} event in the trace; saw {names:?}"
@@ -199,43 +196,19 @@ fn killed_endpoint_recovers_and_the_rotation_completes() {
 
 /// The same crash-and-recover rotation, driven event-style: instead of
 /// stepping every hub cycle, the driver asks each component when it next
-/// needs work ([`SupervisedEndpoint::next_event`], [`Supervisor::next_event`],
-/// [`LoopbackHub::next_delivery`]) and jumps the clock to the earliest
-/// deadline. Under the [`Wakeup`] contract the skipped cycles are no-ops,
-/// so the run must still complete — through a kill, a backoff window, and
-/// a restart — while stepping far fewer rounds than the backoff window
-/// spans.
+/// needs work ([`SupervisedEndpoint::next_event`],
+/// [`LoopbackHub::next_delivery`], and its own restart deadline) and jumps
+/// the clock to the earliest. Under the [`Wakeup`] contract the skipped
+/// cycles are no-ops, so the run must still complete — through a crash, a
+/// down window, and a restart — while stepping far fewer rounds than the
+/// down window spans.
 #[test]
 fn event_driven_driver_recovers_with_fewer_stepped_rounds() {
     let hub = LoopbackHub::new(2, 1);
-    let sup_cfg = SupervisorConfig::default()
-        .with_heartbeat_every(16)
-        .with_peer_timeout(40);
     let trace = TraceHandle::recording(TraceConfig::new().with_capacity_per_node(1 << 16));
 
-    let mut n0 = SupervisedEndpoint::new(
-        WireEndpoint::new(node(0), protocol_config(), hub.endpoint(node(0))),
-        sup_cfg,
-        0,
-    );
-    n0.watch(node(1));
-    n0.attach_trace(trace.clone());
-
-    let hub_for_factory = hub.clone();
-    let mut sup = Supervisor::new(
-        sup_cfg,
-        vec![node(0)],
-        move || {
-            WireEndpoint::new(
-                node(1),
-                protocol_config(),
-                hub_for_factory.endpoint(node(1)),
-            )
-        },
-        42,
-        0,
-    );
-    sup.attach_trace(trace.clone());
+    let mut n0 = incarnation(&hub, 0, 0, &trace);
+    let mut n1 = Some(incarnation(&hub, 1, 0, &trace));
 
     let all0 = workload(0);
     let all1 = workload(1);
@@ -243,13 +216,11 @@ fn event_driven_driver_recovers_with_fewer_stepped_rounds() {
     let mut remaining1: Vec<UserData> = all1.iter().rev().copied().collect();
     let mut delivered_at_1 = BTreeSet::new();
     let mut delivered_at_0 = BTreeSet::new();
-    let mut killed = false;
-    let mut last_epoch = 0;
     let mut stepped = 0u64;
-    // Rounds stepped from the kill through the restart, and the cycle of
+    // Rounds stepped from the crash through the restart, and the cycle of
     // each end of that window.
     let mut down_rounds = 0u64;
-    let (mut killed_at, mut restarted_at) = (0u64, 0u64);
+    let (mut killed_at, mut restarted_at) = (None, None);
 
     let total = all0.len();
     let bound = Cycle::new(120_000);
@@ -258,16 +229,16 @@ fn event_driven_driver_recovers_with_fewer_stepped_rounds() {
         stepped += 1;
         // `active` records whether this round performed external input the
         // components cannot predict (a fed packet, a consumed delivery, a
-        // failure-driven re-offer); only then must the very next cycle be
-        // stepped too. Otherwise the components' own wakeups are trusted.
+        // failure-driven re-offer, a crash or restart); only then must the
+        // very next cycle be stepped too. Otherwise the components' own
+        // wakeups are trusted.
         let mut active = false;
-        if !killed && delivered_at_1.len() >= 4 && delivered_at_0.len() >= 4 {
-            sup.kill(hub.now());
-            killed_at = hub.now().as_u64();
-            killed = true;
+        if killed_at.is_none() && delivered_at_1.len() >= 4 && delivered_at_0.len() >= 4 {
+            n1 = None;
+            killed_at = Some(hub.now().as_u64());
             active = true;
         }
-        if killed && !sup.is_up() {
+        if n1.is_none() {
             down_rounds += 1;
         }
 
@@ -290,15 +261,16 @@ fn event_driven_driver_recovers_with_fewer_stepped_rounds() {
             active = true;
         }
 
-        sup.step(hub.now());
-        if sup.epoch() > last_epoch {
-            restarted_at = hub.now().as_u64();
-            last_epoch = sup.epoch();
+        let restart_due = killed_at.map(|at| at + DOWN_WINDOW);
+        if n1.is_none() && restart_due.is_some_and(|at| hub.now().as_u64() >= at) {
+            n1 = Some(incarnation(&hub, 1, 1, &trace));
+            restarted_at = Some(hub.now().as_u64());
             refill(&mut remaining1, &all1, &delivered_at_0);
             refill(&mut remaining0, &all0, &delivered_at_1);
             active = true;
         }
-        if let Some(ep) = sup.endpoint_mut() {
+        if let Some(ep) = n1.as_mut() {
+            ep.step();
             if let Some(user) = remaining1.last().copied() {
                 let pkt = OutboundPacket::new(node(0), SIZE_WORDS)
                     .with_bulk(true)
@@ -316,22 +288,29 @@ fn event_driven_driver_recovers_with_fewer_stepped_rounds() {
         }
 
         hub.tick();
-        if delivered_at_1.len() == total && delivered_at_0.len() == total && killed {
+        if delivered_at_1.len() == total && delivered_at_0.len() == total && restarted_at.is_some()
+        {
             done = true;
             break;
         }
 
-        // Skip ahead: the earliest of both components' wakeups and the
-        // hub's next frame delivery. `WireEndpoint::next_event` cannot see
-        // frames still inside the transport, so the hub's clock is folded
-        // in explicitly, exactly as its docs demand.
+        // Skip ahead: the earliest of the live components' wakeups, the
+        // restart deadline while node 1 is down, and the hub's next frame
+        // delivery. `WireEndpoint::next_event` cannot see frames still
+        // inside the transport, so the hub's clock is folded in explicitly,
+        // exactly as its docs demand.
         let now = hub.now();
-        let mut wake = n0.next_event().earliest(sup.next_event(now));
+        let mut wake = n0.next_event();
+        match (&n1, restart_due) {
+            (Some(ep), _) => wake = wake.earliest(ep.next_event()),
+            (None, Some(at)) => wake = wake.earliest(Wakeup::at_or_now(Cycle::new(at), now)),
+            (None, None) => {}
+        }
         // A deadline already in the past is a frame addressed to the down
         // node: every live endpoint is stepped at each deliverable cycle,
         // so only a dead destination can leave one behind. It stays
-        // undeliverable until the restart, whose deadline the supervisor's
-        // wakeup above already carries.
+        // undeliverable until the restart, whose deadline is folded in
+        // above.
         if let Some(at) = hub.next_delivery() {
             if at >= now.as_u64() {
                 wake = wake.earliest(Wakeup::at_or_now(Cycle::new(at), now));
@@ -348,19 +327,20 @@ fn event_driven_driver_recovers_with_fewer_stepped_rounds() {
 
     let elapsed = hub.now().as_u64();
     assert!(done, "rotation did not complete by cycle {elapsed}");
-    assert!(killed, "the crash was never triggered");
-    assert_eq!(sup.restarts(), 1, "exactly one restart");
-    assert_eq!(sup.epoch(), 1);
-    let backoff = restarted_at - killed_at;
+    let (Some(killed_at), Some(restarted_at)) = (killed_at, restarted_at) else {
+        panic!("the crash or the restart never happened");
+    };
+    assert_eq!(n1.as_ref().map(SupervisedEndpoint::epoch), Some(1));
+    let window = restarted_at - killed_at;
     assert!(
-        down_rounds * 2 < backoff,
-        "skip-ahead stepped {down_rounds} rounds over the {backoff}-cycle backoff \
-         ({stepped} over {elapsed} in all) — the backoff and retransmission \
+        down_rounds * 2 < window,
+        "skip-ahead stepped {down_rounds} rounds over the {window}-cycle down window \
+         ({stepped} over {elapsed} in all) — the down and retransmission \
          windows were not skipped"
     );
 
     let names: BTreeSet<&'static str> = trace.snapshot().iter().map(|ev| ev.kind.name()).collect();
-    for required in ["endpoint_restart", "peer_restart"] {
+    for required in ["peer_down", "peer_restart"] {
         assert!(
             names.contains(required),
             "recovery left no {required:?} event in the trace; saw {names:?}"
