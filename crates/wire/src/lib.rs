@@ -12,9 +12,9 @@
 //!   conformance suite (one [`conformance::run`] loop over any
 //!   [`conformance::NodeSet`], fed by the [`scenarios`] table) to prove the
 //!   wire stack delivers exactly what the simulated fabric delivers;
-//! * [`UdpTransport`] — one real UDP socket per node, so OS-level loss,
-//!   duplication, and reordering exercise the §6 retransmission and
-//!   duplicate-bit machinery.
+//! * [`UdpTransport`] — real UDP sockets (one to receive per node, one
+//!   connected sender per peer), so OS-level loss, duplication, and
+//!   reordering exercise the §6 retransmission and duplicate-bit machinery.
 //!
 //! The protocol state machine is [`nifdy::NifdyUnit`], unchanged: the unit
 //! steps against a [`NetPort`](nifdy_net::NetPort), and [`TransportPort`]
@@ -27,7 +27,9 @@
 //! when a watched peer's epoch rises. A crashed endpoint comes back only as
 //! a new incarnation built at the next epoch.
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the one exception is the UDP carrier's syscall
+// module (`udp/sys.rs`), under a reasoned `#[expect(unsafe_code)]`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 // Whole-crate panic-freedom and exhaustive matches (DESIGN.md §10): a deliberate
 // contract panic or open match carries `#[expect(<lint>, reason = "…")]` at the site.

@@ -1,11 +1,22 @@
-//! Real-datagram transport: one UDP socket per node.
+//! Real-datagram transport: one receive socket per node, plus one connected
+//! send socket per peer.
 //!
 //! Each NIFDY endpoint binds its own socket; frames travel as genuine
 //! datagrams, so the operating system's loss, duplication, and reordering
 //! behavior exercises the §6 retransmission and duplicate-bit machinery for
-//! real. Both lanes share the node's one socket — the lane bit in the frame
-//! header (byte 0) classifies received datagrams, mirroring how the paper's
-//! two logical networks can share a physical link.
+//! real. Both lanes share the node's one receive socket — the lane bit in
+//! the frame header (byte 0) classifies received datagrams, mirroring how
+//! the paper's two logical networks can share a physical link.
+//!
+//! Sending goes through a separate socket per peer, connected to that
+//! peer's receive address. A connected socket spares the kernel the
+//! per-datagram route lookup an addressed `send_to` pays, and a socket that
+//! only ever carries one peer's frames lets one `sendmmsg` carry all of a
+//! batch's frames for that peer. Frames to different peers leave on
+//! different sockets, so the carrier adds no reordering of its own. On
+//! Linux both directions are batched — `sendmmsg` per peer per batch, a
+//! `recvmmsg` ring per tick (the `sys` module, the workspace's only
+//! `unsafe`); elsewhere each datagram is one `send` or `recv`.
 
 #![expect(
     clippy::disallowed_types,
@@ -23,9 +34,28 @@ use nifdy_sim::{Cycle, NodeId};
 
 use crate::transport::{BatchTransport, Transport};
 
+#[cfg(any(not(target_os = "linux"), test))]
+mod portable;
+#[cfg(target_os = "linux")]
+mod sys;
+
+#[cfg(not(target_os = "linux"))]
+use portable::{RecvRing, SendBatch};
+#[cfg(target_os = "linux")]
+use sys::{RecvRing, SendBatch};
+
 /// Largest datagram the receive path accepts. Comfortably above the largest
-/// encodable frame for the packet sizes any experiment uses.
+/// encodable frame for the packet sizes any experiment uses, and above the
+/// largest UDP payload, so no datagram is ever truncated.
 const MAX_DATAGRAM: usize = 64 * 1024;
+
+/// Datagrams one batched receive can return.
+const RING_SLOTS: usize = 32;
+
+/// Bytes of each ring slot kept beside the other slots' first bytes: every
+/// frame of up to 511 words fits, and longer ones spill into the slot's own
+/// tail, so a tick of short frames touches a few pages, not 32 × 64 KiB.
+const RING_HEAD: usize = 2048;
 
 /// Spent frame buffers kept for reuse; beyond this they are freed.
 const POOL_CAP: usize = 256;
@@ -47,7 +77,9 @@ const EMSGSIZE: i32 = 90;
 /// configuration or environment problem the caller must see.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransportError {
-    /// The socket operation that failed: `"send"` or `"recv"`.
+    /// The socket operation that failed: `"send"`, `"recv"`, or
+    /// `"connect"` (creating a peer's send socket in
+    /// [`UdpTransport::add_peer`]).
     pub op: &'static str,
     /// The std io error classification.
     pub kind: ErrorKind,
@@ -65,7 +97,52 @@ impl std::fmt::Display for TransportError {
     }
 }
 
-/// A [`Transport`] backed by one UDP socket.
+/// The transport's loss and failure accounting, apart from the sockets so
+/// a send loop can count while it borrows a peer's socket.
+#[derive(Debug, Default)]
+struct Counts {
+    send_errors: u64,
+    unknown_peer: u64,
+    refused: u64,
+    oversize: u64,
+    runt: u64,
+    last_error: Option<TransportError>,
+    transport_errors: u64,
+    dropped_errors: u64,
+}
+
+impl Counts {
+    fn stash_error(&mut self, op: &'static str, e: &std::io::Error) {
+        self.transport_errors += 1;
+        if self.last_error.is_some() {
+            // Keep the first error: it is the root cause, and the caller
+            // has not read it yet. Count the loss instead of hiding it.
+            self.dropped_errors += 1;
+            return;
+        }
+        self.last_error = Some(TransportError {
+            op,
+            kind: e.kind(),
+            detail: e.to_string(),
+        });
+    }
+
+    /// Classifies one datagram's send failure: refused and oversize are
+    /// network weather; the rest surface.
+    fn send_failed(&mut self, e: &std::io::Error) {
+        if e.kind() == ErrorKind::ConnectionRefused {
+            self.refused += 1;
+        } else if e.raw_os_error() == Some(EMSGSIZE) {
+            self.oversize += 1;
+        } else {
+            self.send_errors += 1;
+            self.stash_error("send", e);
+        }
+    }
+}
+
+/// A [`Transport`] backed by one receive socket and one connected send
+/// socket per peer.
 ///
 /// Time is a free-running local cycle counter advanced by
 /// [`Transport::tick`] — each node is its own clock domain, as on real
@@ -86,29 +163,30 @@ impl std::fmt::Display for TransportError {
 #[derive(Debug)]
 pub struct UdpTransport {
     node: NodeId,
+    /// Receives every datagram addressed to this node; never sends.
     socket: UdpSocket,
-    peers: HashMap<usize, SocketAddr>,
+    /// Each registered peer's connected send socket, `None` when creating
+    /// or connecting it failed.
+    peers: HashMap<usize, Option<UdpSocket>>,
     now: Cycle,
     queues: [VecDeque<Vec<u8>>; 2],
-    /// The one buffer `recv_from` writes into, allocated at bind and never
-    /// re-zeroed: only the `len` bytes the kernel just wrote are ever read.
-    rx: Box<[u8]>,
+    /// Where received datagrams land, allocated at bind and never
+    /// re-zeroed: only the bytes the kernel reports are ever read.
+    ring: RecvRing,
+    /// Reused send-call state.
+    tx: SendBatch,
+    /// `(peer, outbox position)` of each frame of one
+    /// [`send_batch`](BatchTransport::send_batch), reused across calls.
+    order: Vec<(usize, usize)>,
     /// Buffers of frames already put on the wire (or handed back through
     /// [`Transport::recycle`]), reused for received frames; at most
     /// [`POOL_CAP`].
     pool: Vec<Vec<u8>>,
-    send_errors: u64,
-    unknown_peer: u64,
-    refused: u64,
-    oversize: u64,
-    runt: u64,
     /// Datagrams [`pump`](Self::pump) reads per tick, bounding how long one
     /// busy socket can monopolize a poll round, and the most frames either
     /// lane queue holds before pumping pauses. `usize::MAX` = unbounded.
     pump_limit: usize,
-    last_error: Option<TransportError>,
-    transport_errors: u64,
-    dropped_errors: u64,
+    counts: Counts,
 }
 
 impl UdpTransport {
@@ -123,17 +201,12 @@ impl UdpTransport {
             peers: HashMap::new(),
             now: Cycle::ZERO,
             queues: [VecDeque::new(), VecDeque::new()],
-            rx: vec![0u8; MAX_DATAGRAM].into_boxed_slice(),
+            ring: RecvRing::new(RING_SLOTS, RING_HEAD, MAX_DATAGRAM),
+            tx: SendBatch::default(),
+            order: Vec::new(),
             pool: Vec::new(),
-            send_errors: 0,
-            unknown_peer: 0,
-            refused: 0,
-            oversize: 0,
-            runt: 0,
             pump_limit: usize::MAX,
-            last_error: None,
-            transport_errors: 0,
-            dropped_errors: 0,
+            counts: Counts::default(),
         })
     }
 
@@ -149,43 +222,64 @@ impl UdpTransport {
         self
     }
 
-    /// The socket's bound address.
+    /// The receive socket's bound address (the one peers register).
     pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
         self.socket.local_addr()
     }
 
-    /// Registers the socket address of a peer node.
+    /// Registers the socket address of a peer node, opening a nonblocking
+    /// send socket connected to it. Registering a node again moves its
+    /// frames to the new address and closes the old socket. A failure to
+    /// open or connect surfaces through [`take_error`](Self::take_error)
+    /// as op `"connect"`, and that peer's frames then count as
+    /// [`send_errors`](Self::send_errors).
     pub fn add_peer(&mut self, node: NodeId, addr: SocketAddr) {
-        self.peers.insert(node.index(), addr);
+        let sender = self
+            .connect(addr)
+            .map_err(|e| self.counts.stash_error("connect", &e))
+            .ok();
+        self.peers.insert(node.index(), sender);
+    }
+
+    /// A nonblocking socket on the receive socket's address, connected to
+    /// `addr`.
+    fn connect(&self, addr: SocketAddr) -> std::io::Result<UdpSocket> {
+        let socket = UdpSocket::bind(SocketAddr::new(self.socket.local_addr()?.ip(), 0))?;
+        socket.connect(addr)?;
+        socket.set_nonblocking(true)?;
+        Ok(socket)
     }
 
     /// Datagrams that failed to send (treated as network loss: the §6.2
     /// retransmission machinery recovers, exactly as for in-network drops).
     pub fn send_errors(&self) -> u64 {
-        self.send_errors
+        self.counts.send_errors
     }
 
     /// Frames addressed to nodes with no registered socket address.
     pub fn unknown_peer(&self) -> u64 {
-        self.unknown_peer
+        self.counts.unknown_peer
     }
 
     /// `ECONNREFUSED` events on either direction (on Linux, an ICMP
-    /// port-unreachable from a dead peer surfaces this way). Treated as
-    /// loss — retransmission recovers once the peer returns.
+    /// port-unreachable from a dead peer surfaces this way on the next
+    /// send to it). Treated as loss — retransmission recovers once the peer
+    /// returns.
     pub fn refused(&self) -> u64 {
-        self.refused
+        self.counts.refused
     }
 
-    /// Datagrams rejected for exceeding the socket's maximum size.
+    /// Datagrams rejected for exceeding the maximum size: sends the socket
+    /// refused, and received datagrams longer than 64 KiB (counted and
+    /// discarded, never queued truncated).
     pub fn oversize(&self) -> u64 {
-        self.oversize
+        self.counts.oversize
     }
 
     /// Zero-length datagrams received and discarded (no NIFDY frame is
     /// empty; each still counts toward the per-tick pump limit).
     pub fn runt(&self) -> u64 {
-        self.runt
+        self.counts.runt
     }
 
     /// Takes the *first* unclassified socket failure observed since the
@@ -195,88 +289,76 @@ impl UdpTransport {
     /// rather than overwriting the original — the first error is almost
     /// always the root cause, and silently replacing it would hide it.
     pub fn take_error(&mut self) -> Option<TransportError> {
-        self.last_error.take()
+        self.counts.last_error.take()
     }
 
     /// Total unclassified socket failures observed, whether or not they
     /// were ever drained via [`take_error`](Self::take_error).
     pub fn transport_errors(&self) -> u64 {
-        self.transport_errors
+        self.counts.transport_errors
     }
 
     /// Unclassified failures discarded because an earlier one was still
     /// waiting in the [`take_error`](Self::take_error) slot.
     pub fn dropped_errors(&self) -> u64 {
-        self.dropped_errors
+        self.counts.dropped_errors
     }
 
-    fn stash_error(&mut self, op: &'static str, e: &std::io::Error) {
-        self.transport_errors += 1;
-        if self.last_error.is_some() {
-            // Keep the first error: it is the root cause, and the caller
-            // has not read it yet. Count the loss instead of hiding it.
-            self.dropped_errors += 1;
-            return;
-        }
-        self.last_error = Some(TransportError {
-            op,
-            kind: e.kind(),
-            detail: e.to_string(),
-        });
-    }
-
-    /// Fires one datagram at a resolved address, classifying any failure
-    /// (refused and oversize are network weather; the rest surface).
-    /// The spent buffer joins the pool.
-    fn send_to_addr(&mut self, addr: SocketAddr, frame: Vec<u8>) {
-        match self.socket.send_to(&frame, addr) {
-            Ok(_) => {}
-            Err(e) if e.kind() == ErrorKind::ConnectionRefused => {
-                self.refused += 1;
-            }
-            Err(e) if e.raw_os_error() == Some(EMSGSIZE) => {
-                self.oversize += 1;
-            }
-            Err(e) => {
-                self.send_errors += 1;
-                self.stash_error("send", &e);
-            }
-        }
-        self.recycle(frame);
-    }
-
+    /// Reads waiting datagrams into the lane queues, a ring at a time,
+    /// until the socket drains or a bound is reached: at most `pump_limit`
+    /// datagrams this tick (runts and truncated ones included), and never
+    /// more than `pump_limit` frames in either queue.
     fn pump(&mut self) {
         let mut read = 0usize;
-        while read < self.pump_limit && self.queues.iter().all(|q| q.len() < self.pump_limit) {
-            match self.socket.recv_from(&mut self.rx) {
-                Ok((len, _from)) => {
-                    read += 1;
-                    if len == 0 {
-                        self.runt += 1;
-                        continue;
-                    }
-                    // Classify by the lane bit; the codec re-validates the
-                    // whole frame later, so a garbage byte merely picks a
-                    // queue for a frame that will then fail to decode.
-                    let lane = usize::from(self.rx[0] & 0b10 != 0);
-                    let mut frame = self.take_buffer();
-                    frame.clear();
-                    frame.extend_from_slice(&self.rx[..len]);
-                    self.queues[lane].push_back(frame);
-                }
+        loop {
+            let queued = self.queues[0].len().max(self.queues[1].len());
+            let want = self
+                .pump_limit
+                .saturating_sub(read)
+                .min(self.pump_limit.saturating_sub(queued))
+                .min(self.ring.slots());
+            if want == 0 {
+                break;
+            }
+            let got = match self.ring.recv(&self.socket, want) {
+                Ok(got) => got,
                 // Quiescence: nothing more to read this tick.
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                // A dead peer's ICMP port-unreachable bounces back through
-                // recv on Linux; count it and keep draining — real
-                // datagrams may sit behind it in the error queue.
+                // A dead peer's ICMP port-unreachable can bounce back through
+                // recv; count it and keep draining — real datagrams may sit
+                // behind it in the error queue.
                 Err(e) if e.kind() == ErrorKind::ConnectionRefused => {
-                    self.refused += 1;
+                    self.counts.refused += 1;
+                    continue;
                 }
                 // Anything else is not network weather: surface it.
                 Err(e) => {
-                    self.stash_error("recv", &e);
+                    self.counts.stash_error("recv", &e);
                     break;
                 }
+            };
+            read += got;
+            for i in 0..got {
+                let Some([head, tail]) = self.ring.datagram(i) else {
+                    self.counts.oversize += 1;
+                    continue;
+                };
+                // Classify by the lane bit; the codec re-validates the
+                // whole frame later, so a garbage byte merely picks a
+                // queue for a frame that will then fail to decode.
+                let Some(&flags) = head.first() else {
+                    self.counts.runt += 1;
+                    continue;
+                };
+                let mut frame = self.pool.pop().unwrap_or_default();
+                frame.clear();
+                frame.extend_from_slice(head);
+                frame.extend_from_slice(tail);
+                self.queues[usize::from(flags & 0b10 != 0)].push_back(frame);
+            }
+            if got < want {
+                // The socket had fewer waiting than asked for: drained.
+                break;
             }
         }
     }
@@ -298,13 +380,18 @@ impl Transport for UdpTransport {
 
     fn send(&mut self, dst: NodeId, lane: Lane, frame: Vec<u8>) {
         // The lane is already encoded in the frame's flag byte; UDP needs
-        // only the peer address.
+        // only the peer's socket.
         let _ = lane;
-        let Some(&addr) = self.peers.get(&dst.index()) else {
-            self.unknown_peer += 1;
-            return;
-        };
-        self.send_to_addr(addr, frame);
+        match self.peers.get(&dst.index()) {
+            None => self.counts.unknown_peer += 1,
+            Some(None) => self.counts.send_errors += 1,
+            Some(Some(socket)) => {
+                if let Err(e) = socket.send(&frame) {
+                    self.counts.send_failed(&e);
+                }
+            }
+        }
+        self.recycle(frame);
     }
 
     fn recv(&mut self, lane: Lane) -> Option<Vec<u8>> {
@@ -323,27 +410,48 @@ impl Transport for UdpTransport {
 }
 
 impl BatchTransport for UdpTransport {
-    /// Coalesced flush: consecutive frames to the same destination reuse
-    /// one peer-address lookup (a daemon's per-carrier outbox groups
-    /// naturally by destination process).
+    /// Grouped flush: each peer's frames, in outbox order, leave in one
+    /// batched send on that peer's socket. When a frame fails, the send
+    /// resumes after it, so the failure is classified as
+    /// [`Transport::send`] would and the frames behind it still go out.
+    /// Every buffer, sent or not, joins the pool.
     fn send_batch(&mut self, frames: &mut Vec<(NodeId, Lane, Vec<u8>)>) {
-        let mut cached: Option<(usize, SocketAddr)> = None;
-        for (dst, _lane, frame) in frames.drain(..) {
-            let idx = dst.index();
-            let addr = match cached {
-                Some((i, a)) if i == idx => a,
-                _ => match self.peers.get(&idx) {
-                    Some(&a) => {
-                        cached = Some((idx, a));
-                        a
-                    }
-                    None => {
-                        self.unknown_peer += 1;
-                        continue;
-                    }
-                },
+        // Sorting (peer, position) pairs groups by peer and keeps each
+        // group in outbox order; a daemon's outbox is usually one run.
+        self.order.clear();
+        self.order.extend(
+            frames
+                .iter()
+                .enumerate()
+                .map(|(i, (dst, _, _))| (dst.index(), i)),
+        );
+        self.order.sort_unstable();
+        for group in self.order.chunk_by(|a, b| a.0 == b.0) {
+            let socket = match self.peers.get(&group[0].0) {
+                Some(Some(socket)) => socket,
+                Some(None) => {
+                    self.counts.send_errors += group.len() as u64;
+                    continue;
+                }
+                None => {
+                    self.counts.unknown_peer += group.len() as u64;
+                    continue;
+                }
             };
-            self.send_to_addr(addr, frame);
+            let mut sent = 0;
+            while sent < group.len() {
+                let rest = group[sent..].iter().map(|&(_, i)| frames[i].2.as_slice());
+                match self.tx.send(socket, rest) {
+                    Ok(n) => sent += n,
+                    Err(e) => {
+                        self.counts.send_failed(&e);
+                        sent += 1;
+                    }
+                }
+            }
+        }
+        for (_, _, frame) in frames.drain(..) {
+            self.recycle(frame);
         }
     }
 }
@@ -391,8 +499,8 @@ mod tests {
         let mut a = UdpTransport::bind(NodeId::new(0), "127.0.0.1:0").expect("bind");
         let first = std::io::Error::new(ErrorKind::PermissionDenied, "first failure");
         let second = std::io::Error::new(ErrorKind::NotConnected, "second failure");
-        a.stash_error("send", &first);
-        a.stash_error("recv", &second);
+        a.counts.stash_error("send", &first);
+        a.counts.stash_error("recv", &second);
         assert_eq!(a.transport_errors(), 2);
         assert_eq!(a.dropped_errors(), 1, "the second error was shed");
         let err = a.take_error().expect("first error preserved");
@@ -400,7 +508,7 @@ mod tests {
         assert_eq!(err.op, "send");
         assert_eq!(a.take_error(), None, "slot drained");
         // With the slot empty, the next failure is stashed again.
-        a.stash_error(
+        a.counts.stash_error(
             "recv",
             &std::io::Error::new(ErrorKind::NotConnected, "third"),
         );
@@ -554,8 +662,19 @@ mod tests {
     #[test]
     fn unknown_destination_counts_instead_of_panicking() {
         let mut a = UdpTransport::bind(NodeId::new(0), "127.0.0.1:0").expect("bind");
-        a.send(NodeId::new(9), Lane::Request, vec![0]);
-        assert_eq!(a.unknown_peer(), 1);
+        // Each unroutable frame is counted and its buffer joins the pool.
+        a.send(NodeId::new(9), Lane::Request, vec![0; 32]);
+        assert_eq!((a.unknown_peer(), a.pool.len()), (1, 1));
+        let mut batch = vec![
+            (NodeId::new(9), Lane::Request, vec![0; 32]),
+            (NodeId::new(8), Lane::Reply, vec![0; 32]),
+        ];
+        a.send_batch(&mut batch);
+        assert_eq!((a.unknown_peer(), a.pool.len()), (3, 3));
+        assert!(
+            a.take_buffer().capacity() >= 32,
+            "the next frame reuses one"
+        );
     }
 
     #[test]
@@ -585,13 +704,153 @@ mod tests {
             a.tick();
             std::thread::yield_now();
         }
-        // Whether the ICMP error materialized is OS-dependent; the contract
+        // Whether the ICMP error materialized is OS-dependent (on Linux a
+        // connected socket reports it on the next send); the contract
         // under test is that nothing landed in the unclassified slot.
+        #[cfg(target_os = "linux")]
+        assert!(a.refused() > 0, "the bounce reached the connected sender");
         assert_eq!(
             a.take_error(),
             None,
             "refused must not surface as TransportError"
         );
         assert_eq!(a.send_errors(), 0);
+    }
+
+    #[test]
+    fn a_failed_frame_mid_batch_is_classified_and_the_rest_still_go() {
+        let mut a = UdpTransport::bind(NodeId::new(0), "127.0.0.1:0").expect("bind a");
+        let mut b = UdpTransport::bind(NodeId::new(1), "127.0.0.1:0").expect("bind b");
+        a.add_peer(NodeId::new(1), b.local_addr().expect("addr b"));
+        // One batched send stops at the oversize frame and loses its error;
+        // resuming from it must classify it and still send the two behind.
+        let mut batch = vec![
+            (NodeId::new(1), Lane::Request, vec![0b00, 1, 1]),
+            (NodeId::new(1), Lane::Request, vec![0u8; 70_000]),
+            (NodeId::new(1), Lane::Request, vec![0b00, 2, 2]),
+            (NodeId::new(1), Lane::Request, vec![0b00, 3, 3]),
+        ];
+        a.send_batch(&mut batch);
+        assert_eq!(a.oversize(), 1, "the 70 000-byte frame is oversize");
+        assert_eq!((a.send_errors(), a.take_error()), (0, None));
+        let got: Vec<u8> = (0..3).map(|_| recv_request(&mut b)[1]).collect();
+        assert_eq!(got, vec![1, 2, 3], "every small frame, in order");
+    }
+
+    #[test]
+    fn the_largest_datagram_arrives_byte_identical() {
+        let mut a = UdpTransport::bind(NodeId::new(0), "127.0.0.1:0").expect("bind a");
+        let mut b = UdpTransport::bind(NodeId::new(1), "127.0.0.1:0").expect("bind b");
+        a.add_peer(NodeId::new(1), b.local_addr().expect("addr b"));
+        // The UDP/IPv4 payload ceiling: the longest datagram the socket can
+        // carry, so the longest one the old 64 KiB buffer ever accepted.
+        let sent: Vec<u8> = (0..65_507u32).map(|i| (i % 251) as u8 & !0b10).collect();
+        a.send_batch(&mut vec![(NodeId::new(1), Lane::Request, sent.clone())]);
+        assert_eq!(recv_request(&mut b), sent);
+        assert_eq!(b.oversize(), 0);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_truncated_datagram_is_counted_never_queued() {
+        let mut a = UdpTransport::bind(NodeId::new(0), "127.0.0.1:0").expect("bind a");
+        let mut b = UdpTransport::bind(NodeId::new(1), "127.0.0.1:0").expect("bind b");
+        // Slots of 64 bytes (16 in the head): a 65-byte datagram no longer
+        // fits, while one of exactly 64 still does.
+        b.ring = RecvRing::new(4, 16, 64);
+        a.add_peer(NodeId::new(1), b.local_addr().expect("addr b"));
+        let fits: Vec<u8> = (0..64u8).map(|i| i & !0b10).collect();
+        for frame in [vec![0u8; 65], vec![0b00, 7, 7], fits.clone()] {
+            a.send(NodeId::new(1), Lane::Request, frame);
+        }
+        assert_eq!(recv_request(&mut b), vec![0b00, 7, 7]);
+        assert_eq!(recv_request(&mut b), fits);
+        assert_eq!(b.oversize(), 1, "the truncated datagram was counted");
+        assert!(b.recv(Lane::Request).is_none() && b.recv(Lane::Reply).is_none());
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn the_batched_syscalls_match_the_portable_loop() {
+        let frames: Vec<Vec<u8>> = [3usize, 0, 2048, 2049, 9_000, 40]
+            .iter()
+            .map(|&n| (0..n).map(|b| (b * 31 + n) as u8).collect())
+            .collect();
+        // Send every frame on a connected socket with one path's
+        // `SendBatch`, then read them back through its `RecvRing` (a
+        // 16-byte head, so most datagrams cross into their slot's tail).
+        macro_rules! roundtrip {
+            ($path:ident) => {{
+                let rx = UdpSocket::bind("127.0.0.1:0").expect("bind rx");
+                rx.set_nonblocking(true).expect("nonblocking");
+                let tx = UdpSocket::bind("127.0.0.1:0").expect("bind tx");
+                tx.connect(rx.local_addr().expect("addr")).expect("connect");
+                let mut batch = $path::SendBatch::default();
+                let mut sent = 0;
+                while sent < frames.len() {
+                    let rest = frames[sent..].iter().map(Vec::as_slice);
+                    sent += batch.send(&tx, rest).expect("send");
+                }
+                let mut ring = $path::RecvRing::new(4, 16, MAX_DATAGRAM);
+                let mut got = Vec::new();
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+                while got.len() < frames.len() {
+                    match ring.recv(&rx, ring.slots()) {
+                        Ok(n) => got.extend(
+                            (0..n).map(|i| ring.datagram(i).expect("nothing truncated").concat()),
+                        ),
+                        Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+                        Err(e) => panic!("recv failed: {e}"),
+                    }
+                    assert!(std::time::Instant::now() < deadline, "datagrams lost");
+                }
+                got
+            }};
+        }
+        assert_eq!(roundtrip!(sys), frames, "sendmmsg + recvmmsg");
+        assert_eq!(roundtrip!(portable), frames, "send + recv per datagram");
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn re_registering_a_peer_moves_its_sender_and_closes_the_old_one() {
+        use std::os::fd::AsRawFd;
+        let n1 = NodeId::new(1);
+        let mut a = UdpTransport::bind(NodeId::new(0), "127.0.0.1:0").expect("bind a");
+        let mut b1 = UdpTransport::bind(n1, "127.0.0.1:0").expect("bind b1");
+        let mut b2 = UdpTransport::bind(n1, "127.0.0.1:0").expect("bind b2");
+        let (a1, a2) = (b1.local_addr().expect("a1"), b2.local_addr().expect("a2"));
+        // The open file a peer's send socket is, e.g. `socket:[4711]`.
+        let sender = |a: &UdpTransport| {
+            let fd = a.peers[&1].as_ref().expect("a sender").as_raw_fd();
+            std::fs::read_link(format!("/proc/self/fd/{fd}")).expect("fd link")
+        };
+        a.add_peer(n1, a1);
+        let mut replaced = vec![sender(&a)];
+        a.add_peer(n1, a2);
+        let mut batch: Vec<_> = (0..4u8)
+            .map(|i| (n1, Lane::Request, vec![0b00, i]))
+            .collect();
+        a.send_batch(&mut batch);
+        let got: Vec<u8> = (0..4).map(|_| recv_request(&mut b2)[1]).collect();
+        assert_eq!(got, vec![0, 1, 2, 3], "frames follow the new address");
+        b1.tick();
+        assert!(
+            b1.recv(Lane::Request).is_none(),
+            "nothing reaches the old address"
+        );
+
+        for i in 0..100 {
+            replaced.push(sender(&a));
+            a.add_peer(n1, if i % 2 == 0 { a1 } else { a2 });
+        }
+        assert_eq!(a.peers.len(), 1);
+        let open: Vec<_> = std::fs::read_dir("/proc/self/fd")
+            .expect("fd dir")
+            .filter_map(|e| std::fs::read_link(e.ok()?.path()).ok())
+            .collect();
+        for old in &replaced {
+            assert!(!open.contains(old), "replaced sender {old:?} still open");
+        }
     }
 }
