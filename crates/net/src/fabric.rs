@@ -318,10 +318,11 @@ pub struct Fabric {
     /// Packets sitting in ejection queues, summed over nodes and lanes —
     /// kept incrementally so [`Fabric::in_network`] is O(1).
     ready_total: usize,
-    /// Injection slots currently holding a worm, summed over nodes and
-    /// lanes — lets the injection phases skip entirely when no node is
-    /// sending.
-    inj_active: u32,
+    /// The routers the wire and allocation phases visit, one bit each: all
+    /// with a [`Router::wake`] bit or an unresolved head.
+    live: Vec<u64>,
+    /// One bit per node with an occupied injection slot.
+    injecting: Vec<u64>,
     now: Cycle,
     faults: FaultPlane,
     trace: TraceHandle,
@@ -454,7 +455,8 @@ impl Fabric {
             ejects,
             arena: Slab::with_capacity(num_nodes * 2),
             ready_total: 0,
-            inj_active: 0,
+            live: vec![0; spec.routers.len().div_ceil(64)],
+            injecting: vec![0; num_nodes.div_ceil(64)],
             now: Cycle::ZERO,
             faults,
             trace: TraceHandle::off(),
@@ -586,7 +588,7 @@ impl Fabric {
             next_flit: 0,
             vc: None,
         });
-        self.inj_active += 1;
+        set_bit(&mut self.injecting, node.index());
     }
 
     /// Removes and returns the oldest fully delivered packet at `node` on
@@ -599,6 +601,7 @@ impl Fabric {
             // back at the ejection port may now be granted it.
             let (r, p) = self.ejects[node.index()];
             self.routers[r as usize].wake |= pair_bit(p as usize, lane.index());
+            set_bit(&mut self.live, r as usize);
         }
         pkt
     }
@@ -684,66 +687,78 @@ impl Fabric {
     }
 
     /// Phase A: decrement serialization counters; deliver flits whose
-    /// transfer completes.
+    /// transfer completes. Live routers, then injecting nodes, each from a
+    /// snapshot of its set: a busy pair is awake, so its router is live,
+    /// and a router this phase adds has no flit on a wire.
     fn progress_wires(&mut self) {
         let mux_slot = (self.cfg.time_mux_lanes).then_some((self.now.as_u64() % 2) as usize);
-        for r in 0..self.routers.len() {
-            // Only ports with a flit on a wire, in ascending order. A
-            // completion clears its own pair's bit and nothing in this
-            // phase sets one, so the snapshot misses no port.
-            let mut pairs = self.routers[r].busy;
-            while pairs != 0 {
-                let p = pairs.trailing_zeros() as usize / 2;
-                pairs &= !(0b11 << (2 * p));
-                let out = &mut self.routers[r].outs[p];
-                let Some((lane, flit, dvc)) =
-                    tick_link(mux_slot, &mut out.in_flight, &mut out.mux_rr)
-                else {
-                    continue;
-                };
-                // The pair is awake (a commit never puts it to sleep), so
-                // what completes with the flit — the idle wire, the owner a
-                // tail frees, an ejection port's assembly credits — is seen
-                // by this cycle's allocation without a wake of its own.
-                self.routers[r].busy &= !pair_bit(p, lane.index());
-                let is_tail = flit.idx + 1 == self.worm_flits(flit.worm);
-                if is_tail {
-                    self.routers[r].outs[p].owner[dvc as usize] = None;
-                }
-                match self.routers[r].outs[p].dest {
-                    Endpoint::Router { router, in_port } => {
-                        self.accept_flit(router as usize, in_port as usize, dvc as usize, flit);
-                    }
-                    Endpoint::Node(node) => {
-                        self.deliver_to_node(node as usize, r, p, flit, dvc, is_tail);
-                    }
-                }
+        for w in 0..self.live.len() {
+            let mut rs = self.live[w];
+            while rs != 0 {
+                let r = 64 * w + rs.trailing_zeros() as usize;
+                rs &= rs - 1;
+                self.router_wires(r, mux_slot);
             }
         }
         // Injection channels. A flit can only be in flight on a node's
-        // link while that lane's slot holds its worm, so nodes without an
-        // active slot (and the whole phase when none is active) are no-ops.
-        if self.inj_active == 0 {
-            return;
-        }
-        for n in 0..self.nodes.len() {
-            let iface = &mut self.nodes[n];
-            if iface.slots[0].is_none() && iface.slots[1].is_none() {
-                continue;
+        // link while that lane's slot holds its worm.
+        for w in 0..self.injecting.len() {
+            let mut ns = self.injecting[w];
+            while ns != 0 {
+                let n = 64 * w + ns.trailing_zeros() as usize;
+                ns &= ns - 1;
+                let iface = &mut self.nodes[n];
+                let Some((lane, flit, dvc)) =
+                    tick_link(mux_slot, &mut iface.in_flight, &mut iface.lane_rr)
+                else {
+                    continue;
+                };
+                let (r, p) = (iface.inj_router, iface.inj_port);
+                if flit.idx + 1 == self.worm_flits(flit.worm) {
+                    let iface = &mut self.nodes[n];
+                    iface.inj_owner[dvc as usize] = None;
+                    iface.slots[lane.index()] = None;
+                    if iface.slots.iter().all(Option::is_none) {
+                        clear_bit(&mut self.injecting, n);
+                    }
+                }
+                self.accept_flit(r as usize, p as usize, dvc as usize, flit);
             }
-            let Some((lane, flit, dvc)) =
-                tick_link(mux_slot, &mut iface.in_flight, &mut iface.lane_rr)
+        }
+    }
+
+    /// Router `r`'s part of phase A: only ports with a flit on a wire, in
+    /// ascending order. A completion clears its own pair's bit and nothing
+    /// in this phase sets one, so the snapshot misses no port.
+    fn router_wires(&mut self, r: usize, mux_slot: Option<usize>) {
+        let mut pairs = self.routers[r].busy;
+        while pairs != 0 {
+            let p = pairs.trailing_zeros() as usize / 2;
+            pairs &= !(0b11 << (2 * p));
+            let rt = &mut self.routers[r];
+            let out = &mut rt.outs[p];
+            let Some((lane, flit, dvc)) = tick_link(mux_slot, &mut out.in_flight, &mut out.mux_rr)
             else {
                 continue;
             };
-            if flit.idx + 1 == self.worm_flits(flit.worm) {
-                let iface = &mut self.nodes[n];
-                iface.inj_owner[dvc as usize] = None;
-                iface.slots[lane.index()] = None;
-                self.inj_active -= 1;
+            let dest = out.dest;
+            // The pair is awake (a commit never puts it to sleep), so what
+            // completes with the flit — the idle wire, the owner a tail
+            // frees, an ejection port's assembly credits — is seen by this
+            // cycle's allocation without a wake of its own.
+            rt.busy &= !pair_bit(p, lane.index());
+            let is_tail = flit.idx + 1 == self.worm_flits(flit.worm);
+            if is_tail {
+                self.routers[r].outs[p].owner[dvc as usize] = None;
             }
-            let (r, p) = (self.nodes[n].inj_router, self.nodes[n].inj_port);
-            self.accept_flit(r as usize, p as usize, dvc as usize, flit);
+            match dest {
+                Endpoint::Router { router, in_port } => {
+                    self.accept_flit(router as usize, in_port as usize, dvc as usize, flit);
+                }
+                Endpoint::Node(node) => {
+                    self.deliver_to_node(node as usize, r, p, flit, dvc, is_tail);
+                }
+            }
         }
     }
 
@@ -752,6 +767,7 @@ impl Fabric {
         let target = &mut self.routers[r];
         target.mark_occupied(ip, vc, self.cfg.total_vcs());
         target.ins[ip].vcs[vc].buf.push_back((flit, self.now));
+        set_bit(&mut self.live, r);
     }
 
     /// A flit arrives at a node's ejection assembly; on the tail, the packet
@@ -830,34 +846,46 @@ impl Fabric {
     }
 
     /// Phase B: each woken output port whose wire is idle picks one
-    /// eligible flit and starts serializing it.
+    /// eligible flit and starts serializing it. Live routers only, the set
+    /// read again after each: a credit return that wakes a router later in
+    /// the sweep is served this cycle, one earlier on the next.
     fn start_router_transmissions(&mut self) {
-        for r in 0..self.routers.len() {
-            self.resolve_heads(r);
-            let rt = &self.routers[r];
-            if rt.wake & !rt.busy == 0 {
-                continue;
-            }
-            // Ports from a start that rotates with the cycle, so adaptive
-            // choices spread over links; lanes inner; sleeping and busy
-            // pairs passed over. The set is read again after every attempt:
-            // a tail commit that fronts a new head wakes the ports on its
-            // route, and those later in the rotation must still see it this
-            // cycle, those earlier not before the next.
-            let end = 2 * rt.outs.len() as u32;
-            let first = 2 * ((self.now.as_u64() as usize + r) % rt.outs.len()) as u32;
-            let (mut from, mut to) = (first, end);
-            loop {
+        for w in 0..self.live.len() {
+            let mut above = !0u64;
+            while self.live[w] & above != 0 {
+                let bit = (self.live[w] & above).trailing_zeros();
+                above = !1 << bit;
+                let r = 64 * w + bit as usize;
+                self.resolve_heads(r);
                 let rt = &self.routers[r];
-                let ahead = rt.wake & !rt.busy & u64::MAX.checked_shl(from).unwrap_or(0);
-                let b = ahead.trailing_zeros();
-                if b < to {
-                    from = b + 1;
-                    self.arbitrate(r, b as usize / 2, Lane::ALL[b as usize % 2]);
-                } else if to == end && first > 0 {
-                    (from, to) = (0, first);
-                } else {
-                    break;
+                if rt.wake & !rt.busy == 0 {
+                    // A router whose pairs all sleep leaves the set.
+                    if rt.wake == 0 {
+                        clear_bit(&mut self.live, r);
+                    }
+                    continue;
+                }
+                // Ports from a start that rotates with the cycle, so adaptive
+                // choices spread over links; lanes inner; sleeping and busy
+                // pairs passed over. The set is read again after every attempt:
+                // a tail commit that fronts a new head wakes the ports on its
+                // route, and those later in the rotation must still see it this
+                // cycle, those earlier not before the next.
+                let end = 2 * rt.outs.len() as u32;
+                let first = 2 * ((self.now.as_u64() as usize + r) % rt.outs.len()) as u32;
+                let (mut from, mut to) = (first, end);
+                loop {
+                    let rt = &self.routers[r];
+                    let ahead = rt.wake & !rt.busy & u64::MAX.checked_shl(from).unwrap_or(0);
+                    let b = ahead.trailing_zeros();
+                    if b < to {
+                        from = b + 1;
+                        self.arbitrate(r, b as usize / 2, Lane::ALL[b as usize % 2]);
+                    } else if to == end && first > 0 {
+                        (from, to) = (0, first);
+                    } else {
+                        break;
+                    }
                 }
             }
         }
@@ -1109,6 +1137,7 @@ impl Fabric {
                 let up = &mut self.routers[router as usize];
                 up.outs[port as usize].credits[vc] += 1;
                 up.wake |= pair_bit(port as usize, lane);
+                set_bit(&mut self.live, router as usize);
             }
             Feeder::Node(node) => {
                 self.nodes[node as usize].inj_credits[vc] += 1;
@@ -1127,18 +1156,17 @@ impl Fabric {
 
     /// Phase C: nodes serialize queued packets onto their injection links.
     /// [`Fabric::try_inject_flit`] is a no-op without a populated slot, so
-    /// only nodes with one are visited.
+    /// only injecting nodes are visited.
     fn progress_injection(&mut self) {
-        if self.inj_active == 0 {
-            return;
-        }
-        for n in 0..self.nodes.len() {
-            if self.nodes[n].slots[0].is_none() && self.nodes[n].slots[1].is_none() {
-                continue;
-            }
-            for lane in Lane::ALL {
-                if self.nodes[n].in_flight[lane.index()].is_none() {
-                    let _ = self.try_inject_flit(n, lane);
+        for w in 0..self.injecting.len() {
+            let mut ns = self.injecting[w];
+            while ns != 0 {
+                let n = 64 * w + ns.trailing_zeros() as usize;
+                ns &= ns - 1;
+                for lane in Lane::ALL {
+                    if self.nodes[n].in_flight[lane.index()].is_none() {
+                        let _ = self.try_inject_flit(n, lane);
+                    }
                 }
             }
         }
@@ -1204,14 +1232,23 @@ impl Fabric {
     /// [`Self::pick`] the allocator uses — never as a second arbiter. Run
     /// after every step of a debug build, i.e. with the clock already on
     /// the next cycle, so a pair that went to sleep on a flit the
-    /// one-cycle pipeline rule was holding back is caught too.
+    /// one-cycle pipeline rule was holding back is caught too. It also
+    /// checks that the phases' worklists cover every router with a wake
+    /// bit and every node with an occupied injection slot.
     #[cfg(any(test, debug_assertions))]
     fn audit_sleepers(&self) {
+        let has = |bits: &[u64], i: usize| bits[i / 64] >> (i % 64) & 1 == 1;
+        for (n, iface) in self.nodes.iter().enumerate() {
+            let listed = iface.slots.iter().all(Option::is_none) || has(&self.injecting, n);
+            assert!(listed, "node {n} is not in the injecting set");
+        }
         for (r, rt) in self.routers.iter().enumerate() {
             assert!(
                 rt.unresolved.iter().all(|&w| w == 0),
                 "router {r} ends the cycle with an unrouted head"
             );
+            let listed = rt.wake == 0 || has(&self.live, r);
+            assert!(listed, "router {r} is not in the live set");
             assert_eq!(rt.busy & !rt.wake, 0, "router {r}: a busy pair sleeps");
             for p in 0..rt.outs.len() {
                 for lane in Lane::ALL {

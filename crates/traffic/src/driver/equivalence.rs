@@ -330,6 +330,90 @@ fn scan_pipeline_matches_and_actually_skips() {
     }
 }
 
+/// Offers one packet every `interval` cycles from its due cycle on, and
+/// says so through `next_event`: the open-loop shape of a sparse load, where
+/// every processor spends its idle time in `t_poll` delays.
+struct Paced {
+    node: usize,
+    nodes: usize,
+    interval: u64,
+    next_due: u64,
+    sent: u32,
+    packets: u32,
+}
+
+impl NodeWorkload for Paced {
+    fn next_action(&mut self, now: Cycle) -> Action {
+        if self.sent == self.packets {
+            return Action::Done;
+        }
+        if now.as_u64() < self.next_due {
+            return Action::Idle;
+        }
+        self.next_due += self.interval;
+        self.sent += 1;
+        let dst = (self.node + 1 + 13 * self.sent as usize) % self.nodes;
+        Action::Send(
+            OutboundPacket::new(NodeId::new(dst), 8).with_user(UserData {
+                msg_id: u64::from(self.sent),
+                pkt_index: 0,
+                msg_packets: 1,
+                user_words: 6,
+            }),
+        )
+    }
+    fn on_receive(&mut self, _pkt: &Delivered, _now: Cycle) {}
+    fn next_event(&self, now: Cycle) -> Wakeup {
+        if self.sent < self.packets && now.as_u64() < self.next_due {
+            Wakeup::At(Cycle::new(self.next_due))
+        } else {
+            Wakeup::Now
+        }
+    }
+}
+
+#[test]
+fn sparse_paced_fat_tree_matches_and_skips_poll_delays() {
+    // The shape of the sparse simulator benchmark: 64 nodes, the fat
+    // tree's NIFDY preset, one packet per 2 000 cycles per node, sources
+    // staggered by 7 cycles. Pollers sitting out a `t_poll` delay must not
+    // cap the jump, and the replayed empty polls must match cycle for
+    // cycle.
+    let kind = NetworkKind::FatTree;
+    let (elapsed, stepped) = assert_matches_reference(
+        "paced sparse fat tree",
+        |log| {
+            Scenario::new(kind)
+                .nodes(64)
+                .seed(1)
+                .nic(NicChoice::Nifdy(kind.nifdy_preset()))
+                .build_with(|sc| {
+                    let wls = (0..sc.nodes())
+                        .map(|node| -> Box<dyn NodeWorkload> {
+                            Box::new(Paced {
+                                node,
+                                nodes: sc.nodes(),
+                                interval: 2_000,
+                                next_due: node as u64 * 7,
+                                sent: 0,
+                                packets: 4,
+                            })
+                        })
+                        .collect();
+                    record_all(wls, log)
+                })
+                .and_then(|d| d.with_metrics(1_000))
+                .expect("valid scenario")
+        },
+        Run::UntilQuiet(1_000_000),
+    );
+    assert!(elapsed > 6_000, "the run ended at cycle {elapsed}");
+    assert!(
+        stepped * 2 < elapsed,
+        "expected a real skip win, got {stepped} stepped of {elapsed} cycles"
+    );
+}
+
 #[test]
 fn coalesce_and_random_sweep_match() {
     // Breadth: random destinations over several seeds, topologies, and

@@ -179,32 +179,40 @@ impl Processor {
     /// Classifies what this processor needs from the driver at `now`.
     /// Conservative: anything that could do observable work is
     /// [`ProcWake::Step`].
+    ///
+    /// A processor inside a charged delay is judged by its step at
+    /// `busy_until`: if that step would be an empty poll (nothing
+    /// deliverable, no pending send, and the workload done, in the barrier,
+    /// or not due by then), it is already [`ProcWake::Polling`] —
+    /// [`batch_idle_polls`](Self::batch_idle_polls) replays the polls from
+    /// `busy_until` on. Otherwise it is [`ProcWake::Busy`] until then.
     pub(crate) fn classify(&self, nic: &dyn Nic, wl: &dyn NodeWorkload, now: Cycle) -> ProcWake {
-        if self.busy_until > now {
-            return ProcWake::Busy(self.busy_until);
-        }
-        if self.in_barrier {
+        let at = self.busy_until.max(now);
+        let wake = if self.in_barrier {
             // Waiting nodes poll so the network drains; a deliverable
             // arrival makes the poll a real receive.
-            return if nic.has_deliverable() {
+            if nic.has_deliverable() {
                 ProcWake::Step
             } else {
                 ProcWake::Polling(None)
-            };
-        }
-        if nic.has_deliverable() || self.pending_send.is_some() {
-            return ProcWake::Step;
-        }
-        if self.done {
+            }
+        } else if nic.has_deliverable() || self.pending_send.is_some() {
+            ProcWake::Step
+        } else if self.done {
             // Finished scripts keep polling; `Action::Done`'s contract
             // makes skipping the `next_action` calls safe.
-            return ProcWake::Polling(None);
-        }
-        match wl.next_event(now) {
-            Wakeup::Now => ProcWake::Step,
-            Wakeup::At(t) if t <= now => ProcWake::Step,
-            Wakeup::At(t) => ProcWake::Polling(Some(t)),
-            Wakeup::Quiescent => ProcWake::Polling(None),
+            ProcWake::Polling(None)
+        } else {
+            match wl.next_event(now) {
+                Wakeup::Now => ProcWake::Step,
+                Wakeup::At(t) if t <= at => ProcWake::Step,
+                Wakeup::At(t) => ProcWake::Polling(Some(t)),
+                Wakeup::Quiescent => ProcWake::Polling(None),
+            }
+        };
+        match wake {
+            ProcWake::Step if self.busy_until > now => ProcWake::Busy(self.busy_until),
+            wake => wake,
         }
     }
 
@@ -312,7 +320,7 @@ impl Processor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nifdy::{NifdyConfig, NifdyUnit};
+    use nifdy::{NifdyConfig, NifdyUnit, PlainNic};
     use nifdy_net::topology::Mesh;
     use nifdy_net::{Fabric, FabricConfig};
 
@@ -396,5 +404,139 @@ mod tests {
         assert!(!p.in_barrier());
         assert_eq!(p.stats().barriers.get(), 1);
         let _ = &mut fab;
+    }
+
+    /// Plays `first` once, then idles until cycle `due` and sends to node 3
+    /// from then on; `next_event` says exactly that.
+    struct Due {
+        first: Option<Action>,
+        due: u64,
+    }
+
+    impl Due {
+        fn at(due: u64) -> Self {
+            Due { first: None, due }
+        }
+    }
+
+    impl NodeWorkload for Due {
+        fn next_action(&mut self, now: Cycle) -> Action {
+            if let Some(a) = self.first.take() {
+                a
+            } else if now.as_u64() < self.due {
+                Action::Idle
+            } else {
+                Action::Send(OutboundPacket::new(NodeId::new(3), 8))
+            }
+        }
+        fn on_receive(&mut self, _pkt: &Delivered, _now: Cycle) {}
+        fn next_event(&self, now: Cycle) -> Wakeup {
+            if self.first.is_none() && now.as_u64() < self.due {
+                Wakeup::At(Cycle::new(self.due))
+            } else {
+                Wakeup::Now
+            }
+        }
+    }
+
+    /// A processor that has just issued one empty poll at cycle 0, so it
+    /// sits in a `t_poll` delay until cycle 22.
+    fn polled_once(wl: &mut Due) -> (Processor, PlainNic) {
+        let mut p = Processor::new(NodeId::new(0), SoftwareModel::synthetic());
+        let mut nic = PlainNic::new(NodeId::new(0));
+        p.step(&mut nic, wl, Cycle::ZERO);
+        assert_eq!(p.stats().empty_polls.get(), 1);
+        assert_eq!(p.next_due(), Cycle::new(22));
+        (p, nic)
+    }
+
+    #[test]
+    fn a_poll_delay_ending_in_an_empty_poll_classifies_as_polling() {
+        let mut wl = Due::at(100);
+        let (p, nic) = polled_once(&mut wl);
+        for now in [1, 21] {
+            assert_eq!(
+                p.classify(&nic, &wl, Cycle::new(now)),
+                ProcWake::Polling(Some(Cycle::new(100))),
+                "at cycle {now}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_workload_due_by_the_end_of_the_delay_keeps_it_busy() {
+        for due in [10, 22] {
+            let mut wl = Due::at(due);
+            let (p, nic) = polled_once(&mut wl);
+            assert_eq!(
+                p.classify(&nic, &wl, Cycle::new(5)),
+                ProcWake::Busy(Cycle::new(22)),
+                "due at {due}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_pending_send_or_a_deliverable_packet_keeps_a_delay_busy() {
+        let idle = Due::at(1_000_000);
+        // A plain interface queues one outgoing packet: the second send,
+        // at cycle 40 after the first send's overhead, is refused and
+        // retried after a poll delay.
+        let mut sender = Processor::new(NodeId::new(0), SoftwareModel::synthetic());
+        let mut nic_s = PlainNic::new(NodeId::new(0));
+        let mut wl = Due::at(0);
+        sender.step(&mut nic_s, &mut wl, Cycle::ZERO);
+        sender.step(&mut nic_s, &mut wl, Cycle::new(40));
+        assert_eq!(sender.stats().sent.get(), 1);
+        assert_eq!(sender.next_due(), Cycle::new(62));
+        assert_eq!(
+            sender.classify(&nic_s, &idle, Cycle::new(41)),
+            ProcWake::Busy(Cycle::new(62))
+        );
+
+        // A receiver computing until cycle 10 000 polls nothing before then,
+        // until a packet becomes deliverable.
+        let mut fab = Fabric::new(Box::new(Mesh::d2(2, 2)), FabricConfig::default());
+        let mut receiver = Processor::new(NodeId::new(3), SoftwareModel::synthetic());
+        let mut nic_r = PlainNic::new(NodeId::new(3));
+        let mut wl = Due {
+            first: Some(Action::Compute(10_000)),
+            due: 1_000_000,
+        };
+        receiver.step(&mut nic_r, &mut wl, Cycle::ZERO);
+        let polling = ProcWake::Polling(Some(Cycle::new(1_000_000)));
+        assert_eq!(receiver.classify(&nic_r, &idle, Cycle::new(1)), polling);
+        while !nic_r.has_deliverable() {
+            assert!(fab.now().as_u64() < 5_000, "packet lost");
+            nic_s.step(&mut fab);
+            nic_r.step(&mut fab);
+            fab.step();
+        }
+        assert_eq!(
+            receiver.classify(&nic_r, &idle, fab.now()),
+            ProcWake::Busy(Cycle::new(10_000))
+        );
+    }
+
+    #[test]
+    fn a_poll_delay_inside_the_barrier_classifies_as_polling() {
+        // Due at cycle 1, which would keep the delay busy outside the
+        // barrier: a node in the barrier only polls.
+        let mut wl = Due {
+            first: Some(Action::Barrier),
+            due: 1,
+        };
+        let mut p = Processor::new(NodeId::new(0), SoftwareModel::synthetic());
+        let mut nic = PlainNic::new(NodeId::new(0));
+        assert_eq!(
+            p.step(&mut nic, &mut wl, Cycle::ZERO),
+            ProcEvent::EnteredBarrier
+        );
+        p.step(&mut nic, &mut wl, Cycle::ZERO);
+        assert_eq!(p.next_due(), Cycle::new(22));
+        assert_eq!(
+            p.classify(&nic, &wl, Cycle::new(1)),
+            ProcWake::Polling(None)
+        );
     }
 }
