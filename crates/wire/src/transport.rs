@@ -10,7 +10,8 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use nifdy_net::Lane;
 use nifdy_sim::{Cycle, NodeId, SimRng};
@@ -95,9 +96,27 @@ pub trait BatchTransport: Transport {
 /// across rounds.
 type DeliveryQueue = BinaryHeap<Reverse<(u64, u64, Vec<u8>)>>;
 
+/// What a hub and its endpoints share, behind one `Arc`.
+#[derive(Debug)]
+struct Shared {
+    /// The hub clock. Every endpoint reads it several times per step, so it
+    /// sits outside the lock; only [`LoopbackHub::tick`] writes it.
+    now: AtomicU64,
+    inner: Mutex<HubInner>,
+}
+
+impl Shared {
+    fn now(&self) -> u64 {
+        self.now.load(Ordering::SeqCst)
+    }
+
+    fn lock(&self) -> MutexGuard<'_, HubInner> {
+        self.inner.lock().unwrap_or_else(|p| p.into_inner())
+    }
+}
+
 #[derive(Debug)]
 struct HubInner {
-    now: Cycle,
     latency: u64,
     jitter: Option<(SimRng, u64)>,
     seq: u64,
@@ -108,12 +127,12 @@ struct HubInner {
 }
 
 impl HubInner {
-    fn enqueue(&mut self, dst: NodeId, lane: Lane, frame: Vec<u8>) {
+    fn enqueue(&mut self, now: u64, dst: NodeId, lane: Lane, frame: Vec<u8>) {
         let Some(queue) = self.queues.get_mut(dst.index()) else {
             self.unknown_peer += 1;
             return;
         };
-        let mut deliver_at = self.now.as_u64() + self.latency;
+        let mut deliver_at = now + self.latency;
         if let Some((rng, max_extra)) = &mut self.jitter {
             deliver_at += rng.next_u64() % (*max_extra + 1);
         }
@@ -123,8 +142,7 @@ impl HubInner {
     }
 
     /// The earliest frame for `node` on `lane`, once it is due.
-    fn dequeue(&mut self, node: NodeId, lane: Lane) -> Option<Vec<u8>> {
-        let now = self.now.as_u64();
+    fn dequeue(&mut self, now: u64, node: NodeId, lane: Lane) -> Option<Vec<u8>> {
         let queue = &mut self.queues[node.index()][lane.index()];
         let Reverse((at, _, _)) = queue.peek()?;
         if *at > now {
@@ -161,7 +179,7 @@ impl HubInner {
 /// ```
 #[derive(Debug, Clone)]
 pub struct LoopbackHub {
-    inner: Arc<Mutex<HubInner>>,
+    shared: Arc<Shared>,
 }
 
 impl LoopbackHub {
@@ -169,16 +187,18 @@ impl LoopbackHub {
     /// from send to earliest delivery.
     pub fn new(nodes: usize, latency: u64) -> Self {
         LoopbackHub {
-            inner: Arc::new(Mutex::new(HubInner {
-                now: Cycle::ZERO,
-                latency,
-                jitter: None,
-                seq: 0,
-                queues: (0..nodes)
-                    .map(|_| [BinaryHeap::new(), BinaryHeap::new()])
-                    .collect(),
-                unknown_peer: 0,
-            })),
+            shared: Arc::new(Shared {
+                now: AtomicU64::new(0),
+                inner: Mutex::new(HubInner {
+                    latency,
+                    jitter: None,
+                    seq: 0,
+                    queues: (0..nodes)
+                        .map(|_| [BinaryHeap::new(), BinaryHeap::new()])
+                        .collect(),
+                    unknown_peer: 0,
+                }),
+            }),
         }
     }
 
@@ -188,7 +208,7 @@ impl LoopbackHub {
     /// reordering to exercise the protocol's window machinery.
     pub fn with_jitter(self, seed: u64, max_extra: u64) -> Self {
         {
-            let mut inner = self.lock();
+            let mut inner = self.shared.lock();
             inner.jitter =
                 (max_extra > 0).then(|| (SimRng::from_seed_stream(seed, 0x17e), max_extra));
         }
@@ -197,12 +217,12 @@ impl LoopbackHub {
 
     /// Advances the shared hub clock by one cycle.
     pub fn tick(&self) {
-        self.lock().now += 1;
+        self.shared.now.fetch_add(1, Ordering::SeqCst);
     }
 
     /// The shared hub clock.
     pub fn now(&self) -> Cycle {
-        self.lock().now
+        Cycle::new(self.shared.now())
     }
 
     /// The earliest cycle at which any in-flight frame becomes deliverable,
@@ -211,7 +231,8 @@ impl LoopbackHub {
     /// cannot see frames still inside the transport, so the hub must be
     /// consulted for them.
     pub fn next_delivery(&self) -> Option<u64> {
-        self.lock()
+        self.shared
+            .lock()
             .queues
             .iter()
             .flat_map(|lanes| lanes.iter())
@@ -222,7 +243,8 @@ impl LoopbackHub {
     /// Frames currently in flight or awaiting [`Transport::recv`], across
     /// all nodes (drain/termination checks).
     pub fn in_flight(&self) -> usize {
-        self.lock()
+        self.shared
+            .lock()
             .queues
             .iter()
             .map(|lanes| lanes[0].len() + lanes[1].len())
@@ -233,7 +255,7 @@ impl LoopbackHub {
     /// [`UdpTransport::unknown_peer`](crate::UdpTransport::unknown_peer),
     /// the hub counts and drops them instead of delivering.
     pub fn unknown_peer(&self) -> u64 {
-        self.lock().unknown_peer
+        self.shared.lock().unknown_peer
     }
 
     /// Creates the endpoint for `node`.
@@ -243,17 +265,13 @@ impl LoopbackHub {
     /// Panics if `node` is outside the hub's node range.
     pub fn endpoint(&self, node: NodeId) -> LoopbackTransport {
         assert!(
-            node.index() < self.lock().queues.len(),
+            node.index() < self.shared.lock().queues.len(),
             "node {node} outside the hub's range"
         );
         LoopbackTransport {
             node,
-            inner: Arc::clone(&self.inner),
+            shared: Arc::clone(&self.shared),
         }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, HubInner> {
-        self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 }
 
@@ -261,13 +279,7 @@ impl LoopbackHub {
 #[derive(Debug)]
 pub struct LoopbackTransport {
     node: NodeId,
-    inner: Arc<Mutex<HubInner>>,
-}
-
-impl LoopbackTransport {
-    fn lock(&self) -> std::sync::MutexGuard<'_, HubInner> {
-        self.inner.lock().unwrap_or_else(|p| p.into_inner())
-    }
+    shared: Arc<Shared>,
 }
 
 impl Transport for LoopbackTransport {
@@ -276,7 +288,7 @@ impl Transport for LoopbackTransport {
     }
 
     fn now(&self) -> Cycle {
-        self.lock().now
+        Cycle::new(self.shared.now())
     }
 
     fn tick(&mut self) {
@@ -284,12 +296,13 @@ impl Transport for LoopbackTransport {
     }
 
     fn send(&mut self, dst: NodeId, lane: Lane, frame: Vec<u8>) {
-        self.lock().enqueue(dst, lane, frame);
+        let mut inner = self.shared.lock();
+        inner.enqueue(self.shared.now(), dst, lane, frame);
     }
 
     fn recv(&mut self, lane: Lane) -> Option<Vec<u8>> {
-        let node = self.node;
-        self.lock().dequeue(node, lane)
+        let mut inner = self.shared.lock();
+        inner.dequeue(self.shared.now(), self.node, lane)
     }
 }
 
@@ -403,5 +416,68 @@ mod tests {
         assert_eq!(first, run(7), "same seed, same delivery order");
         let sorted: Vec<u8> = (0..32).collect();
         assert_ne!(first, sorted, "jitter actually reorders");
+    }
+
+    #[test]
+    fn reading_the_clock_takes_no_lock() {
+        let hub = LoopbackHub::new(2, 1);
+        hub.tick();
+        let reader_hub = hub.clone();
+        let endpoint = hub.endpoint(NodeId::new(0));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let guard = hub.shared.lock();
+        let reader = std::thread::spawn(move || {
+            // The receiver may be gone if the reads blocked past the timeout.
+            let _ = tx.send((reader_hub.now(), endpoint.now()));
+        });
+        let read = rx.recv_timeout(std::time::Duration::from_secs(1));
+        drop(guard);
+        reader.join().expect("reader thread");
+        assert_eq!(
+            read,
+            Ok((Cycle::new(1), Cycle::new(1))),
+            "clock reads must not wait for the hub's lock"
+        );
+    }
+
+    #[test]
+    fn every_endpoint_reads_the_hub_clock() {
+        let hub = LoopbackHub::new(3, 1);
+        let early = hub.endpoint(NodeId::new(0));
+        for _ in 0..4 {
+            hub.tick();
+        }
+        let late = hub.endpoint(NodeId::new(1));
+        let faulty = crate::FaultyTransport::new(
+            hub.endpoint(NodeId::new(2)),
+            crate::WireFaultConfig::default().with_drop_prob(0.5),
+            3,
+        );
+        assert_eq!(hub.now(), Cycle::new(4));
+        for _ in 0..8 {
+            hub.tick();
+            let now = hub.now();
+            assert_eq!(early.now(), now, "endpoint made before any tick");
+            assert_eq!(late.now(), now, "endpoint made after four ticks");
+            assert_eq!(faulty.now(), now, "faulty transport over the hub");
+        }
+        assert_eq!(hub.now(), Cycle::new(12));
+    }
+
+    #[test]
+    fn latency_counts_from_the_send_cycle() {
+        let hub = LoopbackHub::new(2, 3);
+        let mut a = hub.endpoint(NodeId::new(0));
+        let mut b = hub.endpoint(NodeId::new(1));
+        for _ in 0..5 {
+            hub.tick();
+        }
+        a.send(NodeId::new(1), Lane::Request, vec![9]);
+        assert_eq!(hub.next_delivery(), Some(8));
+        while hub.now() < Cycle::new(8) {
+            assert!(b.recv(Lane::Request).is_none(), "early at {}", hub.now());
+            hub.tick();
+        }
+        assert_eq!(b.recv(Lane::Request), Some(vec![9]), "due at tick 8");
     }
 }
