@@ -14,12 +14,11 @@ use nifdy_trace::export;
 
 const USAGE: &str = "usage: nifdy-experiments \
     <fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|table3|all|sweep:<network>\
-    |ablations|ext:adaptive|ext:loadsweep|ext:lossy|trace-guard|wire:loopback|wire:udp|wire:chaos\
+    |ablations|ext:adaptive|ext:loadsweep|ext:lossy|trace-guard|wire:loopback|wire:chaos\
     |trace:analyze|node:serve|node:swarm> \
     [--full|--quick|--smoke] [--seed N] [--jobs N] \
     [--trace-out FILE.json] [--trace-jsonl FILE.jsonl] [--metrics-out FILE.json]\n\
     wire:chaos --metrics-out writes the per-cause fault-counter JSON report\n\
-    wire:udp exits with code 3 when the localhost sockets cannot bind\n\
     trace:analyze --metrics-out writes the journey-analysis JSON report, \
     --trace-out the journey-enriched Perfetto trace (fabric carrier), \
     --trace-jsonl the raw event stream; exits nonzero on invariant violation\n\
@@ -180,33 +179,6 @@ fn main() -> ExitCode {
         if let Some(path) = &metrics_out {
             if !write_output(path, wire_cmd::chaos_json(seed, &points).render()) {
                 return ExitCode::FAILURE;
-            }
-        }
-        matched = true;
-    }
-    if target == "wire:udp" {
-        match wire_cmd::run_udp(scale, seed) {
-            Ok(report) => {
-                println!(
-                    "nifdy-wire: UDP localhost exchange: {} packets delivered in order, \
-                     {} retransmits, {} ms \
-                     (refused {}, oversize {}, unknown peer {}, transport errors {} \
-                     [{} dropped])",
-                    report.delivered,
-                    report.retransmits,
-                    report.millis,
-                    report.refused,
-                    report.oversize,
-                    report.unknown_peer,
-                    report.transport_errors,
-                    report.dropped_errors,
-                );
-            }
-            Err(e) => {
-                // Distinct exit code: CI distinguishes "no loopback socket
-                // available in this sandbox" from a protocol failure.
-                eprintln!("wire:udp cannot bind localhost sockets: {e}");
-                return ExitCode::from(3);
             }
         }
         matched = true;

@@ -519,10 +519,11 @@ fn swarm_child(scale: Scale, seed: u64, opts: &NodeOpts) -> Result<(), String> {
         // observation for a process triggers a one-shot re-offer of all
         // frames destined to it (receivers deduplicate) — the same
         // protocol the respawned child itself runs by re-playing its plan.
-        for (_, ev) in node.take_peer_events() {
+        for ev in node.take_peer_events() {
             if let PeerEvent::Restarted { peer, .. } = ev {
                 restarted_observed += 1;
-                let kproc = owner(peer.index());
+                // A beacon names its daemon by carrier address: the process index.
+                let kproc = peer.index();
                 if opts.kill && kproc != me && reoffered.insert(kproc) {
                     let mut filtered = plan.clone();
                     for q in &mut filtered.sends {
@@ -572,6 +573,8 @@ fn swarm_child(scale: Scale, seed: u64, opts: &NodeOpts) -> Result<(), String> {
         ("rounds", Json::u64(stats.rounds)),
         ("frames_in", Json::u64(stats.frames_in)),
         ("frames_out", Json::u64(stats.frames_out)),
+        ("heartbeats_out", Json::u64(stats.heartbeats_out)),
+        ("heartbeats_in", Json::u64(stats.heartbeats_in)),
         ("local_frames", Json::u64(stats.local_frames)),
         ("unroutable", Json::u64(stats.unroutable)),
         ("foreign", Json::u64(stats.foreign)),
@@ -605,9 +608,87 @@ struct Slot {
     complete: bool,
     prog: u64,
     epoch: u32,
-    log_lines: Vec<(usize, usize, u64, u32)>,
-    stats: Option<Json>,
+    dump: ChildDump,
     done: bool,
+}
+
+/// What one child printed after STOP, unparsed until [`gather`].
+#[derive(Debug, Default)]
+struct ChildDump {
+    /// Its `LOG` lines, whole.
+    log: Vec<String>,
+    /// Its `STATS` line's JSON.
+    stats: Option<String>,
+}
+
+/// The counters the parent reads from every child's `STATS` line.
+const STAT_KEYS: [&str; 14] = [
+    "epoch",
+    "unique",
+    "dups",
+    "failures",
+    "restarted_observed",
+    "transport_errors",
+    "unroutable",
+    "foreign",
+    "frames_in",
+    "frames_out",
+    "local_frames",
+    "refused",
+    "heartbeats_out",
+    "heartbeats_in",
+];
+
+/// Every child's report, checked and merged.
+#[derive(Debug)]
+struct Gathered {
+    /// The per-destination delivery log over all children (destinations
+    /// are partitioned over children, so keys never collide).
+    log: DeliveryLog,
+    /// Each child's `STATS` object, holding every [`STAT_KEYS`] counter.
+    stats: Vec<Json>,
+}
+
+/// `LOG <src> <dst> <msg_id> <pkt>`, each field within its type's range.
+fn parse_log(line: &str) -> Option<(usize, usize, u64, u32)> {
+    let mut it = line.strip_prefix("LOG ")?.split_whitespace();
+    let mut next = || it.next();
+    let entry = (
+        next()?.parse().ok()?,
+        next()?.parse().ok()?,
+        next()?.parse().ok()?,
+        next()?.parse().ok()?,
+    );
+    next().is_none().then_some(entry)
+}
+
+/// Parses what each child printed. A missing or unparsable `STATS` line, a
+/// counter of [`STAT_KEYS`] missing from it, or a malformed `LOG` line is
+/// an error naming the child: a child that cannot be read is never clean.
+fn gather(dumps: &[ChildDump]) -> Result<Gathered, String> {
+    let mut log = DeliveryLog::new();
+    let mut stats = Vec::with_capacity(dumps.len());
+    for (i, dump) in dumps.iter().enumerate() {
+        for line in &dump.log {
+            let (src, dst, msg, pkt) = parse_log(line)
+                .ok_or_else(|| format!("swarm child {i}: malformed LOG line '{line}'"))?;
+            log.entry((src, dst)).or_default().push((msg, pkt));
+        }
+        let raw = dump
+            .stats
+            .as_deref()
+            .ok_or(format!("swarm child {i} sent no STATS line"))?;
+        let json =
+            json::parse(raw).map_err(|e| format!("swarm child {i}: unparsable STATS ({e:?})"))?;
+        if let Some(key) = STAT_KEYS
+            .iter()
+            .find(|&&key| json.get(key).and_then(Json::as_u64).is_none())
+        {
+            return Err(format!("swarm child {i}: STATS has no counter '{key}'"));
+        }
+        stats.push(json);
+    }
+    Ok(Gathered { log, stats })
 }
 
 fn attach_reader(
@@ -671,12 +752,10 @@ fn send_line(slot: &mut Slot, line: &str) {
     let _ = slot.stdin.flush();
 }
 
-fn stat(slot: &Slot, key: &str) -> u64 {
-    slot.stats
-        .as_ref()
-        .and_then(|s| s.get(key))
-        .and_then(Json::as_u64)
-        .unwrap_or(0)
+/// A child's counter `key`; [`gather`] checked that every [`STAT_KEYS`]
+/// counter is there.
+fn stat(stats: &Json, key: &str) -> u64 {
+    stats.get(key).and_then(Json::as_u64).unwrap_or(0)
 }
 
 /// What `node:swarm` produced.
@@ -729,8 +808,7 @@ pub fn run_swarm(scale: Scale, seed: u64, extra: &[String]) -> Result<SwarmRepor
             complete: false,
             prog: 0,
             epoch: 0,
-            log_lines: Vec::new(),
-            stats: None,
+            dump: ChildDump::default(),
             done: false,
         });
     }
@@ -855,23 +933,9 @@ pub fn run_swarm(scale: Scale, seed: u64, extra: &[String]) -> Result<SwarmRepor
                 slots[i].prog = it.next().and_then(|v| v.parse().ok()).unwrap_or(0);
             }
             Some("COMPLETE") => slots[i].complete = true,
-            Some("LOG") => {
-                let mut p = || it.next().and_then(|v| v.parse::<u64>().ok());
-                match (p(), p(), p(), p()) {
-                    (Some(src), Some(dst), Some(msg_id), Some(pkt)) => {
-                        slots[i]
-                            .log_lines
-                            .push((src as usize, dst as usize, msg_id, pkt as u32));
-                    }
-                    _ => {
-                        cleanup(&mut slots);
-                        return Err(format!("swarm child {i}: malformed LOG line '{line}'"));
-                    }
-                }
-            }
+            Some("LOG") => slots[i].dump.log.push(line),
             Some("STATS") => {
-                let raw = line.trim_start_matches("STATS ").to_string();
-                slots[i].stats = json::parse(&raw).ok();
+                slots[i].dump.stats = Some(line.trim_start_matches("STATS ").to_string());
             }
             Some("DONE") => slots[i].done = true,
             _ => {
@@ -884,21 +948,19 @@ pub fn run_swarm(scale: Scale, seed: u64, extra: &[String]) -> Result<SwarmRepor
         let _ = s.child.wait();
     }
 
-    // Aggregate the per-destination delivery logs (destinations are
-    // partitioned over children, so keys never collide).
-    let mut agg = DeliveryLog::new();
-    for s in &slots {
-        for &(src, dst, msg_id, pkt) in &s.log_lines {
-            agg.entry((src, dst)).or_default().push((msg_id, pkt));
-        }
-    }
-    let unique: u64 = slots.iter().map(|s| stat(s, "unique")).sum();
-    let dups: u64 = slots.iter().map(|s| stat(s, "dups")).sum();
-    let failures: u64 = slots.iter().map(|s| stat(s, "failures")).sum();
-    let transport_errors: u64 = slots.iter().map(|s| stat(s, "transport_errors")).sum();
-    let unroutable: u64 = slots.iter().map(|s| stat(s, "unroutable")).sum();
-    let foreign: u64 = slots.iter().map(|s| stat(s, "foreign")).sum();
-    let restarted_observed: u64 = slots.iter().map(|s| stat(s, "restarted_observed")).sum();
+    let dumps: Vec<ChildDump> = slots
+        .iter_mut()
+        .map(|s| std::mem::take(&mut s.dump))
+        .collect();
+    let Gathered { log: agg, stats } = gather(&dumps)?;
+    let total_of = |key: &str| -> u64 { stats.iter().map(|s| stat(s, key)).sum() };
+    let unique = total_of("unique");
+    let dups = total_of("dups");
+    let failures = total_of("failures");
+    let transport_errors = total_of("transport_errors");
+    let unroutable = total_of("unroutable");
+    let foreign = total_of("foreign");
+    let restarted_observed = total_of("restarted_observed");
     let hygiene = failures == 0 && transport_errors == 0 && unroutable == 0 && foreign == 0;
 
     let (ok, verdict) = if opts.kill {
@@ -911,7 +973,7 @@ pub fn run_swarm(scale: Scale, seed: u64, extra: &[String]) -> Result<SwarmRepor
             .flat_map(|(&(s, d), v)| v.iter().map(move |&(m, p)| (s, d, m, p)))
             .collect();
         let coverage = want == got;
-        let victim_epoch = slots[victim].epoch == 1 && stat(&slots[victim], "epoch") == 1;
+        let victim_epoch = slots[victim].epoch == 1 && stat(&stats[victim], "epoch") == 1;
         let ok = coverage && victim_epoch && restarted_observed > 0 && hygiene;
         let verdict = if ok {
             format!(
@@ -965,30 +1027,32 @@ pub fn run_swarm(scale: Scale, seed: u64, extra: &[String]) -> Result<SwarmRepor
             "restarts seen".into(),
             "frames in".into(),
             "frames out".into(),
+            "beacons in".into(),
+            "beacons out".into(),
             "local".into(),
             "refused".into(),
         ],
     );
-    for (i, s) in slots.iter().enumerate() {
-        table.row(vec![
-            i.to_string(),
-            stat(s, "epoch").to_string(),
-            stat(s, "unique").to_string(),
-            stat(s, "dups").to_string(),
-            stat(s, "restarted_observed").to_string(),
-            stat(s, "frames_in").to_string(),
-            stat(s, "frames_out").to_string(),
-            stat(s, "local_frames").to_string(),
-            stat(s, "refused").to_string(),
-        ]);
+    for (i, s) in stats.iter().enumerate() {
+        let mut row = vec![i.to_string()];
+        for key in [
+            "epoch",
+            "unique",
+            "dups",
+            "restarted_observed",
+            "frames_in",
+            "frames_out",
+            "heartbeats_in",
+            "heartbeats_out",
+            "local_frames",
+            "refused",
+        ] {
+            row.push(stat(s, key).to_string());
+        }
+        table.row(row);
     }
 
-    let children = Json::Arr(
-        slots
-            .iter()
-            .map(|s| s.stats.clone().unwrap_or(Json::obj([])))
-            .collect(),
-    );
+    let children = Json::Arr(stats);
     let json = Json::obj([
         ("experiment", Json::str("node:swarm")),
         ("seed", Json::u64(seed)),
@@ -1124,6 +1188,50 @@ mod tests {
         let plan = build_plan(&o, Scale::Smoke, 3, 8);
         assert!(plan.total_packets() > 0);
         assert!(plan.total_packets() < 10_000, "smoke plan stays small");
+    }
+
+    fn dump(log: &[&str], stats: Option<&str>) -> ChildDump {
+        ChildDump {
+            log: s(log),
+            stats: stats.map(str::to_string),
+        }
+    }
+
+    /// A `STATS` line with every counter the parent reads.
+    fn clean_stats() -> String {
+        Json::obj(STAT_KEYS.map(|key| (key, Json::u64(0)))).render()
+    }
+
+    #[test]
+    fn gather_merges_clean_children() {
+        let good = clean_stats();
+        let got = gather(&[
+            dump(&["LOG 1 0 7 0", "LOG 1 0 7 1"], Some(&good)),
+            dump(&["LOG 0 1 9 0"], Some(&good)),
+        ])
+        .expect("clean reports gather");
+        assert_eq!(got.log[&(1, 0)], vec![(7, 0), (7, 1)]);
+        assert_eq!(got.log[&(0, 1)], vec![(9, 0)]);
+        assert_eq!(got.stats.len(), 2);
+    }
+
+    #[test]
+    fn a_child_that_cannot_be_read_is_a_run_error() {
+        let good = clean_stats();
+        let missing_key = good.replacen("\"foreign\"", "\"foreign_\"", 1);
+        for (bad, why) in [
+            (dump(&[], None), "no STATS line"),
+            (dump(&[], Some("{\"unique\": 1")), "unparsable STATS"),
+            (dump(&[], Some(&missing_key)), "no counter 'foreign'"),
+            (
+                dump(&["LOG 1 0 7 4294967296"], Some(&good)),
+                "malformed LOG",
+            ),
+            (dump(&["LOG 1 0 7"], Some(&good)), "malformed LOG"),
+        ] {
+            let err = gather(&[dump(&[], Some(&good)), bad]).expect_err(why);
+            assert!(err.contains("swarm child 1") && err.contains(why), "{err}");
+        }
     }
 
     #[test]

@@ -8,10 +8,6 @@
 //!   port charges one cycle per word of serialization, so `T_link =
 //!   size_words` and the ceiling is exactly [`BYTES_PER_WORD`] bytes per
 //!   cycle; Equation 3 predicts the window that reaches it.
-//! * [`run_udp`] runs the same exchange over two real UDP sockets on
-//!   localhost — a smoke-scale proof that the stack survives an operating
-//!   system's delivery behavior, with the §6.2 machinery absorbing any
-//!   loss.
 
 use nifdy::analysis::{min_window_combined_acks, pairwise_bandwidth, roundtrip, Timing};
 use nifdy::{NifdyConfig, OutboundPacket};
@@ -20,7 +16,7 @@ use nifdy_sim::NodeId;
 use nifdy_trace::json::Json;
 use nifdy_trace::WireFaultCause;
 use nifdy_wire::codec::BYTES_PER_WORD;
-use nifdy_wire::{FaultyTransport, LoopbackHub, UdpTransport, WireEndpoint, WireFaultConfig};
+use nifdy_wire::{FaultyTransport, LoopbackHub, WireEndpoint, WireFaultConfig};
 
 use crate::{Scale, Table};
 
@@ -407,92 +403,6 @@ pub fn chaos_json(seed: u64, points: &[ChaosPoint]) -> Json {
     ])
 }
 
-/// Result of the two-node UDP exchange, including the carrier-level
-/// counters summed over both sockets.
-#[derive(Debug, Clone, Copy)]
-pub struct UdpReport {
-    /// Packets delivered in order at the receiver.
-    pub delivered: u64,
-    /// Data retransmissions the sender issued (OS drops absorbed).
-    pub retransmits: u64,
-    /// Wall-clock milliseconds for the exchange.
-    pub millis: u128,
-    /// `ECONNREFUSED` events (ICMP bounce from a dead peer; weather).
-    pub refused: u64,
-    /// Datagrams rejected for exceeding the socket's maximum size.
-    pub oversize: u64,
-    /// Frames addressed to nodes with no registered socket address.
-    pub unknown_peer: u64,
-    /// Unclassified socket failures (see [`nifdy_wire::TransportError`]).
-    pub transport_errors: u64,
-    /// Unclassified failures shed because an earlier one was unread.
-    pub dropped_errors: u64,
-}
-
-/// Streams a bulk message between two localhost UDP sockets driven from one
-/// thread (step the sender, step the receiver, repeat) and asserts in-order
-/// exactly-once delivery.
-pub fn run_udp(scale: Scale, seed: u64) -> std::io::Result<UdpReport> {
-    let packets = scale.count(500) as u32;
-    let n0 = NodeId::new(0);
-    let n1 = NodeId::new(1);
-    let mut t0 = UdpTransport::bind(n0, "127.0.0.1:0")?;
-    let mut t1 = UdpTransport::bind(n1, "127.0.0.1:0")?;
-    t0.add_peer(n1, t1.local_addr()?);
-    t1.add_peer(n0, t0.local_addr()?);
-    let cfg = config(8, true).with_retx_timeout(20_000);
-    let mut tx = WireEndpoint::new(n0, cfg.clone(), t0);
-    let mut rx = WireEndpoint::new(n1, cfg, t1);
-    #[expect(
-        clippy::disallowed_types,
-        reason = "a wall-clock receive deadline bounds a real socket wait; it gates harness \
-                  I/O only, never simulated time"
-    )]
-    let start = std::time::Instant::now();
-    let mut sent = 0u32;
-    let mut got = 0u32;
-    while got < packets || !tx.is_idle() {
-        assert!(
-            start.elapsed().as_secs() < 120,
-            "udp exchange wedged at {got}/{packets}"
-        );
-        if sent < packets {
-            let pkt = OutboundPacket::new(n1, SIZE_WORDS)
-                .with_bulk(true)
-                .with_user(UserData {
-                    msg_id: seed,
-                    pkt_index: sent,
-                    msg_packets: packets,
-                    user_words: SIZE_WORDS - 2,
-                });
-            if tx.try_send(pkt) {
-                sent += 1;
-            }
-        }
-        tx.step();
-        rx.step();
-        assert!(
-            tx.take_failures().is_empty(),
-            "sender gave up on a delivery"
-        );
-        while let Some(d) = rx.poll() {
-            assert_eq!(d.user.pkt_index, got, "out-of-order delivery over UDP");
-            got += 1;
-        }
-    }
-    let (t0, t1) = (tx.port().transport(), rx.port().transport());
-    Ok(UdpReport {
-        delivered: rx.stats().delivered.get(),
-        retransmits: tx.stats().retransmitted.get(),
-        millis: start.elapsed().as_millis(),
-        refused: t0.refused() + t1.refused(),
-        oversize: t0.oversize() + t1.oversize(),
-        unknown_peer: t0.unknown_peer() + t1.unknown_peer(),
-        transport_errors: t0.transport_errors() + t1.transport_errors(),
-        dropped_errors: t0.dropped_errors() + t1.dropped_errors(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -559,18 +469,5 @@ mod tests {
                 cause
             );
         }
-    }
-
-    #[test]
-    fn udp_exchange_delivers_everything() {
-        let report = run_udp(Scale::Smoke, 3).expect("sockets bind on localhost");
-        assert_eq!(report.delivered, Scale::Smoke.count(500));
-        assert_eq!(
-            report.transport_errors, 0,
-            "no unclassified socket failures"
-        );
-        assert_eq!(report.dropped_errors, 0);
-        assert_eq!(report.unknown_peer, 0, "both peers were registered");
-        assert_eq!(report.oversize, 0);
     }
 }

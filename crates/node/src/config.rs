@@ -1,5 +1,5 @@
-//! Daemon configuration: shard count, batch bounds, and the protocol and
-//! supervision presets every hosted endpoint runs.
+//! Daemon configuration: shard count, batch bounds, the protocol every
+//! hosted endpoint runs, and the daemon's liveness timing.
 
 use nifdy::NifdyConfig;
 use nifdy_wire::SupervisorConfig;
@@ -24,12 +24,12 @@ pub struct NodeConfig {
     pub batch: usize,
     /// The NIFDY protocol config every hosted endpoint runs.
     pub protocol: NifdyConfig,
-    /// Heartbeat and liveness timing for every hosted endpoint.
+    /// Beacon and liveness timing toward monitored peer daemons.
     pub supervisor: SupervisorConfig,
-    /// The epoch every hosted endpoint announces. An endpoint restarts only
-    /// as a new incarnation: a restarted daemon process passes the next
-    /// epoch here, so surviving peers in other processes see the epoch rise
-    /// and reset what they held for the dead incarnation.
+    /// The epoch this daemon's beacons announce. An endpoint restarts only
+    /// with its daemon, as a new incarnation: a restarted daemon process
+    /// passes the next epoch here, so surviving peer daemons see the epoch
+    /// rise and reset what their endpoints held for the dead incarnation.
     pub initial_epoch: u32,
     /// Read by nothing in the daemon. Kept only because `nifdy-bench` calls
     /// [`with_seed`](Self::with_seed); remove it once the benchmark does not.
@@ -68,13 +68,13 @@ impl NodeConfig {
         self
     }
 
-    /// Sets the supervision timing.
+    /// Sets the daemon's liveness timing.
     pub fn with_supervisor(mut self, supervisor: SupervisorConfig) -> Self {
         self.supervisor = supervisor;
         self
     }
 
-    /// Sets the epoch announced by the first incarnation of every endpoint.
+    /// Sets the epoch this daemon's beacons announce.
     pub fn with_initial_epoch(mut self, epoch: u32) -> Self {
         self.initial_epoch = epoch;
         self

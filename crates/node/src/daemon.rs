@@ -1,21 +1,23 @@
-//! The daemon: N supervised endpoints behind flow-affine shards, driven by
-//! a batched poll loop over a handful of carriers.
+//! The daemon: N endpoints behind flow-affine shards, driven by a batched
+//! poll loop over a handful of carriers, with liveness kept once per peer
+//! process.
 //!
-//! Every endpoint is built once, in [`add_endpoint`](NifdyNode::add_endpoint),
-//! at [`NodeConfig::initial_epoch`]; an endpoint restarts only with its
-//! whole daemon, as a new process at the next epoch.
+//! Every endpoint is built once, in [`add_endpoint`](NifdyNode::add_endpoint);
+//! an endpoint restarts only with its whole daemon, as a new process at the
+//! next [`NodeConfig::initial_epoch`].
 //!
 //! One [`poll_round`](NifdyNode::poll_round) is the daemon's unit of work:
 //!
 //! 1. deliver frames routed daemon-internally in the previous round;
 //! 2. tick each carrier and drain it with **bounded** batch reads (at most
 //!    [`NodeConfig::batch`] frames per lane per round, so one busy socket
-//!    cannot starve the rest), demultiplexing frames to endpoints by the
-//!    destination peeked from the frame header
-//!    ([`peek_route`](nifdy_wire::peek_route));
+//!    cannot starve the rest). A peer daemon's beacon is applied here, so
+//!    a restart resets the hosted endpoints before any of them steps; every
+//!    other frame is demultiplexed to its endpoint by the destination
+//!    peeked from the frame header ([`peek_route`](nifdy_wire::peek_route)).
+//!    Due beacons and silence checks follow;
 //! 3. tick shards in deterministic order (shard 0 first, slots in insertion
-//!    order), collecting deliveries, failures, peer events, and outbound
-//!    frames;
+//!    order), collecting deliveries, failures, and outbound frames;
 //! 4. flush each carrier's accumulated sends with one coalesced
 //!    [`send_batch`](nifdy_wire::BatchTransport::send_batch).
 //!
@@ -24,23 +26,60 @@
 //! set by [`set_route`](NifdyNode::set_route), where `via` is the
 //! carrier-level address of the process hosting it — the frame bytes still
 //! carry the logical destination, which is what the far daemon demuxes on).
+//!
+//! Liveness is per daemon, not per endpoint. A *monitored peer* is a
+//! `(carrier, via)` pair that routes a node some hosted endpoint watches.
+//! The daemon sends it one beacon (a [`Heartbeat`] between carrier
+//! addresses, stamped with [`NodeConfig::initial_epoch`]) every
+//! [`heartbeat_every`](nifdy_wire::SupervisorConfig::heartbeat_every)
+//! rounds, and keeps one last-heard/epoch/down record for it. When the
+//! peer's epoch rises, every hosted endpoint resets every node routed
+//! through it ([`WireEndpoint::reset_peer`]).
 
 use std::collections::VecDeque;
 
 use nifdy::{Delivered, DeliveryFailure, OutboundPacket};
 use nifdy_net::Lane;
 use nifdy_sim::{Cycle, NodeId};
-use nifdy_trace::{MetricsRegistry, TraceHandle};
-use nifdy_wire::{peek_route, BatchTransport, PeerEvent, SupervisedEndpoint, WireEndpoint};
+use nifdy_trace::{trace_event, EventKind, MetricsRegistry, TraceHandle};
+use nifdy_wire::codec::HEARTBEAT_FRAME_LEN;
+use nifdy_wire::{
+    decode_frame, encode_heartbeat_into, peek_route, BatchTransport, Heartbeat, PeerEvent,
+    WireEndpoint, WireFrame,
+};
 
 use crate::config::NodeConfig;
 use crate::mux::{shard_of, MuxPort};
 use crate::stats::NodeStats;
 
-/// One hosted logical node.
-struct Slot {
+/// One hosted logical node: the daemon's per-slot record.
+#[derive(Debug)]
+pub struct Slot {
     node: NodeId,
-    ep: SupervisedEndpoint<MuxPort>,
+    ep: WireEndpoint<MuxPort>,
+}
+
+impl Slot {
+    /// The hosted endpoint (counter inspection).
+    pub fn endpoint(&self) -> &WireEndpoint<MuxPort> {
+        &self.ep
+    }
+}
+
+/// One monitored peer daemon and what its beacons told us.
+struct Peer {
+    carrier: usize,
+    /// The peer's carrier-level address.
+    via: NodeId,
+    /// `None` until its first beacon: silence before that flags nothing.
+    heard: Option<Heard>,
+}
+
+#[derive(Clone, Copy)]
+struct Heard {
+    at: Cycle,
+    epoch: u32,
+    down: bool,
 }
 
 /// One flow-affine partition of the endpoint table.
@@ -107,7 +146,13 @@ pub struct NifdyNode<C: BatchTransport> {
     /// Daemon-internal frames delivered at the start of the next round.
     pending_local: Vec<(NodeId, Lane, Vec<u8>)>,
     deliveries: VecDeque<(NodeId, Delivered)>,
-    peer_events: Vec<(NodeId, PeerEvent)>,
+    /// Node ids some hosted endpoint watches, indexed by id.
+    watched: Vec<bool>,
+    /// Monitored peer daemons, in the order they were first needed.
+    peers: Vec<Peer>,
+    /// When the last beacons went out (`None`: the next round sends them).
+    last_beat: Option<Cycle>,
+    peer_events: Vec<PeerEvent>,
     failures: Vec<DeliveryFailure>,
     now: Cycle,
     stats: NodeStats,
@@ -156,6 +201,9 @@ impl<C: BatchTransport> NifdyNode<C> {
             outboxes: Vec::new(),
             pending_local: Vec::new(),
             deliveries: VecDeque::new(),
+            watched: Vec::new(),
+            peers: Vec::new(),
+            last_beat: None,
             peer_events: Vec::new(),
             failures: Vec::new(),
             now: Cycle::ZERO,
@@ -180,11 +228,11 @@ impl<C: BatchTransport> NifdyNode<C> {
     }
 
     /// Hosts logical node `node`, placed in its flow-affine shard
-    /// ([`shard_of`]), as incarnation [`NodeConfig::initial_epoch`].
-    /// `watched` lists the peers it heartbeats and monitors for liveness.
-    /// A peer's restart is detected only if that peer is watched
-    /// ([`SupervisedEndpoint::watch`]), so the list must include every
-    /// node that sends to `node`.
+    /// ([`shard_of`]). `watched` lists the nodes whose hosting daemons this
+    /// one monitors for liveness. A peer daemon's restart resets `node`'s
+    /// state toward it only if the daemon is monitored, so across all
+    /// hosted endpoints the lists must cover every node that sends to one
+    /// of them.
     ///
     /// # Panics
     ///
@@ -195,15 +243,20 @@ impl<C: BatchTransport> NifdyNode<C> {
             "node {node} already hosted"
         );
         let s = shard_of(node, self.cfg.shards);
-        let wire = WireEndpoint::new(node, self.cfg.protocol.clone(), MuxPort::new(node));
-        let mut ep = SupervisedEndpoint::new(wire, self.cfg.supervisor, self.cfg.initial_epoch);
-        for peer in watched {
-            ep.watch(peer);
-        }
+        let mut ep = WireEndpoint::new(node, self.cfg.protocol.clone(), MuxPort::new(node));
         ep.attach_trace(self.trace.clone());
         let slot = self.shards[s].slots.len();
         self.shards[s].slots.push(Slot { node, ep });
         *self.dest_mut(node) = Dest::Hosted { shard: s, slot };
+        for peer in watched {
+            if self.watched.len() <= peer.index() {
+                self.watched.resize(peer.index() + 1, false);
+            }
+            self.watched[peer.index()] = true;
+            if let Dest::Routed { carrier, via } = self.dest(peer) {
+                self.monitor(carrier, via);
+            }
+        }
     }
 
     /// Attaches a carrier, returning its index for [`set_route`](Self::set_route).
@@ -227,6 +280,24 @@ impl<C: BatchTransport> NifdyNode<C> {
         // A hosted destination stays hosted: local delivery wins.
         if !matches!(self.dest(dst), Dest::Hosted { .. }) {
             *self.dest_mut(dst) = Dest::Routed { carrier, via };
+            if self.watched.get(dst.index()).copied().unwrap_or(false) {
+                self.monitor(carrier, via);
+            }
+        }
+    }
+
+    /// Adds `(carrier, via)` to the monitored peer daemons.
+    fn monitor(&mut self, carrier: usize, via: NodeId) {
+        if !self
+            .peers
+            .iter()
+            .any(|p| p.carrier == carrier && p.via == via)
+        {
+            self.peers.push(Peer {
+                carrier,
+                via,
+                heard: None,
+            });
         }
     }
 
@@ -248,11 +319,11 @@ impl<C: BatchTransport> NifdyNode<C> {
         self.now
     }
 
-    /// `node`'s supervised endpoint (counter inspection), or `None` if
+    /// `node`'s slot (its endpoint, for counter inspection), or `None` if
     /// `node` is not hosted here.
-    pub fn supervised(&self, node: NodeId) -> Option<&SupervisedEndpoint<MuxPort>> {
+    pub fn supervised(&self, node: NodeId) -> Option<&Slot> {
         match self.dest(node) {
-            Dest::Hosted { shard, slot } => Some(&self.shards[shard].slots[slot].ep),
+            Dest::Hosted { shard, slot } => Some(&self.shards[shard].slots[slot]),
             Dest::Unknown | Dest::Routed { .. } => None,
         }
     }
@@ -264,7 +335,7 @@ impl<C: BatchTransport> NifdyNode<C> {
     ///
     /// Panics if `src` is not hosted.
     pub fn try_send(&mut self, src: NodeId, pkt: OutboundPacket) -> bool {
-        self.slot_mut(src).ep.endpoint_mut().try_send(pkt)
+        self.slot_mut(src).ep.try_send(pkt)
     }
 
     /// Removes the next delivered packet as `(receiving node, delivery)`,
@@ -278,9 +349,9 @@ impl<C: BatchTransport> NifdyNode<C> {
         std::mem::take(&mut self.failures)
     }
 
-    /// Drains `(observing node, event)` liveness transitions since the last
-    /// call.
-    pub fn take_peer_events(&mut self) -> Vec<(NodeId, PeerEvent)> {
+    /// Drains the liveness transitions of monitored peer daemons since the
+    /// last call.
+    pub fn take_peer_events(&mut self) -> Vec<PeerEvent> {
         std::mem::take(&mut self.peer_events)
     }
 
@@ -315,7 +386,7 @@ impl<C: BatchTransport> NifdyNode<C> {
             && self
                 .shards
                 .iter()
-                .all(|shard| shard.slots.iter().all(|slot| slot.ep.endpoint().is_idle()))
+                .all(|shard| shard.slots.iter().all(|slot| slot.ep.is_idle()))
     }
 
     /// One round of daemon work; see the module docs for the four phases.
@@ -337,6 +408,17 @@ impl<C: BatchTransport> NifdyNode<C> {
                     self.metrics.record("node.recv_batch", n as u64);
                 }
                 for frame in buf.drain(..) {
+                    // A beacon's destination is a carrier address, which
+                    // can equal a hosted id: it must not reach `peek_route`.
+                    if frame.len() == HEARTBEAT_FRAME_LEN {
+                        if let Ok(WireFrame::Heartbeat(hb)) = decode_frame(&frame) {
+                            self.heard(c, hb);
+                            if self.pool.len() < POOL_CAP {
+                                self.pool.push(frame);
+                            }
+                            continue;
+                        }
+                    }
                     match peek_route(&frame) {
                         Some((dst, frame_lane)) => self.deliver_frame(dst, frame_lane, frame),
                         None => self.stats.foreign += 1,
@@ -345,6 +427,10 @@ impl<C: BatchTransport> NifdyNode<C> {
                 self.recv_buf = buf;
             }
         }
+        if !self.peers.is_empty() {
+            self.beat();
+            self.check_silence();
+        }
 
         // Phase 3: tick shards in deterministic order.
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -352,12 +438,8 @@ impl<C: BatchTransport> NifdyNode<C> {
             for i in 0..self.shards[s].slots.len() {
                 {
                     let slot = &mut self.shards[s].slots[i];
-                    slot.ep.step();
-                    let node = slot.node;
-                    for ev in slot.ep.take_peer_events() {
-                        self.peer_events.push((node, ev));
-                    }
-                    let ep = slot.ep.endpoint_mut();
+                    let (node, ep) = (slot.node, &mut slot.ep);
+                    ep.step();
                     while let Some(d) = ep.poll() {
                         self.deliveries.push_back((node, d));
                         self.stats.delivered += 1;
@@ -399,11 +481,117 @@ impl<C: BatchTransport> NifdyNode<C> {
         };
         self.shards[s].slots[slot]
             .ep
-            .endpoint_mut()
             .transport_mut()
             .push_inbound(lane, frame);
         self.stats.frames_in += 1;
         self.stats.shards[s].frames_in += 1;
+    }
+
+    /// Applies one beacon that arrived on carrier `c`. Only a monitored
+    /// peer's beacon leaves state; one from an earlier incarnation than the
+    /// last heard (delayed or duplicated) is ignored, and a higher epoch
+    /// resets every hosted endpoint's state toward the nodes behind it.
+    fn heard(&mut self, c: usize, hb: Heartbeat) {
+        let now = self.now;
+        let me = self.carriers[c].node();
+        if hb.dst != me {
+            self.stats.foreign += 1;
+            return;
+        }
+        self.stats.heartbeats_in += 1;
+        let (peer, epoch) = (hb.src, hb.epoch);
+        let kind = EventKind::Heartbeat {
+            peer,
+            epoch,
+            sent: false,
+        };
+        trace_event!(self.trace, now, me, kind);
+        let Some(p) = self
+            .peers
+            .iter_mut()
+            .find(|p| p.carrier == c && p.via == peer)
+        else {
+            return;
+        };
+        let restarted = match p.heard {
+            Some(h) if epoch < h.epoch => return,
+            Some(h) => epoch > h.epoch,
+            None => false,
+        };
+        p.heard = Some(Heard {
+            at: now,
+            epoch,
+            down: false,
+        });
+        if !restarted {
+            return;
+        }
+        for (i, dest) in self.dests.iter().enumerate() {
+            if matches!(*dest, Dest::Routed { carrier, via } if carrier == c && via == peer) {
+                let node = NodeId::new(i);
+                for slot in self.shards.iter_mut().flat_map(|shard| &mut shard.slots) {
+                    slot.ep.reset_peer(node);
+                    let kind = EventKind::PeerRestart { peer: node, epoch };
+                    trace_event!(self.trace, now, slot.node, kind);
+                }
+            }
+        }
+        self.peer_events.push(PeerEvent::Restarted { peer, epoch });
+    }
+
+    /// Sends each monitored peer a beacon when the period lapses, ahead of
+    /// this round's data on its carrier.
+    fn beat(&mut self) {
+        let every = self.cfg.supervisor.heartbeat_every;
+        if self
+            .last_beat
+            .is_some_and(|at| self.now.saturating_since(at) < every)
+        {
+            return;
+        }
+        self.last_beat = Some(self.now);
+        let epoch = self.cfg.initial_epoch;
+        for p in &self.peers {
+            let (me, peer) = (self.carriers[p.carrier].node(), p.via);
+            let mut frame = self.pool.pop().unwrap_or_default();
+            let hb = Heartbeat {
+                src: me,
+                dst: peer,
+                epoch,
+            };
+            encode_heartbeat_into(&hb, &mut frame);
+            let kind = EventKind::Heartbeat {
+                peer,
+                epoch,
+                sent: true,
+            };
+            trace_event!(self.trace, self.now, me, kind);
+            self.outboxes[p.carrier].push((peer, Lane::Reply, frame));
+            self.stats.heartbeats_out += 1;
+        }
+    }
+
+    /// Flags monitored peers whose silence reached the timeout, once each.
+    fn check_silence(&mut self) {
+        let timeout = self.cfg.supervisor.peer_timeout;
+        for p in &mut self.peers {
+            let Some(h) = p.heard.as_mut() else {
+                continue;
+            };
+            let silent_for = self.now.saturating_since(h.at);
+            if h.down || silent_for < timeout {
+                continue;
+            }
+            h.down = true;
+            let (me, peer) = (self.carriers[p.carrier].node(), p.via);
+            trace_event!(
+                self.trace,
+                self.now,
+                me,
+                EventKind::PeerDown { peer, silent_for }
+            );
+            self.peer_events.push(PeerEvent::Down { peer, silent_for });
+        }
     }
 
     /// Routes one endpoint-emitted frame: hosted destinations loop back

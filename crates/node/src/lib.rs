@@ -5,13 +5,16 @@
 //! opposite shape: *one OS process* hosting hundreds or thousands of logical
 //! nodes behind a handful of real sockets. This crate is that host:
 //!
-//! * [`NifdyNode`] — the daemon. It owns N supervised endpoints partitioned
+//! * [`NifdyNode`] — the daemon. It owns N endpoints partitioned
 //!   into **flow-affine shards** (every frame for a given destination lands
 //!   in the shard that owns that destination's dialog/OPT state, so a
 //!   dialog's frames never cross shards — see [`mux::shard_of`]), drains
 //!   its carriers with bounded batch reads, ticks shards in deterministic
 //!   order, and flushes sends with coalesced batched writes
-//!   ([`BatchTransport`](nifdy_wire::BatchTransport));
+//!   ([`BatchTransport`](nifdy_wire::BatchTransport)). It keeps liveness
+//!   once per peer process: one beacon per monitored peer daemon, and a
+//!   reset of every hosted endpoint's state toward that daemon's nodes
+//!   when its epoch rises;
 //! * [`MuxPort`] — the in-memory per-endpoint transport the daemon
 //!   demultiplexes frames into and drains sends out of;
 //! * [`workload`] — seeded swarm workloads (the conformance rotation and the
@@ -22,10 +25,8 @@
 //!   delivery-order parity against the cycle-accurate simulation.
 //!
 //! The protocol state machine is untouched: each logical node is a plain
-//! [`nifdy::NifdyUnit`] inside a
-//! [`SupervisedEndpoint`](nifdy_wire::SupervisedEndpoint), so the
-//! heartbeat/epoch recovery machinery works at daemon scale. An endpoint
-//! restarts only with its process, as a new incarnation at
+//! [`nifdy::NifdyUnit`] inside a [`WireEndpoint`](nifdy_wire::WireEndpoint).
+//! An endpoint restarts only with its process, as a new incarnation at
 //! [`NodeConfig::initial_epoch`] + 1.
 
 #![forbid(unsafe_code)]
@@ -44,6 +45,6 @@ mod stats;
 pub mod workload;
 
 pub use config::NodeConfig;
-pub use daemon::NifdyNode;
+pub use daemon::{NifdyNode, Slot};
 pub use mux::MuxPort;
 pub use stats::{NodeStats, ShardStats};

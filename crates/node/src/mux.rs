@@ -31,7 +31,7 @@ pub fn shard_of(dst: NodeId, shards: usize) -> usize {
 /// freed as it is decoded).
 pub const FREE_CAP: usize = 16;
 /// What the daemon levels every port it steps back to: enough for the few
-/// frames an endpoint encodes per round (one per lane, plus heartbeats).
+/// frames an endpoint encodes per round (one per lane).
 const FREE_KEEP: usize = 4;
 
 /// One hosted endpoint's in-memory transport attachment.

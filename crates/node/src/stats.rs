@@ -24,14 +24,20 @@ pub struct NodeStats {
     /// Completed poll rounds.
     pub rounds: u64,
     /// Frames demultiplexed into hosted endpoints (local + carrier).
+    /// Beacons are not frames here: see `heartbeats_in`.
     pub frames_in: u64,
-    /// Frames flushed toward carriers.
+    /// Endpoint frames flushed toward carriers (beacons aside).
     pub frames_out: u64,
+    /// Beacons sent to monitored peer daemons.
+    pub heartbeats_out: u64,
+    /// Beacons addressed to this daemon that arrived on a carrier.
+    pub heartbeats_in: u64,
     /// Frames routed daemon-internally (both endpoints hosted here).
     pub local_frames: u64,
     /// Frames whose destination is neither hosted nor routed.
     pub unroutable: u64,
-    /// Carrier frames too short to carry a destination (no route peeked).
+    /// Carrier frames too short to carry a destination (no route peeked),
+    /// and beacons addressed to another carrier address.
     pub foreign: u64,
     /// Always 0: a hosted endpoint is never down while its daemon runs.
     /// Kept only because `nifdy-bench` sums it; remove it once the

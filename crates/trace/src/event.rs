@@ -351,26 +351,28 @@ pub enum EventKind {
         /// Length of the affected frame in bytes.
         bytes: u32,
     },
-    /// A liveness heartbeat was sent to (or received from) a peer.
+    /// A liveness beacon was sent to (or received from) a peer daemon, on
+    /// the track of this daemon's carrier address.
     Heartbeat {
-        /// The peer the heartbeat names.
+        /// The peer daemon's carrier address.
         peer: NodeId,
-        /// The announcing endpoint's incarnation epoch.
+        /// The announcing daemon's incarnation epoch.
         epoch: u32,
         /// `true` when this node sent the heartbeat, `false` on receive.
         sent: bool,
     },
-    /// A supervised endpoint declared a peer dead after heartbeat silence.
+    /// A daemon declared a peer daemon dead after beacon silence, on the
+    /// track of its carrier address.
     PeerDown {
-        /// The silent peer.
+        /// The silent peer daemon's carrier address.
         peer: NodeId,
         /// Cycles since the peer was last heard from.
         silent_for: u64,
     },
-    /// A peer's heartbeat epoch jumped: it crashed and restarted, and its
-    /// dialog state toward this node is gone.
+    /// A peer daemon's epoch jumped: it crashed and restarted, and this
+    /// node's state toward `peer`, one of the nodes it hosts, was reset.
     PeerRestart {
-        /// The restarted peer.
+        /// A node of the restarted daemon.
         peer: NodeId,
         /// The peer's new incarnation epoch.
         epoch: u32,

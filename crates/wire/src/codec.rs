@@ -311,14 +311,15 @@ impl WirePacket {
     }
 }
 
-/// A liveness heartbeat: "node `src`, incarnation `epoch`, is alive". Sent
-/// periodically by supervised endpoints on the reply lane; an epoch jump
-/// tells the peer the sender restarted and its dialog state is gone.
+/// A liveness heartbeat: "process `src`, incarnation `epoch`, is alive".
+/// A daemon sends one periodically on the reply lane to each peer daemon
+/// it monitors, `src` and `dst` being carrier-level addresses; an epoch
+/// jump tells the peer the sender restarted and its dialog state is gone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Heartbeat {
-    /// The node announcing liveness.
+    /// The carrier address of the process announcing liveness.
     pub src: NodeId,
-    /// The node being kept alive.
+    /// The carrier address of the process the beacon goes to.
     pub dst: NodeId,
     /// The sender's incarnation number, bumped on every restart.
     pub epoch: u32,

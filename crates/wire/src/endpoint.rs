@@ -131,6 +131,13 @@ impl<T: Transport> WireEndpoint<T> {
         self.unit.take_failures()
     }
 
+    /// Discards the protocol state entangled with `peer` after its process
+    /// restarted ([`NifdyUnit::reset_peer`]). The `nifdy-node` daemon calls
+    /// this when a peer daemon's epoch rises.
+    pub fn reset_peer(&mut self, peer: NodeId) {
+        self.unit.reset_peer(peer);
+    }
+
     /// The protocol unit (telemetry, config inspection).
     pub fn unit(&self) -> &NifdyUnit {
         &self.unit
@@ -145,16 +152,6 @@ impl<T: Transport> WireEndpoint<T> {
     /// drain it; UDP callers drain [`take_error`](crate::UdpTransport::take_error)).
     pub fn transport_mut(&mut self) -> &mut T {
         self.port.transport_mut()
-    }
-
-    /// Mutable unit access for the supervision layer (peer resets).
-    pub(crate) fn unit_mut(&mut self) -> &mut NifdyUnit {
-        &mut self.unit
-    }
-
-    /// Mutable port access for the supervision layer (heartbeats).
-    pub(crate) fn port_mut(&mut self) -> &mut TransportPort<T> {
-        &mut self.port
     }
 }
 

@@ -22,10 +22,12 @@
 //! [`codec::decode`] is total — arbitrary bytes produce a
 //! [`WireError`], never a panic (property-tested).
 //!
-//! [`SupervisedEndpoint`] adds crash recovery: epoch-stamped heartbeats,
-//! peer-down detection, and a [`reset_peer`](nifdy::NifdyUnit::reset_peer)
-//! when a watched peer's epoch rises. A crashed endpoint comes back only as
-//! a new incarnation built at the next epoch.
+//! A standalone [`WireEndpoint`] has no liveness. Crash recovery lives in
+//! the `nifdy-node` daemon, once per process: epoch-stamped [`Heartbeat`]
+//! beacons per peer daemon, peer-down detection, and a
+//! [`WireEndpoint::reset_peer`] on every hosted endpoint when a peer
+//! daemon's epoch rises. This crate keeps the shared pieces: the beacon
+//! frame, [`SupervisorConfig`] and [`PeerEvent`].
 
 // `deny`, not `forbid`: the one exception is the UDP carrier's syscall
 // module (`udp/sys.rs`), under a reasoned `#[expect(unsafe_code)]`.
@@ -55,6 +57,6 @@ pub use codec::{
 pub use endpoint::WireEndpoint;
 pub use fault::{FaultyTransport, WireFaultConfig, WireFaultStats};
 pub use port::TransportPort;
-pub use supervisor::{PeerEvent, SupervisedEndpoint, SupervisorConfig};
+pub use supervisor::{PeerEvent, SupervisorConfig};
 pub use transport::{BatchTransport, LoopbackHub, LoopbackTransport, Transport};
 pub use udp::{TransportError, UdpTransport};

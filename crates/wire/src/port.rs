@@ -14,15 +14,8 @@ use nifdy_net::{Lane, NetPort, Packet};
 use nifdy_sim::{Cycle, NodeId, PacketId};
 use nifdy_trace::{trace_event, EventKind, TraceHandle};
 
-use crate::codec::{self, Heartbeat, WireFrame, WirePacket, WireSource};
+use crate::codec::{self, WireFrame, WirePacket, WireSource};
 use crate::transport::Transport;
-
-/// Most received heartbeats a port holds unconsumed; past it the oldest
-/// goes. Only a [`SupervisedEndpoint`](crate::SupervisedEndpoint) drains
-/// them, once per step, so the cap must exceed what one tick can bring it —
-/// about one beacon per watched peer, and a full-scale swarm endpoint
-/// watches at most 255.
-const HEARTBEAT_BACKLOG: usize = 1024;
 
 /// One node's [`NetPort`] view of a byte [`Transport`].
 #[derive(Debug)]
@@ -30,11 +23,6 @@ pub struct TransportPort<T: Transport> {
     transport: T,
     /// Decoded packets awaiting ejection, per lane.
     pending: [VecDeque<Packet>; 2],
-    /// Liveness beacons received and not yet [`pop_heartbeat`]ed, at most
-    /// [`HEARTBEAT_BACKLOG`].
-    ///
-    /// [`pop_heartbeat`]: TransportPort::pop_heartbeat
-    heartbeats: VecDeque<Heartbeat>,
     /// The cycle at which each lane's transmitter frees up.
     tx_busy_until: [Cycle; 2],
     pkt_counter: u64,
@@ -49,7 +37,6 @@ impl<T: Transport> TransportPort<T> {
         TransportPort {
             transport,
             pending: [VecDeque::new(), VecDeque::new()],
-            heartbeats: VecDeque::new(),
             tx_busy_until: [Cycle::ZERO; 2],
             pkt_counter: 0,
             decode_errors: 0,
@@ -98,41 +85,6 @@ impl<T: Transport> TransportPort<T> {
         &mut self.transport
     }
 
-    /// Removes the oldest liveness beacon decoded and not yet consumed.
-    /// The supervisor layer drains these to track peer epochs and silence.
-    pub fn pop_heartbeat(&mut self) -> Option<Heartbeat> {
-        self.heartbeats.pop_front()
-    }
-
-    /// Sends a liveness beacon on the reply lane.
-    ///
-    /// Heartbeats are port-level control traffic, not protocol packets: they
-    /// bypass the serialization budget (an 11-byte beacon every few hundred
-    /// cycles is negligible next to a data word per cycle, and charging it
-    /// would perturb the §2.4 bandwidth comparison for every chaos run).
-    pub fn send_heartbeat(&mut self, dst: NodeId, epoch: u32) {
-        let me = self.transport.node();
-        let now = self.transport.now();
-        let hb = Heartbeat {
-            src: me,
-            dst,
-            epoch,
-        };
-        let mut frame = self.transport.take_buffer();
-        codec::encode_heartbeat_into(&hb, &mut frame);
-        trace_event!(
-            self.trace,
-            now,
-            me,
-            EventKind::FrameSend {
-                dst,
-                ack: true,
-                bytes: frame.len() as u32,
-            }
-        );
-        self.transport.send(dst, Lane::Reply, frame);
-    }
-
     /// One cycle of port work: tick the transport's clock view and decode
     /// every frame it delivered, handing each consumed buffer back to the
     /// transport. Call once per cycle, before the unit's
@@ -149,9 +101,10 @@ impl<T: Transport> TransportPort<T> {
         }
     }
 
-    /// Decodes one received frame: a packet for this node joins `pending`,
-    /// a heartbeat joins `heartbeats`, anything else is counted and traced
-    /// as a reject.
+    /// Decodes one received frame: a packet for this node joins `pending`;
+    /// anything else is counted and traced as a reject. A heartbeat counts
+    /// as foreign: liveness belongs to the daemon, which takes beacons off
+    /// its carriers before any port sees them.
     fn accept(&mut self, now: Cycle, me: NodeId, lane: Lane, frame: &[u8]) {
         let bytes = frame.len() as u32;
         match codec::decode_frame(frame) {
@@ -173,19 +126,6 @@ impl<T: Transport> TransportPort<T> {
                 // the dialog peer in `receive_bulk`, so the placeholder is
                 // only ever visible to bookkeeping.
                 self.pending[lane.index()].push_back(wp.into_packet(id, me, now));
-            }
-            Ok(WireFrame::Heartbeat(hb)) if hb.dst == me => {
-                let (src, ack) = (hb.src, true);
-                trace_event!(
-                    self.trace,
-                    now,
-                    me,
-                    EventKind::FrameRecv { src, ack, bytes }
-                );
-                if self.heartbeats.len() == HEARTBEAT_BACKLOG {
-                    self.heartbeats.pop_front();
-                }
-                self.heartbeats.push_back(hb);
             }
             Ok(WireFrame::Packet(_) | WireFrame::Heartbeat(_)) => {
                 self.foreign += 1;
@@ -296,30 +236,19 @@ mod tests {
         let pkt = Packet::data(PacketId::new(1), NodeId::new(0), NodeId::new(2), 6);
         let frame = codec::encode(&WirePacket::from_packet(&pkt));
         a.transport.send(NodeId::new(1), Lane::Request, frame);
-        hub.tick();
-        b.tick();
-        assert_eq!(b.foreign(), 1);
-        assert!(b.peek_eject(NodeId::new(1), Lane::Request).is_none());
-    }
-
-    #[test]
-    fn an_unsupervised_endpoint_keeps_a_bounded_heartbeat_backlog() {
-        let hub = LoopbackHub::new(2, 0);
-        let mut tx = hub.endpoint(NodeId::new(1));
-        let node = NodeId::new(0);
-        let mut ep = crate::WireEndpoint::new(node, nifdy::NifdyConfig::mesh(), hub.endpoint(node));
-        let hb = Heartbeat {
-            src: NodeId::new(1),
-            dst: node,
+        // A beacon, even one addressed to this node: only a daemon reads them.
+        let hb = codec::Heartbeat {
+            src: NodeId::new(0),
+            dst: NodeId::new(1),
             epoch: 0,
         };
-        for _ in 0..10_000 {
-            tx.send(node, Lane::Reply, codec::encode_heartbeat(&hb));
-        }
+        let beacon = codec::encode_heartbeat(&hb);
+        a.transport.send(NodeId::new(1), Lane::Reply, beacon);
         hub.tick();
-        ep.step();
-        let backlog = ep.port().heartbeats.len();
-        assert!(backlog <= HEARTBEAT_BACKLOG, "backlog {backlog}");
+        b.tick();
+        assert_eq!(b.foreign(), 2);
+        assert_eq!(b.decode_errors(), 0);
+        assert_eq!(b.pending(), 0);
     }
 
     #[test]

@@ -28,6 +28,13 @@ fn config() -> NifdyConfig {
     NifdyConfig::mesh().with_retx_timeout(5_000)
 }
 
+/// The carrier counters a clean localhost exchange leaves at zero.
+fn assert_clean(t: &UdpTransport) {
+    assert_eq!(t.transport_errors(), 0, "unclassified socket failures");
+    assert_eq!(t.unknown_peer(), 0, "both peers were registered");
+    assert_eq!(t.oversize(), 0, "every frame fits a datagram");
+}
+
 #[test]
 fn two_nodes_deliver_in_order_over_localhost() {
     let n0 = NodeId::new(0);
@@ -68,6 +75,7 @@ fn two_nodes_deliver_in_order_over_localhost() {
             );
             if sent == TOTAL && ep.is_idle() {
                 sender_flag.store(true, Ordering::Release);
+                assert_clean(ep.port().transport());
                 return;
             }
             assert!(Instant::now() < deadline, "sender wedged at {sent}/{TOTAL}");
@@ -103,6 +111,7 @@ fn two_nodes_deliver_in_order_over_localhost() {
         }
         assert_eq!(ep.port().decode_errors(), 0, "corrupt frame on loopback");
         assert_eq!(ep.port().foreign(), 0, "misrouted datagram");
+        assert_clean(ep.port().transport());
         ep.stats().delivered.get()
     });
 
