@@ -25,9 +25,10 @@ pub struct ExternalCounts {
     /// Typed delivery failures surfaced (sum of
     /// `NicStats.delivery_failures`).
     pub delivery_failures: Option<u64>,
-    /// Packets the simulated fabric dropped (`FabricStats.dropped`).
+    /// Packets the simulated fabric dropped (`Fabric::fault_counts` total).
     pub fabric_drops: Option<u64>,
-    /// Faults the wire fault-injector applied (`WireFaultStats` total).
+    /// Faults the wire fault-injector applied (its plane's `FaultCounts`
+    /// total).
     pub wire_faults: Option<u64>,
 }
 

@@ -251,7 +251,7 @@ pub fn run(scale: Scale, seed: u64) -> AnalyzeRun {
         retransmitted: Some(set.retransmitted()),
         delivery_failures: Some(wire.failure_total()),
         fabric_drops: None,
-        wire_faults: Some(set.fault_total()),
+        wire_faults: Some(set.fault_counts().total()),
     };
     AnalyzeRun {
         seed,

@@ -11,10 +11,10 @@
 
 use nifdy::analysis::{min_window_combined_acks, pairwise_bandwidth, roundtrip, Timing};
 use nifdy::{NifdyConfig, OutboundPacket};
-use nifdy_net::{GilbertElliott, UserData};
+use nifdy_net::{FaultCounts, GilbertElliott, UserData};
 use nifdy_sim::NodeId;
 use nifdy_trace::json::Json;
-use nifdy_trace::WireFaultCause;
+use nifdy_trace::FaultCause;
 use nifdy_wire::codec::BYTES_PER_WORD;
 use nifdy_wire::{FaultyTransport, LoopbackHub, WireEndpoint, WireFaultConfig};
 
@@ -179,7 +179,7 @@ pub struct ChaosPoint {
     /// Typed delivery failures the sender surfaced (budget exhausted).
     pub failures: u64,
     /// Per-cause chaos-plane counters summed over both endpoints.
-    pub fault_counts: Vec<(&'static str, u64)>,
+    pub fault_counts: FaultCounts,
 }
 
 /// The chaos plane at a given intensity: bursty loss at `mean_loss`, with
@@ -293,14 +293,8 @@ fn measure_chaos(mean_loss: f64, packets: u32, seed: u64) -> ChaosPoint {
 
     latencies.sort_unstable();
     let bytes = u64::from(packets) * u64::from(SIZE_WORDS) * BYTES_PER_WORD as u64;
-    let fault_counts = WireFaultCause::ALL
-        .iter()
-        .map(|&c| {
-            let total =
-                tx.port().transport().stats().count(c) + rx.port().transport().stats().count(c);
-            (c.label(), total)
-        })
-        .collect();
+    let mut fault_counts = *tx.port().transport().stats();
+    fault_counts += *rx.port().transport().stats();
     ChaosPoint {
         mean_loss,
         packets,
@@ -351,11 +345,7 @@ pub fn run_chaos(scale: Scale, seed: u64) -> (Table, Vec<ChaosPoint>) {
             p.p99.to_string(),
             p.retransmits.to_string(),
             p.failures.to_string(),
-            p.fault_counts
-                .iter()
-                .map(|&(_, n)| n)
-                .sum::<u64>()
-                .to_string(),
+            p.fault_counts.total().to_string(),
         ]);
         points.push(p);
     }
@@ -389,9 +379,12 @@ pub fn chaos_json(seed: u64, points: &[ChaosPoint]) -> Json {
                             (
                                 "fault_counts",
                                 Json::Obj(
-                                    p.fault_counts
+                                    FaultCause::ALL
                                         .iter()
-                                        .map(|&(k, n)| (k.to_string(), Json::u64(n)))
+                                        .map(|&c| {
+                                            let n = p.fault_counts.count(c);
+                                            (c.label().to_string(), Json::u64(n))
+                                        })
                                         .collect(),
                                 ),
                             ),
@@ -433,12 +426,12 @@ mod tests {
         let clean = measure_chaos(0.0, 128, 9);
         assert_eq!(clean.failures, 0);
         assert_eq!(clean.delivered, 128);
-        assert!(clean.fault_counts.iter().all(|&(_, n)| n == 0));
+        assert_eq!(clean.fault_counts.total(), 0);
 
         let lossy = measure_chaos(0.1, 128, 9);
         assert!(lossy.delivered >= 128, "every packet eventually lands");
         assert!(
-            lossy.fault_counts.iter().any(|&(_, n)| n > 0),
+            lossy.fault_counts.total() > 0,
             "the chaos plane never fired"
         );
         assert!(lossy.retransmits > 0, "loss must cost retransmissions");
@@ -462,7 +455,7 @@ mod tests {
             .expect("points array");
         assert_eq!(arr.len(), 1);
         let counts = arr[0].get("fault_counts").expect("per-cause counters");
-        for cause in nifdy_trace::WireFaultCause::ALL {
+        for cause in FaultCause::ALL {
             assert!(
                 counts.get(cause.label()).is_some(),
                 "cause {:?} missing from the JSON report",

@@ -14,10 +14,10 @@ use std::collections::VecDeque;
 use nifdy_sim::metrics::{Counter, LogHistogram, Stats};
 
 use nifdy_sim::{Cycle, NodeId, Slab, SlabKey, Wakeup};
-use nifdy_trace::{trace_event, DropReason, EventKind, TraceHandle};
+use nifdy_trace::{trace_event, EventKind, TraceHandle};
 
 use crate::config::{FabricConfig, SwitchingPolicy};
-use crate::fault::{FaultPlane, FABRIC_FAULT_STREAM};
+use crate::fault::{FaultCounts, FaultPlane, FABRIC_FAULT_STREAM};
 use crate::packet::{Lane, Packet};
 use crate::topology::{Candidate, Endpoint, RouteState, Topology, VcSel};
 
@@ -255,29 +255,12 @@ pub struct FabricStats {
     pub injected: [Counter; 2],
     /// Packets fully delivered to ejection queues, per lane.
     pub delivered: [Counter; 2],
-    /// Packets the fault plane dropped at the edge, all causes combined.
-    pub dropped: Counter,
-    /// The same drops per cause, indexed by the [`DropReason`]'s
-    /// discriminant; read through [`dropped_by_reason`](Self::dropped_by_reason).
-    dropped_by: [Counter; DropReason::ALL.len()],
     /// Mean injection-to-delivery latency of request-lane packets, in
     /// cycles (extremes and quantiles: `latency_hist`).
     pub latency: Stats,
     /// Log-bucketed latency histogram of request-lane packets (quantile
     /// estimation: p50/p90/p99/p999).
     pub latency_hist: LogHistogram,
-}
-
-impl FabricStats {
-    fn count_drop(&mut self, cause: DropReason) {
-        self.dropped.incr();
-        self.dropped_by[cause as usize].incr();
-    }
-
-    /// Packets dropped for one cause.
-    pub fn dropped_by_reason(&self, reason: DropReason) -> u64 {
-        self.dropped_by[reason as usize].get()
-    }
 }
 
 /// A simulated interconnection network.
@@ -481,6 +464,12 @@ impl Fabric {
     #[inline]
     pub fn stats(&self) -> &FabricStats {
         &self.stats
+    }
+
+    /// Packets the fault plane dropped at the receiving edge, per cause.
+    #[inline]
+    pub fn fault_counts(&self) -> &FaultCounts {
+        self.faults.counts()
     }
 
     /// Connects the fabric to a flight recorder: edge drops (with their
@@ -796,7 +785,6 @@ impl Fabric {
         self.routers[router].outs[port].credits[dvc as usize] += flits;
         self.pending_per_dst[packet.dst.index()] -= 1;
         if let Some(cause) = self.faults.judge(self.now.as_u64(), packet.dst, lane) {
-            self.stats.count_drop(cause);
             trace_event!(
                 self.trace,
                 self.now,
@@ -1398,7 +1386,7 @@ mod tests {
         // Only the single ready-queue slot may complete; nothing is dropped.
         let completed = fab.stats().delivered[0].get() as u32;
         assert!(completed <= 1, "only the ready-queue head may complete");
-        assert_eq!(fab.stats().dropped.get(), 0);
+        assert_eq!(fab.fault_counts().total(), 0);
         assert_eq!(fab.pending_for(dst), sent - completed);
         assert_eq!(fab.in_network(), sent as usize);
     }
@@ -1473,7 +1461,7 @@ mod tests {
                 break;
             }
         }
-        let dropped = fab.stats().dropped.get();
+        let dropped = fab.fault_counts().total();
         let delivered = fab.stats().delivered[0].get();
         assert_eq!(dropped + delivered, 100);
         assert!(

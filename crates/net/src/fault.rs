@@ -17,12 +17,12 @@
 //!   down at one cycle and comes back at another (or never), turning loss
 //!   from a lottery into a hard fault the protocol must survive.
 //!
-//! Every cause is a [`DropReason`], counted separately by the carrier that
-//! asked, and all randomness comes from the plane's own [`SimRng`] stream.
-//! An inactive plane never draws, so a clean run is seed-independent.
+//! Every verdict is a [`FaultCause`], tallied in the plane's own
+//! [`FaultCounts`], and all randomness comes from the plane's own [`SimRng`]
+//! stream. An inactive plane never draws, so a clean run is seed-independent.
 
 use nifdy_sim::{NodeId, SimRng};
-use nifdy_trace::DropReason;
+use nifdy_trace::FaultCause;
 
 use crate::packet::Lane;
 
@@ -272,6 +272,38 @@ impl FaultConfig {
     }
 }
 
+/// Per-cause tally of the faults one [`FaultPlane`] injected, indexed by
+/// the [`FaultCause`]'s discriminant.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FaultCounts([u64; FaultCause::ALL.len()]);
+
+#[expect(
+    clippy::indexing_slicing,
+    reason = "a cause's discriminant is below ALL.len() by construction"
+)]
+impl FaultCounts {
+    /// The number of faults injected for one cause.
+    pub fn count(&self, cause: FaultCause) -> u64 {
+        self.0[cause as usize]
+    }
+
+    /// Total faults injected across all causes.
+    pub fn total(&self) -> u64 {
+        self.0.iter().sum()
+    }
+
+    fn incr(&mut self, cause: FaultCause) {
+        self.0[cause as usize] += 1;
+    }
+}
+
+impl std::ops::AddAssign for FaultCounts {
+    /// Merges another plane's tally (e.g. every endpoint's of one run).
+    fn add_assign(&mut self, other: Self) {
+        self.0.iter_mut().zip(other.0).for_each(|(n, m)| *n += m);
+    }
+}
+
 /// Runtime state of one fault-injection plane.
 ///
 /// Owned by the carrier it judges for: the [`Fabric`](crate::Fabric) asks
@@ -285,6 +317,7 @@ pub struct FaultPlane {
     /// Gilbert–Elliott chain state: `true` while in the bad (burst) state.
     in_burst: bool,
     active: bool,
+    counts: FaultCounts,
 }
 
 impl FaultPlane {
@@ -298,7 +331,19 @@ impl FaultPlane {
             rng: SimRng::from_seed_stream(seed, stream),
             in_burst: false,
             active,
+            counts: FaultCounts::default(),
         }
+    }
+
+    /// Every fault this plane injected, per cause.
+    pub fn counts(&self) -> &FaultCounts {
+        &self.counts
+    }
+
+    /// Tallies a fault the owner committed on a survivor of
+    /// [`judge`](Self::judge), which tallies its own verdicts.
+    pub fn record(&mut self, cause: FaultCause) {
+        self.counts.incr(cause);
     }
 
     /// The plane's generator, so the further lotteries an owner runs on a
@@ -310,14 +355,15 @@ impl FaultPlane {
     }
 
     /// Judges one packet bound for `dst` on `lane` at time `now`; returns
-    /// the cause if it must be dropped. An inactive plane never draws.
+    /// (and tallies) one of the four loss causes if it must be dropped. An
+    /// inactive plane never draws.
     ///
     /// The draw order is a contract (pinned by `draw_order_is_pinned`): the
     /// Gilbert–Elliott chain advances first, exactly once per judged packet
     /// whatever the other models decide, so the burst pattern is a pure
     /// function of the judged sequence; then link windows (no draw), the
     /// chain's verdict, and the lane lottery.
-    pub fn judge(&mut self, now: u64, dst: NodeId, lane: Lane) -> Option<DropReason> {
+    pub fn judge(&mut self, now: u64, dst: NodeId, lane: Lane) -> Option<FaultCause> {
         if !self.active {
             return None;
         }
@@ -326,17 +372,21 @@ impl FaultPlane {
             .burst
             .is_some_and(|ge| ge.advance(&mut self.in_burst, &mut self.rng));
         let windows = &self.cfg.link_windows;
-        if windows.iter().any(|w| w.node == dst && w.is_down_at(now)) {
-            return Some(DropReason::LinkDown);
-        }
-        if burst_says_drop {
-            return Some(DropReason::Burst);
-        }
-        let (cause, p) = match lane {
-            Lane::Request => (DropReason::Data, self.cfg.data_drop_prob),
-            Lane::Reply => (DropReason::Ack, self.cfg.ack_drop_prob),
+        let (lane_cause, p) = match lane {
+            Lane::Request => (FaultCause::Drop, self.cfg.data_drop_prob),
+            Lane::Reply => (FaultCause::AckDrop, self.cfg.ack_drop_prob),
         };
-        (p > 0.0 && self.rng.gen_bool(p)).then_some(cause)
+        let cause = if windows.iter().any(|w| w.node == dst && w.is_down_at(now)) {
+            FaultCause::Partition
+        } else if burst_says_drop {
+            FaultCause::Burst
+        } else if p > 0.0 && self.rng.gen_bool(p) {
+            lane_cause
+        } else {
+            return None;
+        };
+        self.counts.incr(cause);
+        Some(cause)
     }
 }
 
@@ -344,7 +394,7 @@ impl FaultPlane {
 mod tests {
     use super::*;
 
-    fn judge(plane: &mut FaultPlane, now: u64, dst: usize, lane: Lane) -> Option<DropReason> {
+    fn judge(plane: &mut FaultPlane, now: u64, dst: usize, lane: Lane) -> Option<FaultCause> {
         plane.judge(now, NodeId::new(dst), lane)
     }
 
@@ -384,10 +434,11 @@ mod tests {
                 };
                 match judge(&mut plane, i, (i % 4) as usize, lane) {
                     None => '.',
-                    Some(DropReason::Data) => 'd',
-                    Some(DropReason::Ack) => 'a',
-                    Some(DropReason::Burst) => 'b',
-                    Some(DropReason::LinkDown) => 'l',
+                    Some(FaultCause::Drop) => 'd',
+                    Some(FaultCause::AckDrop) => 'a',
+                    Some(FaultCause::Burst) => 'b',
+                    Some(FaultCause::Partition) => 'l',
+                    Some(other) => panic!("judge returned a byte fault: {other:?}"),
                 }
             })
             .collect();
@@ -447,7 +498,7 @@ mod tests {
         let cfg =
             FaultConfig::default().with_link_window(LinkWindow::edge(NodeId::new(4), 100, 200));
         let mut plane = FaultPlane::new(cfg, 0, FABRIC_FAULT_STREAM);
-        let down = Some(DropReason::LinkDown);
+        let down = Some(FaultCause::Partition);
         assert_eq!(judge(&mut plane, 99, 4, Lane::Request), None);
         assert_eq!(judge(&mut plane, 100, 4, Lane::Request), down);
         assert_eq!(judge(&mut plane, 199, 4, Lane::Reply), down);

@@ -53,7 +53,7 @@ pub mod topology;
 
 pub use config::{FabricConfig, SwitchingPolicy};
 pub use fabric::{Fabric, FabricStats, MAX_PACKET_FLITS};
-pub use fault::{FaultConfig, FaultPlane, GilbertElliott, LinkWindow};
+pub use fault::{FaultConfig, FaultCounts, FaultPlane, GilbertElliott, LinkWindow};
 pub use packet::{
     AckInfo, BulkGrant, BulkTag, DialogId, InvalidLane, Lane, Packet, PacketStamp, SeqNo, UserData,
     Wire, ACK_WORDS,

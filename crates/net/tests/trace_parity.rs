@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use nifdy_net::topology::Mesh;
 use nifdy_net::{Fabric, FabricConfig, FaultConfig, GilbertElliott, Lane, LinkWindow, Packet};
 use nifdy_sim::{NodeId, PacketId};
-use nifdy_trace::{DropReason, EventKind, TraceConfig, TraceHandle};
+use nifdy_trace::{EventKind, FaultCause, TraceConfig, TraceHandle};
 
 /// Drives random all-to-next traffic (both lanes) through a 4×4 mesh with
 /// the given faults, returning the fabric and its attached recorder.
@@ -89,9 +89,9 @@ fn assert_parity(fab: &Fabric, trace: &TraceHandle) {
             total_events += 1;
         }
     }
-    let stats = fab.stats();
-    for cause in DropReason::ALL {
-        let counted = stats.dropped_by_reason(cause);
+    let counts = fab.fault_counts();
+    for cause in FaultCause::ALL {
+        let counted = counts.count(cause);
         let traced = by_cause.get(cause.label()).copied().unwrap_or(0);
         assert_eq!(
             counted,
@@ -100,11 +100,7 @@ fn assert_parity(fab: &Fabric, trace: &TraceHandle) {
             cause.label()
         );
     }
-    let counted_total: u64 = DropReason::ALL
-        .iter()
-        .map(|&c| stats.dropped_by_reason(c))
-        .sum();
-    assert_eq!(counted_total, total_events, "total drop parity");
+    assert_eq!(counts.total(), total_events, "total drop parity");
 }
 
 proptest! {
@@ -146,7 +142,7 @@ proptest! {
 #[test]
 fn clean_fabric_has_zero_drops_and_zero_drop_events() {
     let (fab, trace) = run_fabric(FaultConfig::default(), 3, 60);
-    assert_eq!(fab.stats().dropped.get(), 0);
+    assert_eq!(fab.fault_counts().total(), 0);
     assert!(trace
         .snapshot()
         .iter()

@@ -9,58 +9,23 @@ use std::fmt;
 
 use nifdy_sim::{Cycle, NodeId};
 
-/// Why a fault plane dropped a packet, defined here so the trace layer
-/// stays dependency-free.
+/// What a fault plane did to a packet or frame, defined here so the trace
+/// layer stays dependency-free.
 ///
-/// `nifdy-net`'s `FaultPlane::judge` returns this enum on every carrier.
-/// The fabric counts and emits [`EventKind::Drop`] by it (the per-cause
-/// event counts are property-tested to match `FabricStats` exactly); the
-/// byte carriers convert it to a [`WireFaultCause`].
+/// The first four are the loss verdicts `nifdy-net`'s `FaultPlane::judge`
+/// gives on every carrier (the fabric emits [`EventKind::Drop`] by them);
+/// the last four are the abuses only a byte carrier commits. The plane's
+/// `FaultCounts` tallies all eight, and the per-cause event counts are
+/// property-tested to match it on both carriers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DropReason {
+pub enum FaultCause {
     /// Uniform data-lane (request) loss.
-    Data,
+    Drop,
     /// Uniform ack-lane (reply) loss.
-    Ack,
+    AckDrop,
     /// Gilbert–Elliott burst loss.
     Burst,
-    /// A scheduled link-down window.
-    LinkDown,
-}
-
-impl DropReason {
-    /// Every cause, in discriminant order (per-cause counters are arrays
-    /// indexed by `cause as usize`).
-    pub const ALL: [DropReason; 4] = [
-        DropReason::Data,
-        DropReason::Ack,
-        DropReason::Burst,
-        DropReason::LinkDown,
-    ];
-
-    /// Stable short label.
-    pub const fn label(self) -> &'static str {
-        match self {
-            DropReason::Data => "data",
-            DropReason::Ack => "ack",
-            DropReason::Burst => "burst",
-            DropReason::LinkDown => "link_down",
-        }
-    }
-}
-
-/// What the wire-layer chaos plane did to a frame: the four
-/// [`DropReason`]s under the byte world's names, plus the four abuses only
-/// a byte carrier can commit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WireFaultCause {
-    /// Uniform data-lane (request) frame drop.
-    Drop,
-    /// Uniform ack-lane (reply) frame drop.
-    AckDrop,
-    /// Gilbert–Elliott burst-loss drop.
-    Burst,
-    /// A scheduled partition window swallowed the frame.
+    /// A scheduled link-down (partition) window swallowed it.
     Partition,
     /// One frame byte was flipped in flight (the checksum catches it).
     Corrupt,
@@ -72,42 +37,31 @@ pub enum WireFaultCause {
     Reorder,
 }
 
-impl WireFaultCause {
-    /// Every cause, in discriminant order (used by counters and JSON
-    /// reports).
-    pub const ALL: [WireFaultCause; 8] = [
-        WireFaultCause::Drop,
-        WireFaultCause::AckDrop,
-        WireFaultCause::Burst,
-        WireFaultCause::Partition,
-        WireFaultCause::Corrupt,
-        WireFaultCause::Duplicate,
-        WireFaultCause::Delay,
-        WireFaultCause::Reorder,
+impl FaultCause {
+    /// Every cause, in discriminant order (per-cause counters are arrays
+    /// indexed by `cause as usize`, and JSON reports list them so).
+    pub const ALL: [FaultCause; 8] = [
+        FaultCause::Drop,
+        FaultCause::AckDrop,
+        FaultCause::Burst,
+        FaultCause::Partition,
+        FaultCause::Corrupt,
+        FaultCause::Duplicate,
+        FaultCause::Delay,
+        FaultCause::Reorder,
     ];
 
     /// Stable short label.
     pub const fn label(self) -> &'static str {
         match self {
-            WireFaultCause::Drop => "drop",
-            WireFaultCause::AckDrop => "ack_drop",
-            WireFaultCause::Burst => "burst",
-            WireFaultCause::Partition => "partition",
-            WireFaultCause::Corrupt => "corrupt",
-            WireFaultCause::Duplicate => "duplicate",
-            WireFaultCause::Delay => "delay",
-            WireFaultCause::Reorder => "reorder",
-        }
-    }
-}
-
-impl From<DropReason> for WireFaultCause {
-    fn from(reason: DropReason) -> Self {
-        match reason {
-            DropReason::Data => WireFaultCause::Drop,
-            DropReason::Ack => WireFaultCause::AckDrop,
-            DropReason::Burst => WireFaultCause::Burst,
-            DropReason::LinkDown => WireFaultCause::Partition,
+            FaultCause::Drop => "drop",
+            FaultCause::AckDrop => "ack_drop",
+            FaultCause::Burst => "burst",
+            FaultCause::Partition => "partition",
+            FaultCause::Corrupt => "corrupt",
+            FaultCause::Duplicate => "duplicate",
+            FaultCause::Delay => "delay",
+            FaultCause::Reorder => "reorder",
         }
     }
 }
@@ -276,7 +230,7 @@ pub enum EventKind {
         /// The packet travelled on the reply (ack) lane.
         ack: bool,
         /// Which loss model fired.
-        cause: DropReason,
+        cause: FaultCause,
     },
     /// The fabric completed delivery of a packet to a node's ready queue.
     Deliver {
@@ -347,7 +301,7 @@ pub enum EventKind {
     /// The wire chaos plane injected a fault into a frame.
     WireFault {
         /// Which fault model fired.
-        cause: WireFaultCause,
+        cause: FaultCause,
         /// Length of the affected frame in bytes.
         bytes: u32,
     },
@@ -476,7 +430,7 @@ mod tests {
                 src: NodeId::new(0),
                 dst: NodeId::new(1),
                 ack: false,
-                cause: DropReason::Burst,
+                cause: FaultCause::Burst,
             },
             EventKind::WatchdogFire {
                 unit: 3,
@@ -494,7 +448,7 @@ mod tests {
             src: NodeId::new(0),
             dst: NodeId::new(1),
             ack: true,
-            cause: DropReason::Ack,
+            cause: FaultCause::AckDrop,
         }
         .is_rare());
         assert!(!EventKind::ScalarSend {
@@ -505,10 +459,10 @@ mod tests {
     }
 
     #[test]
-    fn drop_reason_labels_are_distinct() {
-        let mut labels: Vec<_> = DropReason::ALL.iter().map(|c| c.label()).collect();
+    fn fault_cause_labels_are_distinct() {
+        let mut labels: Vec<_> = FaultCause::ALL.iter().map(|c| c.label()).collect();
         labels.sort_unstable();
         labels.dedup();
-        assert_eq!(labels.len(), DropReason::ALL.len());
+        assert_eq!(labels.len(), FaultCause::ALL.len());
     }
 }

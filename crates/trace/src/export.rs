@@ -461,7 +461,7 @@ pub fn chrome_trace_doc(events: &[TraceEvent], loss: Option<&TraceLoss>) -> Json
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{DialogEnd, DropReason};
+    use crate::event::{DialogEnd, FaultCause};
     use crate::json::parse;
     use nifdy_sim::{Cycle, NodeId};
 
@@ -512,7 +512,7 @@ mod tests {
                     src: NodeId::new(0),
                     dst: NodeId::new(1),
                     ack: false,
-                    cause: DropReason::Burst,
+                    cause: FaultCause::Burst,
                 },
             ),
             ev(

@@ -70,7 +70,7 @@ pub mod json;
 mod recorder;
 mod registry;
 
-pub use event::{DialogEnd, DropReason, EventKind, TraceEvent, WireFaultCause};
+pub use event::{DialogEnd, EventKind, FaultCause, TraceEvent};
 pub use recorder::{Recorder, TraceConfig, TraceHandle, TraceLoss};
 pub use registry::{GaugeSeries, MetricsRegistry};
 

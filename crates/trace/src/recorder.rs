@@ -321,7 +321,7 @@ impl TraceHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::DropReason;
+    use crate::event::FaultCause;
 
     #[test]
     fn handles_are_send_and_sync() {
@@ -343,7 +343,7 @@ mod tests {
             src: NodeId::new(0),
             dst: NodeId::new(1),
             ack: false,
-            cause: DropReason::Data,
+            cause: FaultCause::Drop,
         }
     }
 

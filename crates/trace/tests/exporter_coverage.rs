@@ -9,7 +9,7 @@
 
 use nifdy_sim::{Cycle, NodeId};
 use nifdy_trace::export::{chrome_trace_doc, to_chrome_trace, to_jsonl, to_jsonl_with_loss};
-use nifdy_trace::{DialogEnd, DropReason, EventKind, TraceEvent, TraceLoss, WireFaultCause};
+use nifdy_trace::{DialogEnd, EventKind, FaultCause, TraceEvent, TraceLoss};
 
 /// One event of every variant, in declaration order.
 fn one_of_each() -> Vec<EventKind> {
@@ -73,7 +73,7 @@ fn one_of_each() -> Vec<EventKind> {
             src: a,
             dst: b,
             ack: false,
-            cause: DropReason::Burst,
+            cause: FaultCause::Burst,
         },
         EventKind::Deliver {
             src: a,
@@ -105,7 +105,7 @@ fn one_of_each() -> Vec<EventKind> {
             fingerprint: 0xdead,
         },
         EventKind::WireFault {
-            cause: WireFaultCause::Corrupt,
+            cause: FaultCause::Corrupt,
             bytes: 26,
         },
         EventKind::Heartbeat {

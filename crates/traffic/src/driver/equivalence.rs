@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex};
 use nifdy::{Delivered, OutboundPacket};
 use nifdy_net::topology::Mesh;
 use nifdy_net::{FabricConfig, FaultConfig, GilbertElliott, LinkWindow, UserData};
-use nifdy_trace::DropReason;
+use nifdy_trace::FaultCause;
 
 use super::*;
 use crate::{Action, CoalesceConfig, NetworkKind, ScanConfig, Scenario, SyntheticConfig};
@@ -167,16 +167,16 @@ fn nic_counters(nic: &dyn Nic) -> [u64; 16] {
 }
 
 fn observe(d: &Driver, completed: Option<bool>, log: &Arc<Mutex<Vec<Delivery>>>) -> RunRecord {
-    let fs = d.fabric().stats();
+    let (fs, drops) = (d.fabric().stats(), d.fabric().fault_counts());
     let mut fabric_stats = vec![
         fs.injected[0].get(),
         fs.injected[1].get(),
         fs.delivered[0].get(),
         fs.delivered[1].get(),
-        fs.dropped.get(),
+        drops.total(),
         d.fabric().in_network() as u64,
     ];
-    fabric_stats.extend(DropReason::ALL.map(|cause| fs.dropped_by_reason(cause)));
+    fabric_stats.extend(FaultCause::ALL.map(|cause| drops.count(cause)));
     let gauges = d
         .metrics()
         .map(|reg| {

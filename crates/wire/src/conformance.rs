@@ -21,9 +21,9 @@ use std::collections::BTreeMap;
 
 use nifdy::{Delivered, DeliveryFailure, FailureKind, Nic, NifdyConfig, NifdyUnit, OutboundPacket};
 use nifdy_net::topology::Mesh;
-use nifdy_net::{Fabric, FabricConfig, FaultConfig, UserData};
+use nifdy_net::{Fabric, FabricConfig, FaultConfig, FaultCounts, UserData};
 use nifdy_sim::NodeId;
-use nifdy_trace::{TraceHandle, WireFaultCause};
+use nifdy_trace::{FaultCause, TraceHandle};
 
 use crate::endpoint::WireEndpoint;
 use crate::fault::{FaultyTransport, WireFaultConfig};
@@ -436,7 +436,7 @@ impl FabricSet {
 
     /// Packets the fabric's fault plane dropped.
     pub fn fabric_dropped(&self) -> u64 {
-        self.fab.stats().dropped.get()
+        self.fab.fault_counts().total()
     }
 }
 
@@ -512,17 +512,14 @@ impl LoopbackSet {
         self.eps.iter().map(|ep| ep.port().decode_errors()).sum()
     }
 
-    /// Faults the chaos planes injected for `cause`, summed over the
+    /// Faults the chaos planes injected, per cause, summed over the
     /// endpoints.
-    pub fn fault_count(&self, cause: WireFaultCause) -> u64 {
-        let planes = self.eps.iter().map(|ep| ep.port().transport().stats());
-        planes.map(|stats| stats.count(cause)).sum()
-    }
-
-    /// Faults injected across all causes.
-    pub fn fault_total(&self) -> u64 {
-        let planes = self.eps.iter().map(|ep| ep.port().transport().stats());
-        planes.map(|stats| stats.total()).sum()
+    pub fn fault_counts(&self) -> FaultCounts {
+        let mut sum = FaultCounts::default();
+        self.eps
+            .iter()
+            .for_each(|ep| sum += *ep.port().transport().stats());
+        sum
     }
 
     /// Summed sender retransmissions, as [`FabricSet::retransmitted`].
@@ -563,7 +560,7 @@ impl NodeSet for LoopbackSet {
         // The checksum trailer is what keeps corrupted frames out of the
         // log: every corruption must have been rejected, never decoded
         // into a plausible frame — and nothing else may be rejected.
-        let corrupted = self.fault_count(WireFaultCause::Corrupt);
+        let corrupted = self.fault_counts().count(FaultCause::Corrupt);
         let rejected = self.decode_errors();
         assert!(
             if corrupted == 0 {

@@ -7,7 +7,8 @@
 //! drop repertoire the wire plane adds the abuses only a byte carrier can
 //! commit: single-byte **corruption** (caught by the codec's CRC trailer,
 //! never mis-decoded), frame **duplication**, seeded **delay**, and
-//! one-tick **reorder** deferral, drawn from the same generator.
+//! one-tick **reorder** deferral, drawn from the same generator and
+//! tallied on the plane's [`FaultCounts`] beside its loss verdicts.
 //!
 //! Determinism contract: all randomness comes from the plane's stream,
 //! keyed by the wrapped node, and an *inactive* config (every probability
@@ -21,20 +22,21 @@
 use std::collections::BTreeMap;
 use std::mem;
 
-use nifdy_net::{FaultConfig, FaultPlane, GilbertElliott, Lane, LinkWindow};
+use nifdy_net::{FaultConfig, FaultCounts, FaultPlane, GilbertElliott, Lane};
 use nifdy_sim::NodeId;
-use nifdy_trace::{trace_event, EventKind, TraceHandle, WireFaultCause};
+use nifdy_trace::{trace_event, EventKind, FaultCause, TraceHandle};
 
 use crate::transport::Transport;
 
 /// Stream id for the wire chaos plane's private generator, decorrelated
 /// from the loopback jitter stream (`0x17e`) and the fabric fault stream
 /// (`0xFA17`). The wrapped node's index is mixed in so every endpoint's
-/// fault lottery is independent under one seed.
+/// fault lottery is independent under one seed; `tests/fault_props.rs`
+/// replays it.
 const WIRE_FAULT_STREAM: u64 = 0xFA27_0000;
 
 /// Configuration of the wire chaos plane: the carrier-independent
-/// [`FaultConfig`] plus the byte-carrier faults, in one builder style.
+/// [`FaultConfig`] (set with its own builders) plus the byte-carrier faults.
 ///
 /// The default disables every model; the plane is then a pure passthrough
 /// that never draws randomness.
@@ -71,18 +73,6 @@ pub struct WireFaultConfig {
 }
 
 impl WireFaultConfig {
-    /// Sets the uniform data-lane drop probability.
-    pub fn with_drop_prob(mut self, p: f64) -> Self {
-        self.loss.data_drop_prob = p;
-        self
-    }
-
-    /// Sets the uniform ack-lane drop probability.
-    pub fn with_ack_drop_prob(mut self, p: f64) -> Self {
-        self.loss.ack_drop_prob = p;
-        self
-    }
-
     /// Sets the single-byte corruption probability.
     pub fn with_corrupt_prob(mut self, p: f64) -> Self {
         self.corrupt_prob = p;
@@ -111,12 +101,6 @@ impl WireFaultConfig {
     /// Enables Gilbert–Elliott bursty loss.
     pub fn with_burst(mut self, ge: GilbertElliott) -> Self {
         self.loss.burst = Some(ge);
-        self
-    }
-
-    /// Adds a scheduled partition window for one destination node.
-    pub fn with_partition(mut self, window: LinkWindow) -> Self {
-        self.loss.link_windows.push(window);
         self
     }
 
@@ -163,31 +147,6 @@ impl WireFaultConfig {
     }
 }
 
-/// Per-cause counters for every fault the plane injected, indexed by the
-/// [`WireFaultCause`]'s discriminant.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WireFaultStats([u64; WireFaultCause::ALL.len()]);
-
-#[expect(
-    clippy::indexing_slicing,
-    reason = "a cause's discriminant is below ALL.len() by construction"
-)]
-impl WireFaultStats {
-    /// The number of faults injected for one cause.
-    pub fn count(&self, cause: WireFaultCause) -> u64 {
-        self.0[cause as usize]
-    }
-
-    /// Total faults injected across all causes.
-    pub fn total(&self) -> u64 {
-        self.0.iter().sum()
-    }
-
-    fn incr(&mut self, cause: WireFaultCause) {
-        self.0[cause as usize] += 1;
-    }
-}
-
 /// Frames the plane is holding back, ordered by (release tick, send
 /// sequence) so flush order is deterministic.
 type HeldFrames = BTreeMap<(u64, u64), (NodeId, Lane, Vec<u8>)>;
@@ -203,29 +162,32 @@ type HeldFrames = BTreeMap<(u64, u64), (NodeId, Lane, Vec<u8>)>;
 /// # Examples
 ///
 /// ```
-/// use nifdy_net::Lane;
+/// use nifdy_net::{FaultConfig, Lane};
 /// use nifdy_sim::NodeId;
-/// use nifdy_trace::WireFaultCause;
+/// use nifdy_trace::FaultCause;
 /// use nifdy_wire::{FaultyTransport, LoopbackHub, Transport, WireFaultConfig};
 ///
 /// let hub = LoopbackHub::new(2, 0);
-/// let cfg = WireFaultConfig::default().with_drop_prob(1.0);
+/// let cfg = WireFaultConfig {
+///     loss: FaultConfig::default().with_data_drop_prob(1.0),
+///     ..WireFaultConfig::default()
+/// };
 /// let mut a = FaultyTransport::new(hub.endpoint(NodeId::new(0)), cfg, 7);
 /// a.send(NodeId::new(1), Lane::Request, vec![1, 2, 3]);
-/// assert_eq!(a.stats().count(WireFaultCause::Drop), 1, "p = 1 drops it");
+/// assert_eq!(a.stats().count(FaultCause::Drop), 1, "p = 1 drops it");
 /// assert_eq!(hub.in_flight(), 0);
 /// ```
 #[derive(Debug)]
 pub struct FaultyTransport<T: Transport> {
     inner: T,
-    /// The loss judge; owns the config's `loss` half and the generator.
+    /// The loss judge; owns the config's `loss` half, the generator and
+    /// the fault tally.
     plane: FaultPlane,
     /// The byte-carrier half: `loss` was moved into `plane`.
     cfg: WireFaultConfig,
     active: bool,
     held: HeldFrames,
     seq: u64,
-    stats: WireFaultStats,
     trace: TraceHandle,
 }
 
@@ -252,7 +214,6 @@ impl<T: Transport> FaultyTransport<T> {
             active,
             held: HeldFrames::new(),
             seq: 0,
-            stats: WireFaultStats::default(),
             trace: TraceHandle::off(),
         }
     }
@@ -264,8 +225,8 @@ impl<T: Transport> FaultyTransport<T> {
     }
 
     /// Per-cause fault counters.
-    pub fn stats(&self) -> &WireFaultStats {
-        &self.stats
+    pub fn stats(&self) -> &FaultCounts {
+        self.plane.counts()
     }
 
     /// Frames currently held back by the delay/reorder models.
@@ -278,8 +239,13 @@ impl<T: Transport> FaultyTransport<T> {
         &self.inner
     }
 
-    fn record(&mut self, cause: WireFaultCause, bytes: usize) {
-        self.stats.incr(cause);
+    /// Tallies a byte fault on the plane and logs it.
+    fn record(&mut self, cause: FaultCause, bytes: usize) {
+        self.plane.record(cause);
+        self.trace_fault(cause, bytes);
+    }
+
+    fn trace_fault(&self, cause: FaultCause, bytes: usize) {
         let now = self.inner.now();
         let node = self.inner.node();
         trace_event!(
@@ -345,8 +311,8 @@ impl<T: Transport> Transport for FaultyTransport<T> {
             return;
         }
         let now = self.inner.now().as_u64();
-        if let Some(reason) = self.plane.judge(now, dst, lane) {
-            self.record(reason.into(), frame.len());
+        if let Some(cause) = self.plane.judge(now, dst, lane) {
+            self.trace_fault(cause, frame.len());
             return;
         }
         // The frame survives; non-fatal faults may still mangle its trip.
@@ -356,23 +322,23 @@ impl<T: Transport> Transport for FaultyTransport<T> {
             let mask = (self.plane.rng().next_u64() % 255 + 1) as u8;
             if let Some(byte) = frame.get_mut(at) {
                 *byte ^= mask;
-                self.record(WireFaultCause::Corrupt, frame.len());
+                self.record(FaultCause::Corrupt, frame.len());
             }
         }
         if self.chance(self.cfg.duplicate_prob) {
-            self.record(WireFaultCause::Duplicate, frame.len());
+            self.record(FaultCause::Duplicate, frame.len());
             self.inner.send(dst, lane, frame.clone());
         }
         if self.chance(self.cfg.delay_prob) {
             let extra = 1 + self.plane.rng().next_u64() % self.cfg.delay_max.max(1);
-            self.record(WireFaultCause::Delay, frame.len());
+            self.record(FaultCause::Delay, frame.len());
             self.hold_until(now + extra, dst, lane, frame);
             return;
         }
         if self.chance(self.cfg.reorder_prob) {
             // Deferred to the next tick: frames sent later this tick (and
             // next tick, before the flush) overtake it.
-            self.record(WireFaultCause::Reorder, frame.len());
+            self.record(FaultCause::Reorder, frame.len());
             self.hold_until(now + 1, dst, lane, frame);
             return;
         }
@@ -388,7 +354,15 @@ impl<T: Transport> Transport for FaultyTransport<T> {
 mod tests {
     use super::*;
     use crate::transport::LoopbackHub;
+    use nifdy_net::LinkWindow;
     use nifdy_sim::Cycle;
+
+    fn lossy(loss: FaultConfig) -> WireFaultConfig {
+        WireFaultConfig {
+            loss,
+            ..WireFaultConfig::default()
+        }
+    }
 
     fn drain(hub: &LoopbackHub, ep: &mut impl Transport, ticks: u64) -> Vec<Vec<u8>> {
         let mut got = Vec::new();
@@ -432,32 +406,28 @@ mod tests {
     #[test]
     fn drop_probability_one_swallows_everything() {
         let hub = LoopbackHub::new(2, 0);
-        let cfg = WireFaultConfig::default()
-            .with_drop_prob(1.0)
-            .with_ack_drop_prob(1.0);
+        let loss = FaultConfig::default().with_data_drop_prob(1.0);
+        let cfg = lossy(loss.with_ack_drop_prob(1.0));
         let mut tx = FaultyTransport::new(hub.endpoint(NodeId::new(0)), cfg, 3);
         for _ in 0..10 {
             tx.send(NodeId::new(1), Lane::Request, vec![1]);
             tx.send(NodeId::new(1), Lane::Reply, vec![2]);
         }
         assert_eq!(hub.in_flight(), 0);
-        assert_eq!(tx.stats().count(WireFaultCause::Drop), 10);
-        assert_eq!(tx.stats().count(WireFaultCause::AckDrop), 10);
+        assert_eq!(tx.stats().count(FaultCause::Drop), 10);
+        assert_eq!(tx.stats().count(FaultCause::AckDrop), 10);
     }
 
     #[test]
     fn partition_window_swallows_only_its_destination() {
         let hub = LoopbackHub::new(3, 0);
-        let cfg = WireFaultConfig::default().with_partition(LinkWindow::edge(
-            NodeId::new(1),
-            0,
-            u64::MAX,
-        ));
+        let window = LinkWindow::edge(NodeId::new(1), 0, u64::MAX);
+        let cfg = lossy(FaultConfig::default().with_link_window(window));
         let mut tx = FaultyTransport::new(hub.endpoint(NodeId::new(0)), cfg, 0);
         tx.send(NodeId::new(1), Lane::Request, vec![1]);
         tx.send(NodeId::new(2), Lane::Request, vec![2]);
         assert_eq!(hub.in_flight(), 1, "only the partitioned peer loses");
-        assert_eq!(tx.stats().count(WireFaultCause::Partition), 1);
+        assert_eq!(tx.stats().count(FaultCause::Partition), 1);
     }
 
     #[test]
@@ -476,7 +446,7 @@ mod tests {
             1,
             "exactly one byte flips"
         );
-        assert_eq!(tx.stats().count(WireFaultCause::Corrupt), 1);
+        assert_eq!(tx.stats().count(FaultCause::Corrupt), 1);
     }
 
     #[test]
@@ -490,27 +460,7 @@ mod tests {
         assert_eq!(rx.recv(Lane::Request), Some(vec![7]));
         assert_eq!(rx.recv(Lane::Request), Some(vec![7]));
         assert_eq!(rx.recv(Lane::Request), None);
-        assert_eq!(tx.stats().count(WireFaultCause::Duplicate), 1);
-    }
-
-    #[test]
-    fn delay_holds_frames_then_releases() {
-        let hub = LoopbackHub::new(2, 0);
-        let cfg = WireFaultConfig::default().with_delay(1.0, 4);
-        let mut tx = FaultyTransport::new(hub.endpoint(NodeId::new(0)), cfg, 1);
-        let mut rx = hub.endpoint(NodeId::new(1));
-        tx.send(NodeId::new(1), Lane::Request, vec![9]);
-        assert_eq!(hub.in_flight(), 0, "held, not yet on the wire");
-        assert_eq!(tx.held(), 1);
-        let got = drain(&hub, &mut rx, 8);
-        // `drain` only ticks rx; tick tx alongside to flush the hold.
-        assert!(got.is_empty() || got == vec![vec![9]]);
-        for _ in 0..8 {
-            tx.tick();
-            hub.tick();
-        }
-        assert_eq!(tx.held(), 0, "hold released within delay_max ticks");
-        assert_eq!(tx.stats().count(WireFaultCause::Delay), 1);
+        assert_eq!(tx.stats().count(FaultCause::Duplicate), 1);
     }
 
     #[test]
@@ -541,21 +491,30 @@ mod tests {
         assert_eq!(stats_a, stats_b, "same seed, same fault counters");
         // Pinned: `wire_chaos_quick.*` and the benchmark's exact counts
         // depend on the per-endpoint draw sequence.
-        let counts = WireFaultCause::ALL.map(|c| stats_a.count(c));
+        let counts = FaultCause::ALL.map(|c| stats_a.count(c));
         assert_eq!(counts, [0, 0, 46, 0, 11, 10, 0, 10]);
         let (frames_c, _) = run(12);
         assert_ne!(frames_a, frames_c, "different seed, different lottery");
     }
 
-    /// `wire_chaos_quick.json` prints the wire labels, the trace exports
-    /// both.
+    /// `wire_chaos_quick.json` and both carriers' trace exports print
+    /// these labels.
     #[test]
     fn cause_labels_are_pinned() {
-        use nifdy_trace::DropReason;
-        let wire = DropReason::ALL.map(|r| WireFaultCause::from(r).label());
-        assert_eq!(wire, ["drop", "ack_drop", "burst", "partition"]);
-        let fabric = DropReason::ALL.map(DropReason::label);
-        assert_eq!(fabric, ["data", "ack", "burst", "link_down"]);
+        let labels = FaultCause::ALL.map(FaultCause::label);
+        assert_eq!(
+            labels,
+            [
+                "drop",
+                "ack_drop",
+                "burst",
+                "partition",
+                "corrupt",
+                "duplicate",
+                "delay",
+                "reorder"
+            ]
+        );
     }
 
     #[test]
@@ -568,10 +527,9 @@ mod tests {
             .with_delay(0.5, 0)
             .validate()
             .is_err());
-        assert!(WireFaultConfig::default()
-            .with_partition(LinkWindow::edge(NodeId::new(0), 5, 5))
-            .validate()
-            .is_err());
+        let empty = LinkWindow::edge(NodeId::new(0), 5, 5);
+        let cfg = lossy(FaultConfig::default().with_link_window(empty));
+        assert!(cfg.validate().is_err());
         assert!(WireFaultConfig::default().validate().is_ok());
     }
 

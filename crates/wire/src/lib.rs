@@ -55,7 +55,10 @@ pub use codec::{
     Heartbeat, WireError, WireFrame, WirePacket, WireSource,
 };
 pub use endpoint::WireEndpoint;
-pub use fault::{FaultyTransport, WireFaultConfig, WireFaultStats};
+pub use fault::{FaultyTransport, WireFaultConfig};
+/// [`FaultCounts`](nifdy_net::FaultCounts) under its old name, kept only
+/// because the benchmark package names it.
+pub use nifdy_net::FaultCounts as WireFaultStats;
 pub use port::TransportPort;
 pub use supervisor::{PeerEvent, SupervisorConfig};
 pub use transport::{BatchTransport, LoopbackHub, LoopbackTransport, Transport};

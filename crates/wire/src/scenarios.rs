@@ -8,7 +8,7 @@
 //! and every carrier inherits it.
 
 use nifdy::NifdyConfig;
-use nifdy_net::{GilbertElliott, LinkWindow};
+use nifdy_net::{FaultConfig, GilbertElliott, LinkWindow};
 use nifdy_trace::TraceHandle;
 
 use crate::conformance::{
@@ -50,7 +50,8 @@ impl Faults {
             }
             Faults::Partition => {
                 let dead = LinkWindow::edge(plan.sends[0][0].dst, 0, u64::MAX);
-                (chaos_config(3), wire.with_partition(dead))
+                let loss = FaultConfig::default().with_link_window(dead);
+                (chaos_config(3), WireFaultConfig { loss, ..wire })
             }
         }
     }

@@ -450,7 +450,7 @@ mod tests {
         let late = hub.endpoint(NodeId::new(1));
         let faulty = crate::FaultyTransport::new(
             hub.endpoint(NodeId::new(2)),
-            crate::WireFaultConfig::default().with_drop_prob(0.5),
+            crate::WireFaultConfig::default().with_corrupt_prob(0.5),
             3,
         );
         assert_eq!(hub.now(), Cycle::new(4));

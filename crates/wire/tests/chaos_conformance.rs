@@ -12,7 +12,7 @@
 //! [`FaultyTransport`]: nifdy_wire::FaultyTransport
 //! [`DeliveryFailure`]: nifdy::DeliveryFailure
 
-use nifdy_trace::{TraceHandle, WireFaultCause};
+use nifdy_trace::{FaultCause, TraceHandle};
 use nifdy_wire::scenarios::{Faults, Scenario, ROWS};
 
 fn recoverable() -> &'static Scenario {
@@ -36,7 +36,8 @@ fn chaos_rows_hold_on_both_fault_planes() {
             let wire = row.run(&plan, &mut set, "loopback");
             fabric.assert_matches(&wire, &format!("{}, seed {seed}", row.name));
             assert!(
-                row.faults != Faults::Recoverable || set.fault_count(WireFaultCause::Corrupt) > 0,
+                row.faults != Faults::Recoverable
+                    || set.fault_counts().count(FaultCause::Corrupt) > 0,
                 "{}, seed {seed}: the corruption model never fired — weak test",
                 row.name
             );
@@ -53,7 +54,7 @@ fn chaos_runs_are_deterministic_per_seed() {
     let run = || {
         let mut set = row.loopback(&plan, &TraceHandle::off());
         let report = row.run(&plan, &mut set, "loopback");
-        let faults = WireFaultCause::ALL.map(|c| set.fault_count(c));
+        let faults = FaultCause::ALL.map(|c| set.fault_counts().count(c));
         let counters = (set.decode_errors(), faults, set.retransmitted());
         (report, counters)
     };
@@ -114,7 +115,7 @@ fn journey_reconstruction_is_carrier_equivalent() {
                 retransmitted: Some(set.retransmitted()),
                 delivery_failures: Some(wire.failure_total()),
                 fabric_drops: None,
-                wire_faults: Some(set.fault_total()),
+                wire_faults: Some(set.fault_counts().total()),
             },
             &AnomalyConfig::default(),
         );

@@ -2,12 +2,11 @@
 //! randomized recoverable chaos, the offline analyzer reconstructs
 //! exactly one accepted journey per delivered packet on both carriers,
 //! and its retransmit/drop/fault accounting reconciles with the ground
-//! truth the NICs and fault planes counted ([`FabricStats`]/
-//! [`WireFaultStats`]) — the conservation invariants the report encodes
-//! all hold, for *any* seed, not just the conformance suite's.
+//! truth the NICs and fault planes counted ([`FaultCounts`]) — the
+//! conservation invariants the report encodes all hold, for *any* seed, not
+//! just the conformance suite's.
 //!
-//! [`FabricStats`]: nifdy_net::FabricStats
-//! [`WireFaultStats`]: nifdy_wire::WireFaultStats
+//! [`FaultCounts`]: nifdy_net::FaultCounts
 
 use nifdy_analyze::{analyze, AnalysisReport, AnomalyConfig, ExternalCounts};
 use nifdy_net::{FaultConfig, GilbertElliott};
@@ -112,12 +111,12 @@ proptest! {
                 retransmitted: Some(set.retransmitted()),
                 delivery_failures: Some(wire.failure_total()),
                 fabric_drops: None,
-                wire_faults: Some(set.fault_total()),
+                wire_faults: Some(set.fault_counts().total()),
             },
             &AnomalyConfig::default(),
         );
         assert_conserved("wire", &wire_report, &wire, set.retransmitted());
         // Wire faults reconcile: every injector count left a WireFault event.
-        prop_assert_eq!(wire_report.set.wire_fault_events, set.fault_total());
+        prop_assert_eq!(wire_report.set.wire_fault_events, set.fault_counts().total());
     }
 }

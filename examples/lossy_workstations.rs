@@ -67,7 +67,7 @@ fn main() {
         .iter()
         .map(|n| n.stats().duplicates_dropped.get())
         .sum();
-    let dropped = fab.stats().dropped.get();
+    let dropped = fab.fault_counts().total();
     println!("fabric drop probability : {drop_prob}");
     println!("packets dropped by fabric: {dropped} (data + acks)");
     println!("retransmissions          : {retx}");
