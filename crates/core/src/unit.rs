@@ -268,6 +268,8 @@ pub struct NifdyUnit {
     dialogs: Vec<Slot>,
     /// The `D × W` reorder buffers (see [`InDialog`]).
     window: Vec<Option<Packet>>,
+    /// Occupied entries of `window`: at 0, a step skips the drain and wakeup scans.
+    buffered: usize,
     ack_queue: VecDeque<PendingAck>,
     ack_delay: VecDeque<(Cycle, NodeId, AckInfo)>,
 
@@ -315,6 +317,7 @@ impl NifdyUnit {
             arrivals: VecDeque::new(),
             dialogs: (0..d).map(|_| Slot::Free).collect(),
             window: (0..d * w).map(|_| None).collect(),
+            buffered: 0,
             ack_queue: VecDeque::new(),
             ack_delay: VecDeque::new(),
             trace: TraceHandle::off(),
@@ -552,7 +555,8 @@ impl NifdyUnit {
             Slot::Free
         };
         let w = usize::from(self.cfg.window);
-        self.window[slot * w..(slot + 1) * w].fill(None);
+        let window = &mut self.window[slot * w..(slot + 1) * w];
+        self.buffered -= window.iter_mut().filter_map(Option::take).count();
         if let Some(p) = self.peers.get_mut(&peer) {
             p.dialog = None;
         }
@@ -748,12 +752,17 @@ impl NifdyUnit {
         let buf = &mut self.window[slot * w + if at < w { at } else { at - w }];
         if buf.is_none() {
             *buf = Some(pkt); // a retransmission keeps the first copy
+            self.buffered += 1;
         }
     }
 
     /// Streams in-order bulk packets to the arrivals FIFO and emits window
     /// acks at half-window boundaries and on dialog exit.
     fn drain_dialogs(&mut self) {
+        debug_assert_eq!(self.buffered, self.window.iter().flatten().count());
+        if self.buffered == 0 {
+            return;
+        }
         let w = usize::from(self.cfg.window);
         for slot in 0..self.dialogs.len() {
             loop {
@@ -766,6 +775,7 @@ impl NifdyUnit {
                 let Some(pkt) = self.window[slot * w + d.head].take() else {
                     break;
                 };
+                self.buffered -= 1;
                 d.head = if d.head + 1 < w { d.head + 1 } else { 0 };
                 d.expected += 1;
                 let exit = matches!(
@@ -1276,11 +1286,13 @@ impl NifdyUnit {
             return Wakeup::Now;
         }
         let w = usize::from(self.cfg.window);
-        for (slot, s) in self.dialogs.iter().enumerate() {
-            if s.live()
-                .is_some_and(|d| self.window[slot * w + d.head].is_some())
-            {
-                return Wakeup::Now;
+        if self.buffered > 0 {
+            for (slot, s) in self.dialogs.iter().enumerate() {
+                if s.live()
+                    .is_some_and(|d| self.window[slot * w + d.head].is_some())
+                {
+                    return Wakeup::Now;
+                }
             }
         }
         let mut wake = Wakeup::Quiescent;
@@ -1815,6 +1827,61 @@ mod tests {
             u.drain_dialogs();
             assert_eq!(arrival_marks(&u), [1], "restart = {by_restart}");
         }
+    }
+
+    /// `buffered` counts the occupied reorder entries through every path
+    /// that fills or empties them: out-of-order arrival, a retransmitted
+    /// copy, in-order drain to dialog exit, reclaim and peer restart.
+    #[test]
+    fn the_window_count_tracks_every_occupied_entry() {
+        let check = |u: &NifdyUnit, what: &str, expect: usize| {
+            let occupied = u.window.iter().flatten().count();
+            assert_eq!(u.buffered, occupied, "{what}: count drifted");
+            assert_eq!(occupied, expect, "{what}");
+        };
+        let tag = |seq| BulkTag { dialog: 0, seq };
+        let peer = NodeId::new(3);
+        let open = || {
+            let mut u = unit(params(4, 4, 1, 4).with_retx_timeout(10).with_retx_budget(2));
+            assert!(matches!(
+                u.decide_grant(true, peer),
+                BulkGrant::Granted { dialog: 0, .. }
+            ));
+            u.receive_bulk(bulk_pkt(peer, tag(2), 2), tag(2));
+            check(&u, "out of order, head missing", 1);
+            u.receive_bulk(bulk_pkt(peer, tag(2), 2), tag(2));
+            check(&u, "retransmission of a buffered packet", 1);
+            u.receive_bulk(bulk_pkt(peer, tag(1), 1), tag(1));
+            check(&u, "second gap-waiting packet", 2);
+            u
+        };
+
+        let mut u = open();
+        let mut last = bulk_pkt(peer, tag(3), 3);
+        if let Wire::Data { bulk_exit, .. } = &mut last.wire {
+            *bulk_exit = true;
+        }
+        u.receive_bulk(last, tag(3));
+        u.receive_bulk(bulk_pkt(peer, tag(0), 0), tag(0));
+        check(&u, "head filled", 4);
+        u.drain_dialogs();
+        assert_eq!(arrival_marks(&u), [0, 1]);
+        check(&u, "drain held by the full arrivals FIFO", 2);
+        u.arrivals.clear();
+        u.drain_dialogs();
+        assert_eq!(arrival_marks(&u), [2, 3]);
+        assert!(matches!(u.dialogs[0], Slot::Closed { .. }), "exit closes");
+        check(&u, "drained to dialog exit", 0);
+
+        let mut u = open();
+        u.now = Cycle::new(10 * (2 + 4));
+        u.reclaim_dialogs();
+        assert_eq!(u.stats.dialogs_reclaimed.get(), 1);
+        check(&u, "reclaimed with entries buffered", 0);
+
+        let mut u = open();
+        u.reset_peer(peer);
+        check(&u, "peer restart with entries buffered", 0);
     }
 
     #[test]
