@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 
 use nifdy_sim::metrics::{Counter, LogHistogram, Stats};
 
-use nifdy_sim::{Cycle, NodeId, Slab, SlabKey, Wakeup};
+use nifdy_sim::{Cycle, NodeId, Slab, SlabKey, WakeSet, Wakeup};
 use nifdy_trace::{trace_event, EventKind, TraceHandle};
 
 use crate::config::{FabricConfig, SwitchingPolicy};
@@ -191,25 +191,11 @@ impl Router {
         let slot = ip * total_vcs + vc;
         match self.ins[ip].vcs[vc].alloc {
             Some((ap, _)) => {
-                set_bit(&mut self.cands[ap as usize], slot);
+                WakeSet::set_bit(&mut self.cands[ap as usize], slot);
                 self.wake |= pair_bit(ap as usize, vc / (total_vcs / 2));
             }
-            None => set_bit(&mut self.unresolved, slot),
+            None => WakeSet::set_bit(&mut self.unresolved, slot),
         }
-    }
-}
-
-#[inline]
-fn set_bit(bits: &mut [u64], slot: usize) {
-    if let Some(w) = bits.get_mut(slot / 64) {
-        *w |= 1u64 << (slot % 64);
-    }
-}
-
-#[inline]
-fn clear_bit(bits: &mut [u64], slot: usize) {
-    if let Some(w) = bits.get_mut(slot / 64) {
-        *w &= !(1u64 << (slot % 64));
     }
 }
 
@@ -301,11 +287,13 @@ pub struct Fabric {
     /// Packets sitting in ejection queues, summed over nodes and lanes —
     /// kept incrementally so [`Fabric::in_network`] is O(1).
     ready_total: usize,
-    /// The routers the wire and allocation phases visit, one bit each: all
-    /// with a [`Router::wake`] bit or an unresolved head.
-    live: Vec<u64>,
-    /// One bit per node with an occupied injection slot.
-    injecting: Vec<u64>,
+    /// The routers the wire and allocation phases visit: all with a
+    /// [`Router::wake`] bit or an unresolved head.
+    live: WakeSet,
+    /// The nodes with an occupied injection slot.
+    injecting: WakeSet,
+    /// The nodes with a packet in an ejection queue.
+    ready: WakeSet,
     now: Cycle,
     faults: FaultPlane,
     trace: TraceHandle,
@@ -341,13 +329,13 @@ impl Fabric {
             .iter()
             .map(|r| {
                 let slots = r.in_ports as usize * total_vcs;
-                let words = slots.div_ceil(64);
+                let words = WakeSet::words_for(slots);
                 let lane_mask = [0usize, 1].map(|lane| {
                     let per = cfg.vcs_per_lane as usize;
                     let range = lane * per..(lane + 1) * per;
                     let mut mask = vec![0u64; words];
                     for s in (0..slots).filter(|s| range.contains(&(s % total_vcs))) {
-                        set_bit(&mut mask, s);
+                        WakeSet::set_bit(&mut mask, s);
                     }
                     mask
                 });
@@ -438,8 +426,9 @@ impl Fabric {
             ejects,
             arena: Slab::with_capacity(num_nodes * 2),
             ready_total: 0,
-            live: vec![0; spec.routers.len().div_ceil(64)],
-            injecting: vec![0; num_nodes.div_ceil(64)],
+            live: WakeSet::new(spec.routers.len()),
+            injecting: WakeSet::new(num_nodes),
+            ready: WakeSet::new(num_nodes),
             now: Cycle::ZERO,
             faults,
             trace: TraceHandle::off(),
@@ -487,13 +476,20 @@ impl Fabric {
         self.arena.len() + self.ready_total
     }
 
-    /// Packets waiting in `node`'s ejection queues, both lanes — the
-    /// "new input pending" signal a driver needs before it may skip
-    /// stepping that node's interface.
+    /// Packets waiting in `node`'s ejection queues, both lanes.
     #[inline]
     pub fn ready_len(&self, node: NodeId) -> usize {
         let n = &self.nodes[node.index()];
         n.ready[0].len() + n.ready[1].len()
+    }
+
+    /// The nodes with a packet waiting in an ejection queue, one member per
+    /// node — the "new input pending" signal a driver needs before it may
+    /// skip stepping that node's interface. A delivery adds the node; the
+    /// [`eject`](Self::eject) that empties its queues removes it.
+    #[inline]
+    pub fn ready_nodes(&self) -> &WakeSet {
+        &self.ready
     }
 
     /// When the fabric next needs stepping. Router arbitration rotates with
@@ -577,20 +573,24 @@ impl Fabric {
             next_flit: 0,
             vc: None,
         });
-        set_bit(&mut self.injecting, node.index());
+        self.injecting.insert(node.index());
     }
 
     /// Removes and returns the oldest fully delivered packet at `node` on
     /// `lane`, if any.
     pub fn eject(&mut self, node: NodeId, lane: Lane) -> Option<Packet> {
-        let pkt = self.nodes[node.index()].ready[lane.index()].pop_front();
+        let iface = &mut self.nodes[node.index()];
+        let pkt = iface.ready[lane.index()].pop_front();
         if pkt.is_some() {
+            if iface.ready.iter().all(VecDeque::is_empty) {
+                self.ready.remove(node.index());
+            }
             self.ready_total -= 1;
             // Room for one more packet: a head the full queue was holding
             // back at the ejection port may now be granted it.
             let (r, p) = self.ejects[node.index()];
             self.routers[r as usize].wake |= pair_bit(p as usize, lane.index());
-            set_bit(&mut self.live, r as usize);
+            self.live.insert(r as usize);
         }
         pkt
     }
@@ -681,8 +681,8 @@ impl Fabric {
     /// and a router this phase adds has no flit on a wire.
     fn progress_wires(&mut self) {
         let mux_slot = (self.cfg.time_mux_lanes).then_some((self.now.as_u64() % 2) as usize);
-        for w in 0..self.live.len() {
-            let mut rs = self.live[w];
+        for w in 0..self.live.word_count() {
+            let mut rs = self.live.word(w);
             while rs != 0 {
                 let r = 64 * w + rs.trailing_zeros() as usize;
                 rs &= rs - 1;
@@ -691,8 +691,8 @@ impl Fabric {
         }
         // Injection channels. A flit can only be in flight on a node's
         // link while that lane's slot holds its worm.
-        for w in 0..self.injecting.len() {
-            let mut ns = self.injecting[w];
+        for w in 0..self.injecting.word_count() {
+            let mut ns = self.injecting.word(w);
             while ns != 0 {
                 let n = 64 * w + ns.trailing_zeros() as usize;
                 ns &= ns - 1;
@@ -708,7 +708,7 @@ impl Fabric {
                     iface.inj_owner[dvc as usize] = None;
                     iface.slots[lane.index()] = None;
                     if iface.slots.iter().all(Option::is_none) {
-                        clear_bit(&mut self.injecting, n);
+                        self.injecting.remove(n);
                     }
                 }
                 self.accept_flit(r as usize, p as usize, dvc as usize, flit);
@@ -756,7 +756,7 @@ impl Fabric {
         let target = &mut self.routers[r];
         target.mark_occupied(ip, vc, self.cfg.total_vcs());
         target.ins[ip].vcs[vc].buf.push_back((flit, self.now));
-        set_bit(&mut self.live, r);
+        self.live.insert(r);
     }
 
     /// A flit arrives at a node's ejection assembly; on the tail, the packet
@@ -818,6 +818,7 @@ impl Fabric {
         // Ready-queue capacity was reserved when the head flit was granted
         // the ejection port (`eject_has_room`), so this never overflows.
         self.nodes[node].ready[lane.index()].push_back(packet);
+        self.ready.insert(node);
         self.ready_total += 1;
     }
 
@@ -838,10 +839,10 @@ impl Fabric {
     /// read again after each: a credit return that wakes a router later in
     /// the sweep is served this cycle, one earlier on the next.
     fn start_router_transmissions(&mut self) {
-        for w in 0..self.live.len() {
+        for w in 0..self.live.word_count() {
             let mut above = !0u64;
-            while self.live[w] & above != 0 {
-                let bit = (self.live[w] & above).trailing_zeros();
+            while self.live.word(w) & above != 0 {
+                let bit = (self.live.word(w) & above).trailing_zeros();
                 above = !1 << bit;
                 let r = 64 * w + bit as usize;
                 self.resolve_heads(r);
@@ -849,7 +850,7 @@ impl Fabric {
                 if rt.wake & !rt.busy == 0 {
                     // A router whose pairs all sleep leaves the set.
                     if rt.wake == 0 {
-                        clear_bit(&mut self.live, r);
+                        self.live.remove(r);
                     }
                     continue;
                 }
@@ -984,7 +985,7 @@ impl Fabric {
             wake,
             ..
         } = &mut self.routers[r];
-        clear_bit(unresolved, slot);
+        WakeSet::clear_bit(unresolved, slot);
         let head = &mut ins[ip].vcs[vc];
         let Some(&(flit, _)) = head.buf.front() else {
             return; // buffer drained since the bit was queued
@@ -1003,7 +1004,7 @@ impl Fabric {
             head.routed = Some(flit.worm);
         }
         for cand in &head.route {
-            set_bit(&mut cands[cand.port as usize], slot);
+            WakeSet::set_bit(&mut cands[cand.port as usize], slot);
             *wake |= pair_bit(cand.port as usize, lane);
         }
     }
@@ -1103,10 +1104,10 @@ impl Fabric {
         if is_head {
             debug_assert_eq!(ins[ip].vcs[vc].routed, Some(flit.worm));
             for cand in &ins[ip].vcs[vc].route {
-                clear_bit(&mut cands[cand.port as usize], slot);
+                WakeSet::clear_bit(&mut cands[cand.port as usize], slot);
             }
         } else {
-            clear_bit(&mut cands[p], slot);
+            WakeSet::clear_bit(&mut cands[p], slot);
         }
         if !ins[ip].vcs[vc].buf.is_empty() {
             self.routers[r].mark_occupied(ip, vc, total_vcs);
@@ -1125,7 +1126,7 @@ impl Fabric {
                 let up = &mut self.routers[router as usize];
                 up.outs[port as usize].credits[vc] += 1;
                 up.wake |= pair_bit(port as usize, lane);
-                set_bit(&mut self.live, router as usize);
+                self.live.insert(router as usize);
             }
             Feeder::Node(node) => {
                 self.nodes[node as usize].inj_credits[vc] += 1;
@@ -1146,8 +1147,8 @@ impl Fabric {
     /// [`Fabric::try_inject_flit`] is a no-op without a populated slot, so
     /// only injecting nodes are visited.
     fn progress_injection(&mut self) {
-        for w in 0..self.injecting.len() {
-            let mut ns = self.injecting[w];
+        for w in 0..self.injecting.word_count() {
+            let mut ns = self.injecting.word(w);
             while ns != 0 {
                 let n = 64 * w + ns.trailing_zeros() as usize;
                 ns &= ns - 1;
@@ -1222,20 +1223,25 @@ impl Fabric {
     /// the next cycle, so a pair that went to sleep on a flit the
     /// one-cycle pipeline rule was holding back is caught too. It also
     /// checks that the phases' worklists cover every router with a wake
-    /// bit and every node with an occupied injection slot.
+    /// bit and every node with an occupied injection slot, and that the
+    /// ready set names exactly the nodes with a packet to eject.
     #[cfg(any(test, debug_assertions))]
     fn audit_sleepers(&self) {
-        let has = |bits: &[u64], i: usize| bits[i / 64] >> (i % 64) & 1 == 1;
         for (n, iface) in self.nodes.iter().enumerate() {
-            let listed = iface.slots.iter().all(Option::is_none) || has(&self.injecting, n);
+            let listed = iface.slots.iter().all(Option::is_none) || self.injecting.contains(n);
             assert!(listed, "node {n} is not in the injecting set");
+            assert_eq!(
+                self.ready.contains(n),
+                iface.ready.iter().any(|q| !q.is_empty()),
+                "node {n}: ready bit disagrees with its ejection queues"
+            );
         }
         for (r, rt) in self.routers.iter().enumerate() {
             assert!(
                 rt.unresolved.iter().all(|&w| w == 0),
                 "router {r} ends the cycle with an unrouted head"
             );
-            let listed = rt.wake == 0 || has(&self.live, r);
+            let listed = rt.wake == 0 || self.live.contains(r);
             assert!(listed, "router {r} is not in the live set");
             assert_eq!(rt.busy & !rt.wake, 0, "router {r}: a busy pair sleeps");
             for p in 0..rt.outs.len() {

@@ -18,6 +18,9 @@
 //! * [`Wakeup`] — the stepping contract that lets an event-driven driver
 //!   skip quiescent cycles while staying byte-identical to explicit
 //!   cycle-by-cycle stepping,
+//! * [`WakeSet`] — a due set plus a per-member deadline queue: the one
+//!   scheduler primitive the fabric's worklists and the driver's per-node
+//!   stepping share,
 //! * [`Slab`] — a generational free-list arena so steady-state packet and
 //!   flit churn never allocates.
 //!
@@ -47,6 +50,7 @@ mod id;
 pub mod metrics;
 mod rng;
 mod slab;
+mod wakeset;
 mod wakeup;
 mod watchdog;
 
@@ -54,5 +58,6 @@ pub use cycle::Cycle;
 pub use id::{NodeId, PacketId};
 pub use rng::SimRng;
 pub use slab::{Slab, SlabKey};
+pub use wakeset::WakeSet;
 pub use wakeup::Wakeup;
 pub use watchdog::{StallReport, StallWatchdog};

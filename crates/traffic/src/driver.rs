@@ -3,7 +3,7 @@
 
 use nifdy::{BufferedNic, DeliveryFailure, Nic, NicOccupancy, NifdyConfig, NifdyUnit, PlainNic};
 use nifdy_net::Fabric;
-use nifdy_sim::{Cycle, NodeId, StallWatchdog, Wakeup};
+use nifdy_sim::{Cycle, NodeId, StallWatchdog, WakeSet, Wakeup};
 use nifdy_trace::{trace_event, EventKind, MetricsRegistry, TraceHandle};
 
 use crate::processor::{NodeWorkload, ProcEvent, ProcWake, Processor};
@@ -104,12 +104,27 @@ pub struct Driver {
     metrics: Option<MetricsRegistry>,
     gauge_period: u64,
     cycles_stepped: u64,
-    /// Per-node gate: strictly before this cycle, stepping node `i`'s
-    /// processor and NIC is a proven no-op (absent packets waiting for it
-    /// in the fabric), so [`step_cycle`](Self::step_cycle) skips them.
-    /// Recomputed every time the node actually steps; conservative values
-    /// (too early) only cost extra no-op steps.
-    node_due: Vec<Cycle>,
+    /// Processors to step at the next stepped cycle, and when each of the
+    /// others must next be judged: the end of a delay that ends in real
+    /// work, or the cycle an idle poller's workload becomes ready
+    /// ([`Processor::classify`]).
+    proc_due: WakeSet,
+    /// Interfaces to step at the next stepped cycle (their `next_event`
+    /// said `Now`, their processor stepped, or the fabric holds a packet
+    /// for them), and each of the others' `next_event` deadline.
+    nic_due: WakeSet,
+    /// Lazily idle processors: [`Processor::classify`] called them
+    /// `Polling`, so they are not stepped, and the empty polls they owe
+    /// from `owed_from[i]` on are replayed in batch when they next matter.
+    idle: WakeSet,
+    owed_from: Vec<Cycle>,
+    /// Processors stepped, released or woken this cycle: classified once
+    /// their interfaces have stepped.
+    unsettled: WakeSet,
+    /// Processors blocked in the barrier.
+    in_barrier: usize,
+    /// Processors blocked in the barrier or done.
+    barrier_or_done: usize,
 }
 
 impl Driver {
@@ -134,7 +149,7 @@ impl Driver {
         }
         let nics = choice.build(n);
         let procs = (0..n).map(|i| Processor::new(NodeId::new(i), sw)).collect();
-        Ok(Driver {
+        let mut d = Driver {
             fab,
             nics,
             procs,
@@ -145,8 +160,23 @@ impl Driver {
             metrics: None,
             gauge_period: 1_000,
             cycles_stepped: 0,
-            node_due: vec![Cycle::ZERO; n],
-        })
+            proc_due: WakeSet::with_deadlines(n),
+            nic_due: WakeSet::with_deadlines(n),
+            idle: WakeSet::new(n),
+            owed_from: vec![Cycle::ZERO; n],
+            unsettled: WakeSet::new(n),
+            in_barrier: 0,
+            barrier_or_done: 0,
+        };
+        // File every processor by what it needs from the first cycle on.
+        // The interfaces were just built and hold no work until their
+        // processor or the fabric hands them some, which makes them due.
+        let now = d.fab.now();
+        for i in 0..n {
+            d.settle(i, now);
+        }
+        d.nic_due.union_with(d.fab.ready_nodes());
+        Ok(d)
     }
 
     /// Cycles that were stepped for real, as opposed to jumped as a quiet
@@ -251,6 +281,7 @@ impl Driver {
         while self.fab.now() < until {
             self.burst(until);
         }
+        self.flush_idle_polls();
     }
 
     /// Emits one sample of every occupancy gauge, timestamped `at`.
@@ -260,22 +291,89 @@ impl Driver {
         }
     }
 
-    /// Whether node `i` can be skipped this cycle: its processor is inside
-    /// a charged delay, its NIC promised no work before a future wakeup,
-    /// and the fabric holds no packets for it. The predicate is stable for
-    /// the whole cycle (`node_due` and the ejection queues only change on a
-    /// node's own step or the fabric step at the end), so the processor and
-    /// NIC loops agree on it.
-    #[inline]
-    fn node_gated(&self, i: usize, now: Cycle) -> bool {
-        self.node_due[i] > now && self.fab.ready_len(NodeId::new(i)) == 0
-    }
-
     /// Whether the barrier releases this cycle: some node waits in it and
     /// every node is blocked in it or done.
+    #[inline]
     fn barrier_ready(&self) -> bool {
-        self.procs.iter().any(|p| p.in_barrier())
-            && self.procs.iter().all(|p| p.in_barrier() || p.is_done())
+        self.in_barrier > 0 && self.barrier_or_done == self.procs.len()
+    }
+
+    /// Replays the empty polls lazily idle processor `i` owes before
+    /// `until`.
+    fn replay_polls(&mut self, i: usize, until: Cycle) {
+        self.procs[i].batch_idle_polls(self.owed_from[i], until);
+        self.owed_from[i] = until;
+    }
+
+    /// Ends processor `i`'s lazy idleness, if it was idle, replaying the
+    /// polls it owes before `until`.
+    fn wake_idle(&mut self, i: usize, until: Cycle) {
+        if self.idle.contains(i) {
+            self.replay_polls(i, until);
+            self.idle.remove(i);
+        }
+    }
+
+    /// Files processor `i` by what it needs from cycle `at` on: due, a
+    /// deadline, or lazily idle (with or without one). Called once its
+    /// inputs for `at` are final: its own step and its interface's are done.
+    fn settle(&mut self, i: usize, at: Cycle) {
+        self.wake_idle(i, at);
+        let wake = match self.procs[i].classify(self.nics[i].as_ref(), self.wls[i].as_ref(), at) {
+            ProcWake::Step => Wakeup::Now,
+            ProcWake::Busy(t) => Wakeup::At(t),
+            ProcWake::Polling(bound) => {
+                self.idle.insert(i);
+                self.owed_from[i] = at;
+                bound.map_or(Wakeup::Quiescent, Wakeup::At)
+            }
+        };
+        self.proc_due.schedule(i, wake);
+    }
+
+    /// Replays every lazily idle processor's polls up to the current cycle,
+    /// so [`processors`](Self::processors) shows no lag. They stay idle.
+    fn flush_idle_polls(&mut self) {
+        let now = self.fab.now();
+        for w in 0..self.idle.word_count() {
+            let mut bits = self.idle.word(w);
+            while bits != 0 {
+                let i = 64 * w + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.replay_polls(i, now);
+            }
+        }
+    }
+
+    /// Steps processor `i`, keeps the barrier counters, and queues its
+    /// interface (which the step may have handed a packet or polled) and
+    /// its classification for later in the cycle.
+    fn step_proc(&mut self, i: usize, now: Cycle) {
+        let p = &mut self.procs[i];
+        let (was_in, was_parked) = (p.in_barrier(), p.in_barrier() || p.is_done());
+        let ev = p.step(self.nics[i].as_mut(), self.wls[i].as_mut(), now);
+        debug_assert!(matches!(ev, ProcEvent::None | ProcEvent::EnteredBarrier));
+        // A step can enter the barrier or finish, never leave either.
+        self.in_barrier += usize::from(p.in_barrier() && !was_in);
+        self.barrier_or_done += usize::from((p.in_barrier() || p.is_done()) && !was_parked);
+        self.nic_due.insert(i);
+        self.unsettled.insert(i);
+    }
+
+    /// Releases every processor blocked in the barrier. An idle waiter
+    /// first replays its polls up to and including `now`: ungated stepping
+    /// polls before it releases.
+    fn release_barrier(&mut self, now: Cycle) {
+        for i in 0..self.procs.len() {
+            if self.procs[i].in_barrier() {
+                self.wake_idle(i, now + 1);
+                self.proc_due.cancel(i);
+                self.procs[i].release_barrier(now, BARRIER_COST);
+                self.unsettled.insert(i);
+            }
+        }
+        self.barrier_or_done -= self.in_barrier;
+        self.in_barrier = 0;
     }
 
     /// Steps node `i`'s interface, collects its typed failures, and shows
@@ -306,56 +404,60 @@ impl Driver {
     }
 
     /// Steps every component through one cycle — the single place
-    /// components are stepped. Nodes provably idle this cycle
-    /// ([`node_gated`](Self::node_gated)) are skipped — their step would
-    /// be a no-op, so results are bit-for-bit those of stepping everyone.
+    /// components are stepped. Only due processors and due interfaces
+    /// step, each set visited in node order; every other step would be a
+    /// no-op or an empty poll that is replayed later, so results are bit
+    /// for bit those of stepping everyone.
     fn step_cycle(&mut self) {
         self.cycles_stepped += 1;
         let now = self.fab.now();
         if self.metrics.is_some() && now.as_u64().is_multiple_of(self.gauge_period) {
             self.emit_gauges(now);
         }
-        // A due stall deadline disables gating for the cycle: the watchdog
-        // only accrues observations on stepped nodes, so the firing cycle
-        // must step (and thus observe) everyone, exactly like ungated
-        // stepping would.
-        let dog_due = self
+        // A due stall deadline steps every node: the watchdog only
+        // observes stepped interfaces, so the firing cycle must observe
+        // everyone, exactly like ungated stepping would.
+        if self
             .watchdog
             .as_ref()
             .and_then(StallWatchdog::next_deadline)
-            .is_some_and(|t| t <= now);
-        for i in 0..self.procs.len() {
-            if !dog_due && self.node_gated(i, now) {
-                continue;
-            }
-            let ev = self.procs[i].step(self.nics[i].as_mut(), self.wls[i].as_mut(), now);
-            debug_assert!(matches!(ev, ProcEvent::None | ProcEvent::EnteredBarrier));
+            .is_some_and(|t| t <= now)
+        {
+            self.proc_due.insert_all();
+            self.nic_due.insert_all();
+        }
+        let mut from = 0;
+        while let Some(i) = self.proc_due.take_next(from) {
+            from = i + 1;
+            // Idle or with a deadline only on a watchdog cycle.
+            self.wake_idle(i, now);
+            self.proc_due.cancel(i);
+            self.step_proc(i, now);
         }
         if self.barrier_ready() {
-            for (i, p) in self.procs.iter_mut().enumerate() {
-                if p.in_barrier() {
-                    p.release_barrier(now, BARRIER_COST);
-                    // The release rewrote the processor's delay out from
-                    // under the gate; re-arm it conservatively.
-                    self.node_due[i] = now;
-                }
+            self.release_barrier(now);
+        }
+        let mut from = 0;
+        while let Some(i) = self.nic_due.take_next(from) {
+            from = i + 1;
+            self.step_nic(i, now);
+            let wake = self.nics[i].next_event(now);
+            self.nic_due.schedule(i, wake);
+            // A packet made deliverable ends its processor's idle polling.
+            if self.idle.contains(i) && self.nics[i].has_deliverable() {
+                self.unsettled.insert(i);
             }
         }
-        for i in 0..self.nics.len() {
-            if !dog_due && self.node_gated(i, now) {
-                continue;
-            }
-            self.step_nic(i, now);
-            // Both layers just ran; their own wakeups say when the node can
-            // next matter. `Now` and past deadlines mean "again next cycle".
-            let nic_due = match self.nics[i].next_event(now) {
-                Wakeup::Now => now + 1,
-                Wakeup::At(t) => t.max(now + 1),
-                Wakeup::Quiescent => Cycle::MAX,
-            };
-            self.node_due[i] = self.procs[i].next_due().min(nic_due);
+        let mut from = 0;
+        while let Some(i) = self.unsettled.take_next(from) {
+            from = i + 1;
+            self.settle(i, now + 1);
         }
         self.fab.step();
+        // Packets the fabric just queued for ejection wake their interfaces.
+        self.nic_due.union_with(self.fab.ready_nodes());
+        #[cfg(debug_assertions)]
+        self.audit_due_sets();
     }
 
     /// One burst of progress toward `until` (which must be in the
@@ -367,59 +469,55 @@ impl Driver {
     /// promise that stepping it before the wakeup is a no-op absent new
     /// input — and inside the window there is no new input: the fabric is
     /// empty (else it reports `Now`), no NIC acts, and the only processor
-    /// activity is empty polling, which is replayed in batch.
+    /// activity is empty polling, which idle processors owe and replay
+    /// later.
     fn burst(&mut self, until: Cycle) {
         let now = self.fab.now();
         debug_assert!(now < until);
-        // An active fabric (worms in flight or packets awaiting ejection)
-        // can make progress every cycle; a barrier release is a
-        // driver-level event that fires the first cycle every participant
-        // is blocked or done.
-        if self.fab.next_event().is_due(now) || self.barrier_ready() {
-            self.step_cycle();
-            return;
-        }
-        let mut wake = Wakeup::Quiescent;
-        for nic in &self.nics {
-            wake = wake.earliest(nic.next_event(now));
-        }
-        let mut any_polling = false;
-        for (i, p) in self.procs.iter().enumerate() {
-            match p.classify(self.nics[i].as_ref(), self.wls[i].as_ref(), now) {
-                ProcWake::Step => {
-                    self.step_cycle();
-                    return;
-                }
-                ProcWake::Busy(t) => wake = wake.earliest(Wakeup::At(t)),
-                ProcWake::Polling(deadline) => {
-                    any_polling = true;
-                    if let Some(t) = deadline {
-                        wake = wake.earliest(Wakeup::At(t));
-                    }
-                }
+        // Deadlines that arrived: interfaces become due, and so do
+        // processors whose delay ends in real work (`classify` said so when
+        // it filed them, and nothing it reads has changed since). An idle
+        // processor's deadline is its workload's: it is judged afresh, as
+        // a workload ready mid-delay waits for the delay's end.
+        self.nic_due.promote_due(now);
+        while let Some(i) = self.proc_due.pop_due(now) {
+            if self.idle.contains(i) {
+                self.settle(i, now);
+            } else {
+                self.proc_due.insert(i);
             }
         }
         // Stall-detection deadlines are explicit wakeups: a wedged node is
         // caught at the same cycle stepping every cycle would catch it.
-        if let Some(dog) = &self.watchdog {
-            if let Some(t) = dog.next_deadline() {
-                wake = wake.earliest(Wakeup::at_or_now(t, now));
-            }
-        }
-        if wake.is_due(now) {
+        let dog = self
+            .watchdog
+            .as_ref()
+            .and_then(StallWatchdog::next_deadline);
+        // An active fabric (worms in flight or packets awaiting ejection)
+        // can make progress every cycle; a barrier release is a
+        // driver-level event that fires the first cycle every participant
+        // is blocked or done.
+        if self.fab.next_event().is_due(now)
+            || self.barrier_ready()
+            || !self.proc_due.is_empty()
+            || !self.nic_due.is_empty()
+            || dog.is_some_and(|t| t <= now)
+        {
             self.step_cycle();
             return;
         }
-        // Nothing observable happens in [now, t): replay the empty polls,
-        // emit the gauges the skipped cycles would have sampled (their
-        // inputs are frozen across the window), and jump.
-        let t = wake.deadline_or(now, until);
+        // Nothing observable happens in [now, t): emit the gauges the
+        // skipped cycles would have sampled (their inputs are frozen across
+        // the window) and jump.
+        let t = [
+            self.proc_due.next_deadline(),
+            self.nic_due.next_deadline(),
+            dog,
+        ]
+        .into_iter()
+        .flatten()
+        .fold(until, Cycle::min);
         debug_assert!(t > now);
-        if any_polling {
-            for p in &mut self.procs {
-                p.batch_idle_polls(now, t);
-            }
-        }
         if self.metrics.is_some() {
             let period = self.gauge_period;
             let mut m = now.as_u64().next_multiple_of(period);
@@ -431,9 +529,73 @@ impl Driver {
         self.fab.advance_to(t);
     }
 
+    /// Debug check of the due sets, run after every stepped cycle of a
+    /// debug build with the clock already on the next cycle. A node left
+    /// out of a set (not due, no deadline reached) must not have work the
+    /// set would miss: its processor does not classify as `Step`, nor wake
+    /// before its deadline; its interface's `next_event` is no earlier than
+    /// its deadline and the fabric holds no packet for it. An idle
+    /// processor's interface has nothing deliverable, so the polls it owes
+    /// miss. The barrier counters must match the flags.
+    #[cfg(debug_assertions)]
+    fn audit_due_sets(&self) {
+        let now = self.fab.now();
+        let filed = |set: &WakeSet, i: usize| match set.deadline(i) {
+            _ if set.contains(i) => Wakeup::Now,
+            Some(t) if t <= now => Wakeup::Now,
+            Some(t) => Wakeup::At(t),
+            None => Wakeup::Quiescent,
+        };
+        let (mut waiting, mut parked) = (0, 0);
+        for (i, p) in self.procs.iter().enumerate() {
+            waiting += usize::from(p.in_barrier());
+            parked += usize::from(p.in_barrier() || p.is_done());
+            let filed_proc = filed(&self.proc_due, i);
+            if filed_proc != Wakeup::Now {
+                let class = p.classify(self.nics[i].as_ref(), self.wls[i].as_ref(), now);
+                let wake = match class {
+                    ProcWake::Step => Wakeup::Now,
+                    ProcWake::Busy(t) => Wakeup::At(t),
+                    ProcWake::Polling(bound) => bound.map_or(Wakeup::Quiescent, Wakeup::At),
+                };
+                assert_eq!(
+                    filed_proc.earliest(wake),
+                    filed_proc,
+                    "lost processor wake-up at {now}: node {i} is filed {filed_proc:?} \
+                     but classifies {class:?}"
+                );
+            }
+            assert!(
+                !self.idle.contains(i) || !self.nics[i].has_deliverable(),
+                "node {i} owes polls at {now} over a deliverable packet"
+            );
+            let filed_nic = filed(&self.nic_due, i);
+            if filed_nic != Wakeup::Now {
+                assert_eq!(
+                    self.fab.ready_len(NodeId::new(i)),
+                    0,
+                    "lost ready wake-up at {now}: node {i} has a packet to eject \
+                     but its interface is filed {filed_nic:?}"
+                );
+                let wake = self.nics[i].next_event(now);
+                assert_eq!(
+                    filed_nic.earliest(wake),
+                    filed_nic,
+                    "lost interface wake-up at {now}: node {i} is filed {filed_nic:?} \
+                     but says {wake:?}"
+                );
+            }
+        }
+        assert_eq!(
+            (self.in_barrier, self.barrier_or_done),
+            (waiting, parked),
+            "barrier counters drifted at {now}"
+        );
+    }
+
     /// Whether every workload has finished and the network has drained.
     fn is_quiet(&self) -> bool {
-        self.procs.iter().all(|p| p.is_done())
+        self.barrier_or_done - self.in_barrier == self.procs.len()
             && self.nics.iter().all(|n| n.is_idle())
             && self.fab.in_network() == 0
     }
@@ -470,13 +632,13 @@ impl Driver {
             self.step();
             return true;
         }
-        while self.fab.now().as_u64() < limit {
+        let mut quiet = false;
+        while !quiet && self.fab.now().as_u64() < limit {
             self.burst(Cycle::new(limit));
-            if self.is_quiet() {
-                return true;
-            }
+            quiet = self.is_quiet();
         }
-        false
+        self.flush_idle_polls();
+        quiet
     }
 }
 

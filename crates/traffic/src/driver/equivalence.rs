@@ -21,8 +21,8 @@ use crate::{Action, CoalesceConfig, NetworkKind, ScanConfig, Scenario, Synthetic
 
 impl Driver {
     /// The reference semantics: every processor, the barrier release,
-    /// every interface, the fabric — each cycle, for every node. No
-    /// `node_due` gate, no skip.
+    /// every interface, the fabric — each cycle, for every node. No due
+    /// sets, no barrier counters, no skip.
     fn reference_step(&mut self) {
         let now = self.fab.now();
         if self.metrics.is_some() && now.as_u64().is_multiple_of(self.gauge_period) {
@@ -31,7 +31,9 @@ impl Driver {
         for i in 0..self.procs.len() {
             self.procs[i].step(self.nics[i].as_mut(), self.wls[i].as_mut(), now);
         }
-        if self.barrier_ready() {
+        if self.procs.iter().any(Processor::in_barrier)
+            && self.procs.iter().all(|p| p.in_barrier() || p.is_done())
+        {
             for p in self.procs.iter_mut().filter(|p| p.in_barrier()) {
                 p.release_barrier(now, BARRIER_COST);
             }
@@ -40,6 +42,13 @@ impl Driver {
             self.step_nic(i, now);
         }
         self.fab.step();
+    }
+
+    /// `is_quiet` from the flags themselves, for the reference leg.
+    fn reference_quiet(&self) -> bool {
+        self.procs.iter().all(Processor::is_done)
+            && self.nics.iter().all(|n| n.is_idle())
+            && self.fab.in_network() == 0
     }
 }
 
@@ -75,7 +84,7 @@ impl Run {
             Run::UntilQuiet(limit) => {
                 while d.fab.now().as_u64() < limit {
                     d.reference_step();
-                    if d.is_quiet() {
+                    if d.reference_quiet() {
                         return Some(true);
                     }
                 }
@@ -166,6 +175,23 @@ fn nic_counters(nic: &dyn Nic) -> [u64; 16] {
     ]
 }
 
+/// What [`Driver::processors`] shows: every processor's counters.
+fn proc_counters(d: &Driver) -> Vec<[u64; 5]> {
+    d.processors()
+        .iter()
+        .map(|p| {
+            let s = p.stats();
+            [
+                s.sent.get(),
+                s.received.get(),
+                s.empty_polls.get(),
+                s.user_words.get(),
+                s.barriers.get(),
+            ]
+        })
+        .collect()
+}
+
 fn observe(d: &Driver, completed: Option<bool>, log: &Arc<Mutex<Vec<Delivery>>>) -> RunRecord {
     let (fs, drops) = (d.fabric().stats(), d.fabric().fault_counts());
     let mut fabric_stats = vec![
@@ -199,20 +225,7 @@ fn observe(d: &Driver, completed: Option<bool>, log: &Arc<Mutex<Vec<Delivery>>>)
         final_now: d.fabric().now().as_u64(),
         completed,
         deliveries: log.lock().unwrap().clone(),
-        proc_stats: d
-            .processors()
-            .iter()
-            .map(|p| {
-                let s = p.stats();
-                [
-                    s.sent.get(),
-                    s.received.get(),
-                    s.empty_polls.get(),
-                    s.user_words.get(),
-                    s.barriers.get(),
-                ]
-            })
-            .collect(),
+        proc_stats: proc_counters(d),
         nic_stats: (0..d.processors().len())
             .map(|i| nic_counters(d.nic(i)))
             .collect(),
@@ -372,39 +385,41 @@ impl NodeWorkload for Paced {
     }
 }
 
+/// The shape of the sparse simulator benchmark: 64 nodes, the fat tree's
+/// NIFDY preset, one packet per 2 000 cycles per node, sources staggered
+/// by 7 cycles, `packets` per node.
+fn paced_fat_tree(log: &Arc<Mutex<Vec<Delivery>>>, packets: u32) -> Driver {
+    let kind = NetworkKind::FatTree;
+    Scenario::new(kind)
+        .nodes(64)
+        .seed(1)
+        .nic(NicChoice::Nifdy(kind.nifdy_preset()))
+        .build_with(|sc| {
+            let wls = (0..sc.nodes())
+                .map(|node| -> Box<dyn NodeWorkload> {
+                    Box::new(Paced {
+                        node,
+                        nodes: sc.nodes(),
+                        interval: 2_000,
+                        next_due: node as u64 * 7,
+                        sent: 0,
+                        packets,
+                    })
+                })
+                .collect();
+            record_all(wls, log)
+        })
+        .and_then(|d| d.with_metrics(1_000))
+        .expect("valid scenario")
+}
+
 #[test]
 fn sparse_paced_fat_tree_matches_and_skips_poll_delays() {
-    // The shape of the sparse simulator benchmark: 64 nodes, the fat
-    // tree's NIFDY preset, one packet per 2 000 cycles per node, sources
-    // staggered by 7 cycles. Pollers sitting out a `t_poll` delay must not
-    // cap the jump, and the replayed empty polls must match cycle for
-    // cycle.
-    let kind = NetworkKind::FatTree;
+    // Pollers sitting out a `t_poll` delay must not cap the jump, and the
+    // replayed empty polls must match cycle for cycle.
     let (elapsed, stepped) = assert_matches_reference(
         "paced sparse fat tree",
-        |log| {
-            Scenario::new(kind)
-                .nodes(64)
-                .seed(1)
-                .nic(NicChoice::Nifdy(kind.nifdy_preset()))
-                .build_with(|sc| {
-                    let wls = (0..sc.nodes())
-                        .map(|node| -> Box<dyn NodeWorkload> {
-                            Box::new(Paced {
-                                node,
-                                nodes: sc.nodes(),
-                                interval: 2_000,
-                                next_due: node as u64 * 7,
-                                sent: 0,
-                                packets: 4,
-                            })
-                        })
-                        .collect();
-                    record_all(wls, log)
-                })
-                .and_then(|d| d.with_metrics(1_000))
-                .expect("valid scenario")
-        },
+        |log| paced_fat_tree(log, 4),
         Run::UntilQuiet(1_000_000),
     );
     assert!(elapsed > 6_000, "the run ended at cycle {elapsed}");
@@ -558,47 +573,120 @@ fn run_sampled_observes_identical_intermediate_states() {
 fn watchdog_trips_at_the_reference_cycle() {
     // Total loss with no retransmission wedges the sender; the stall
     // watchdog must catch it at the same cycle even when the driver is
-    // skipping — its deadline is an explicit wakeup.
-    let trip_message = |run: fn(Run, &mut Driver) -> Option<bool>| -> String {
-        let result = std::panic::catch_unwind(move || {
-            let fab = Fabric::new(
+    // skipping — its deadline is an explicit wakeup. The other nodes are
+    // done and poll idly; the deadline cycle steps every node, so the state
+    // the trip leaves behind, replayed polls included, is the reference's.
+    let trip = |run: fn(Run, &mut Driver) -> Option<bool>| {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let wls: Vec<Box<dyn NodeWorkload>> = (0..4usize)
+            .map(|i| -> Box<dyn NodeWorkload> {
+                if i == 0 {
+                    Box::new(Script::new(vec![Action::Send(OutboundPacket::new(
+                        NodeId::new(1),
+                        8,
+                    ))]))
+                } else {
+                    Box::new(Script::new(vec![]))
+                }
+            })
+            .collect();
+        let mut d = Driver::new(
+            Fabric::new(
                 Box::new(Mesh::d2(2, 2)),
                 FabricConfig::default().with_drop_prob(1.0),
-            );
-            let wls: Vec<Box<dyn NodeWorkload>> = (0..4usize)
-                .map(|i| -> Box<dyn NodeWorkload> {
-                    if i == 0 {
-                        Box::new(Script::new(vec![Action::Send(OutboundPacket::new(
-                            NodeId::new(1),
-                            8,
-                        ))]))
-                    } else {
-                        Box::new(Script::new(vec![]))
-                    }
-                })
-                .collect();
-            let mut d = Driver::new(
-                fab,
-                &NicChoice::Nifdy(NifdyConfig::mesh()),
-                SoftwareModel::synthetic(),
-                wls,
-            )
-            .expect("driver builds")
-            .with_stall_watchdog(5_000);
-            let _ = run(Run::UntilQuiet(1_000_000), &mut d);
-        });
-        let err = result.expect_err("watchdog must trip");
-        err.downcast_ref::<String>()
+            ),
+            &NicChoice::Nifdy(NifdyConfig::mesh()),
+            SoftwareModel::synthetic(),
+            record_all(wls, &log),
+        )
+        .expect("driver builds")
+        .with_stall_watchdog(5_000);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run(Run::UntilQuiet(1_000_000), &mut d)
+        }))
+        .expect_err("watchdog must trip");
+        let msg = err
+            .downcast_ref::<String>()
             .cloned()
-            .unwrap_or_else(|| "non-string panic".to_string())
+            .unwrap_or_else(|| "non-string panic".to_string());
+        (msg, observe(&d, None, &log))
     };
-    let expected = trip_message(Run::reference);
+    let (expected, state) = trip(Run::reference);
     assert!(expected.contains("stall watchdog tripped"), "{expected}");
-    assert_eq!(
-        trip_message(Run::driver),
-        expected,
-        "watchdog report differs from the reference"
-    );
+    let (msg, driver_state) = trip(Run::driver);
+    assert_eq!(msg, expected, "watchdog report differs from the reference");
+    assert_eq!(driver_state, state, "the trip left different state");
+}
+
+#[test]
+fn advance_in_chunks_shows_no_poll_lag() {
+    // Idle processors owe their empty polls until something wakes them;
+    // every `advance` ends by replaying them, so the counters seen between
+    // chunks are the reference's, whatever the chunk length.
+    for k in [1u64, 7, 256] {
+        let (ref_log, log) = (
+            Arc::new(Mutex::new(Vec::new())),
+            Arc::new(Mutex::new(Vec::new())),
+        );
+        let (mut reference, mut d) = (paced_fat_tree(&ref_log, 3), paced_fat_tree(&log, 3));
+        for chunk in 0..7_000 / k {
+            for _ in 0..k {
+                reference.reference_step();
+            }
+            d.run_cycles(k);
+            assert_eq!(
+                proc_counters(&d),
+                proc_counters(&reference),
+                "chunks of {k}: processors differ after chunk {chunk}"
+            );
+        }
+        assert_eq!(
+            observe(&d, None, &log),
+            observe(&reference, None, &ref_log),
+            "chunks of {k}: runs differ"
+        );
+    }
+}
+
+#[test]
+fn idle_pollers_at_a_barrier_release_match() {
+    // Nodes 1 and 2 wait in the barrier and node 3 is done, all polling
+    // idly, while node 0 computes for `x` cycles before joining: over
+    // x = 1..=50 the release cycle meets every phase of the waiters'
+    // 22-cycle poll grid, a poll slot on the release cycle included. After
+    // the release each sends one packet and meets the others once more.
+    for x in 1..=50u64 {
+        assert_matches_reference(
+            &format!("barrier release after {x} cycles"),
+            |log| {
+                let wls = (0..4usize)
+                    .map(|i| -> Box<dyn NodeWorkload> {
+                        let mut script = if i == 0 {
+                            vec![Action::Compute(x)]
+                        } else {
+                            vec![]
+                        };
+                        if i != 3 {
+                            script.extend([
+                                Action::Barrier,
+                                Action::Send(OutboundPacket::new(NodeId::new(i + 1), 8)),
+                                Action::Barrier,
+                            ]);
+                        }
+                        Box::new(Script::new(script))
+                    })
+                    .collect();
+                Driver::new(
+                    Fabric::new(Box::new(Mesh::d2(2, 2)), FabricConfig::default()),
+                    &NicChoice::Nifdy(NifdyConfig::mesh()),
+                    SoftwareModel::synthetic(),
+                    record_all(wls, log),
+                )
+                .expect("driver builds")
+            },
+            Run::UntilQuiet(100_000),
+        );
+    }
 }
 
 /// A scripted workload driven from a vector of actions.

@@ -216,21 +216,18 @@ impl Processor {
         }
     }
 
-    /// The cycle this processor next leaves its busy/delay state: its
-    /// [`step`](Self::step) is a guaranteed no-op strictly before then
-    /// (the very first check returns), which is what lets the driver gate
-    /// per-node stepping.
-    pub(crate) fn next_due(&self) -> Cycle {
-        self.busy_until
-    }
-
     /// Replays the empty polls this processor would have issued over
     /// `[now, until)` in one batch, without touching the NIC or workload.
     ///
-    /// Only valid inside a skip window, where nothing is deliverable and
-    /// nothing can arrive: each poll slot (spaced `t_poll` from the
+    /// Only valid where every poll in the span misses: inside a skip
+    /// window, where nothing is deliverable and nothing can arrive, or
+    /// while the driver holds the processor *lazily idle* — classified
+    /// [`ProcWake::Polling`], not stepped, and woken before its interface
+    /// has anything deliverable. Each poll slot (spaced `t_poll` from the
     /// previous `busy_until`) misses, charges `t_poll`, and bumps
     /// `empty_polls` — exactly what per-cycle stepping would have done.
+    /// Replays are additive: `[a, b)` then `[b, c)` is `[a, c)`, so the
+    /// driver may replay a long idle stretch piecewise.
     pub(crate) fn batch_idle_polls(&mut self, now: Cycle, until: Cycle) {
         let start = if self.busy_until > now {
             self.busy_until
@@ -243,14 +240,12 @@ impl Processor {
         let span = until.saturating_since(start);
         let t_poll = self.sw.t_poll;
         // t_poll == 0 degenerates to one poll per cycle, as cycle stepping
-        // would produce.
-        let k = if t_poll == 0 {
-            span
-        } else {
-            span.div_ceil(t_poll)
-        };
+        // would produce: the last one, at `until - 1`, leaves `busy_until`
+        // there.
+        let spacing = t_poll.max(1);
+        let k = span.div_ceil(spacing);
         self.stats.empty_polls.add(k);
-        self.busy_until = start + k * t_poll;
+        self.busy_until = start + (k - 1) * spacing + t_poll;
     }
 
     /// One scheduling slot. Call once per cycle, before the NIC steps.
@@ -323,6 +318,7 @@ mod tests {
     use nifdy::{NifdyConfig, NifdyUnit, PlainNic};
     use nifdy_net::topology::Mesh;
     use nifdy_net::{Fabric, FabricConfig};
+    use proptest::prelude::*;
 
     /// Sends `n` packets to a fixed destination, then idles.
     struct Burst {
@@ -446,7 +442,7 @@ mod tests {
         let mut nic = PlainNic::new(NodeId::new(0));
         p.step(&mut nic, wl, Cycle::ZERO);
         assert_eq!(p.stats().empty_polls.get(), 1);
-        assert_eq!(p.next_due(), Cycle::new(22));
+        assert_eq!(p.busy_until, Cycle::new(22));
         (p, nic)
     }
 
@@ -488,7 +484,7 @@ mod tests {
         sender.step(&mut nic_s, &mut wl, Cycle::ZERO);
         sender.step(&mut nic_s, &mut wl, Cycle::new(40));
         assert_eq!(sender.stats().sent.get(), 1);
-        assert_eq!(sender.next_due(), Cycle::new(62));
+        assert_eq!(sender.busy_until, Cycle::new(62));
         assert_eq!(
             sender.classify(&nic_s, &idle, Cycle::new(41)),
             ProcWake::Busy(Cycle::new(62))
@@ -518,6 +514,48 @@ mod tests {
         );
     }
 
+    /// An idle processor with `t_poll` and `busy_until` as given.
+    fn idle_at(t_poll: u64, busy_until: u64) -> Processor {
+        let sw = SoftwareModel {
+            t_poll,
+            ..SoftwareModel::synthetic()
+        };
+        let mut p = Processor::new(NodeId::new(0), sw);
+        p.busy_until = Cycle::new(busy_until);
+        p
+    }
+
+    proptest! {
+        /// Replaying `[a, b)` then `[b, c)` is replaying `[a, c)`, and both
+        /// are stepping the idle processor once per cycle: the lazy replay
+        /// and the flush at every `advance` boundary split idle stretches
+        /// anywhere.
+        #[test]
+        fn idle_poll_replay_is_additive(
+            t_poll in prop_oneof![Just(0u64), Just(1u64), Just(22u64), Just(40u64)],
+            busy in 0u64..120,
+            a in 0u64..120,
+            ab in 0u64..200,
+            bc in 0u64..200,
+        ) {
+            let (b, c) = (a + ab, a + ab + bc);
+            let mut split = idle_at(t_poll, busy);
+            split.batch_idle_polls(Cycle::new(a), Cycle::new(b));
+            split.batch_idle_polls(Cycle::new(b), Cycle::new(c));
+            let mut whole = idle_at(t_poll, busy);
+            whole.batch_idle_polls(Cycle::new(a), Cycle::new(c));
+            let mut stepped = idle_at(t_poll, busy);
+            let (mut nic, mut wl) = (PlainNic::new(NodeId::new(0)), Due::at(u64::MAX));
+            for now in a..c {
+                stepped.step(&mut nic, &mut wl, Cycle::new(now));
+            }
+            for p in [&split, &whole] {
+                prop_assert_eq!(p.stats().empty_polls.get(), stepped.stats().empty_polls.get());
+                prop_assert_eq!(p.busy_until, stepped.busy_until);
+            }
+        }
+    }
+
     #[test]
     fn a_poll_delay_inside_the_barrier_classifies_as_polling() {
         // Due at cycle 1, which would keep the delay busy outside the
@@ -533,7 +571,7 @@ mod tests {
             ProcEvent::EnteredBarrier
         );
         p.step(&mut nic, &mut wl, Cycle::ZERO);
-        assert_eq!(p.next_due(), Cycle::new(22));
+        assert_eq!(p.busy_until, Cycle::new(22));
         assert_eq!(
             p.classify(&nic, &wl, Cycle::new(1)),
             ProcWake::Polling(None)
