@@ -189,7 +189,7 @@ fn main() -> ExitCode {
             Ok(node_cmd::ServeOutcome::Report(report)) => {
                 println!("{}", report.summary);
                 println!("{}", report.shards);
-                if !report.ok() {
+                if !report.ok {
                     eprintln!("node:serve: delivery order diverged from the plan");
                     return ExitCode::FAILURE;
                 }

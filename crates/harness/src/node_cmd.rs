@@ -28,6 +28,9 @@
 //! child  -> parent   DONE                 clean exit follows
 //! ```
 //!
+//! A line either side cannot parse is an error naming its sender and quoting
+//! it. A child exits when its stdin closes; the parent reaps every child.
+//!
 //! All node-specific flags use `--key=value` form so the binary's global
 //! argument parser can forward them opaquely, and the swarm parent hands
 //! its own to every child unchanged.
@@ -41,11 +44,11 @@
 
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Write};
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
+use std::net::SocketAddr;
+use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use nifdy::NifdyConfig;
 use nifdy_net::FaultConfig;
 use nifdy_node::workload::{em3d_plan, DaemonSet, PlanFeeder, SwarmPlan};
 use nifdy_node::{NifdyNode, NodeConfig};
@@ -237,19 +240,11 @@ pub struct ServeReport {
     pub summary: Table,
     /// Per-shard counter breakdown.
     pub shards: Table,
-    /// Delivery order matched the plan's send order.
-    pub order_ok: bool,
-    /// `--parity` verdict against the flit-level simulator, if requested.
-    pub sim_parity: Option<bool>,
+    /// The run passed its [`gate`]: the plan's delivery order, and with
+    /// `--parity` the flit-level simulator's.
+    pub ok: bool,
     /// Endpoint-frames demultiplexed per wall second.
     pub frames_per_sec: f64,
-}
-
-impl ServeReport {
-    /// Every requested gate held.
-    pub fn ok(&self) -> bool {
-        self.order_ok && self.sim_parity != Some(false)
-    }
 }
 
 /// How `node:serve` ran.
@@ -277,8 +272,9 @@ pub fn run_serve(scale: Scale, seed: u64, extra: &[String]) -> Result<ServeOutco
     let mut set = DaemonSet::new(plan.nodes, 1, &cfg);
     let served = run(&mut set, &plan, 0, MAX_TICKS);
     let millis = start.elapsed().as_millis().max(1);
-    let order_ok = served.log == plan.expected_log();
-    let sim_parity = opts.parity.then(|| served.log == sim_reference(&plan));
+    let failures = [Json::obj([("failures", Json::u64(served.failure_total()))])];
+    let mode = Mode::Serve { sim: opts.parity };
+    let (ok, verdict) = gate(&plan, &served.log, mode, &failures);
     let stats = set.daemons[0].stats();
     let frames_per_sec = stats.frames_in as f64 * 1_000.0 / millis as f64;
     let packets = plan.total_packets();
@@ -307,36 +303,18 @@ pub fn run_serve(scale: Scale, seed: u64, extra: &[String]) -> Result<ServeOutco
         millis.to_string(),
         format!("{frames_per_sec:.0}"),
         format!("{:.0}", packets as f64 * 1_000.0 / millis as f64),
-        match (order_ok, sim_parity) {
-            (true, Some(true)) => "plan+sim".into(),
-            (true, None) => "plan".into(),
-            _ => format!("DIVERGED ({} failures)", served.failure_total()),
-        },
+        verdict,
     ]);
-    let mut shards = Table::new(
-        "per-shard breakdown".to_string(),
-        vec![
-            "shard".into(),
-            "frames in".into(),
-            "frames out".into(),
-            "delivered".into(),
-            "failures".into(),
-        ],
-    );
+    let columns = ["shard", "frames in", "frames out", "delivered", "failures"];
+    let mut shards = Table::new("per-shard breakdown", columns.map(String::from).into());
     for (i, s) in stats.shards.iter().enumerate() {
-        shards.row(vec![
-            i.to_string(),
-            s.frames_in.to_string(),
-            s.frames_out.to_string(),
-            s.delivered.to_string(),
-            s.failures.to_string(),
-        ]);
+        let counts = [i as u64, s.frames_in, s.frames_out, s.delivered, s.failures];
+        shards.row(counts.map(|n| n.to_string()).into());
     }
     Ok(ServeOutcome::Report(Box::new(ServeReport {
         summary,
         shards,
-        order_ok,
-        sim_parity,
+        ok,
         frames_per_sec,
     })))
 }
@@ -351,41 +329,32 @@ fn emit(line: &str) {
     let _ = out.flush();
 }
 
-fn apply_peer(node: &mut NifdyNode<UdpTransport>, c0: usize, rest: &str) -> Result<(), String> {
-    let mut it = rest.split_whitespace();
-    let idx: usize = it
-        .next()
-        .and_then(|v| v.parse().ok())
-        .ok_or("PEER needs a process index")?;
-    let addr: std::net::SocketAddr = it
-        .next()
-        .and_then(|v| v.parse().ok())
-        .ok_or("PEER needs a socket address")?;
-    node.carrier_mut(c0).add_peer(NodeId::new(idx), addr);
-    Ok(())
+/// A command from the swarm parent.
+#[derive(Debug, PartialEq)]
+enum Cmd {
+    Peer(NodeId, SocketAddr),
+    Go,
+    Stop,
 }
 
-/// The swarm protocol configuration: adaptive RTO with a budget generous
-/// enough that a kill-mode outage (thousands of fast poll rounds) is
-/// absorbed as retransmissions, never surfacing a typed failure.
-fn swarm_protocol(kill: bool) -> NifdyConfig {
-    let base = NodeConfig::default().protocol;
-    if kill {
-        base.with_retx_timeout(256)
-            .with_adaptive_rto(true)
-            .with_retx_budget(10_000)
-    } else {
-        base.with_retx_timeout(5_000).with_adaptive_rto(true)
-    }
-}
-
-/// Heartbeats every 256 rounds; the silence timeout is set far beyond any
-/// scheduling hiccup because restart detection is epoch-driven (a spurious
-/// `Down` would only be noise, but there is no reason to invite it).
-fn swarm_supervisor() -> SupervisorConfig {
-    SupervisorConfig::default()
-        .with_heartbeat_every(256)
-        .with_peer_timeout(1_000_000)
+/// The parent's next command, if one arrives within `wait`. A line that is
+/// no command, and stdin EOF, end the child with an error: a child never
+/// outlives its parent's pipe.
+fn command(rx: &mpsc::Receiver<String>, wait: Duration) -> Result<Option<Cmd>, String> {
+    let line = match rx.recv_timeout(wait) {
+        Ok(line) => line,
+        Err(mpsc::RecvTimeoutError::Timeout) => return Ok(None),
+        Err(mpsc::RecvTimeoutError::Disconnected) => return Err("swarm parent hung up".into()),
+    };
+    let peer = |p: &str, a: &str| Some(Cmd::Peer(NodeId::new(p.parse().ok()?), a.parse().ok()?));
+    let cmd = match line.split(' ').collect::<Vec<_>>()[..] {
+        ["GO"] => Some(Cmd::Go),
+        ["STOP"] => Some(Cmd::Stop),
+        ["PEER", proc, addr] => peer(proc, addr),
+        _ => None,
+    };
+    cmd.map(Some)
+        .ok_or_else(|| format!("swarm parent sent a malformed line '{line}'"))
 }
 
 /// One swarm child: binds a socket, hosts its slice of the node range, and
@@ -411,11 +380,22 @@ fn swarm_child(scale: Scale, seed: u64, opts: &NodeOpts) -> Result<(), String> {
         .local_addr()
         .map_err(|e| format!("no local addr: {e}"))?;
 
+    // Adaptive RTO, with a budget generous enough that a kill-mode outage
+    // (thousands of fast poll rounds) is absorbed as retransmissions, never
+    // surfacing a typed failure. Heartbeats every 256 rounds; the silence
+    // timeout is far beyond any scheduling hiccup because restart detection
+    // is epoch-driven (a spurious `Down` would only be noise).
+    let protocol = NodeConfig::default().protocol.with_adaptive_rto(true);
+    let protocol = match opts.kill {
+        true => protocol.with_retx_timeout(256).with_retx_budget(10_000),
+        false => protocol.with_retx_timeout(5_000),
+    };
+    let liveness = SupervisorConfig::default().with_heartbeat_every(256);
     let cfg = NodeConfig::default()
         .with_shards(opts.shards)
         .with_batch(opts.batch)
-        .with_protocol(swarm_protocol(opts.kill))
-        .with_supervisor(swarm_supervisor())
+        .with_protocol(protocol)
+        .with_supervisor(liveness.with_peer_timeout(1_000_000))
         .with_initial_epoch(opts.epoch);
     let mut node: NifdyNode<UdpTransport> = NifdyNode::new(cfg);
     let c0 = node.add_carrier(carrier);
@@ -431,34 +411,19 @@ fn swarm_child(scale: Scale, seed: u64, opts: &NodeOpts) -> Result<(), String> {
     // Stdin arrives on a dedicated thread so the poll loop never blocks.
     let (tx, rx) = mpsc::channel::<String>();
     std::thread::spawn(move || {
-        let stdin = std::io::stdin();
-        for line in stdin.lock().lines() {
-            let Ok(line) = line else { break };
-            if tx.send(line).is_err() {
-                break;
-            }
-        }
+        let mut lines = std::io::stdin().lines().map_while(Result::ok);
+        let _ = lines.try_for_each(|line| tx.send(line));
     });
 
     emit(&format!("PORT {addr}"));
-    let handshake_deadline = Instant::now() + Duration::from_secs(60);
+    let go_by = Instant::now() + Duration::from_secs(60);
     loop {
-        match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(line) if line == "GO" => break,
-            Ok(line) if line == "STOP" => return Ok(()),
-            Ok(line) => {
-                if let Some(rest) = line.strip_prefix("PEER ") {
-                    apply_peer(&mut node, c0, rest)?;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if Instant::now() > handshake_deadline {
-                    return Err("no GO from the swarm parent".into());
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return Err("swarm parent hung up before GO".into())
-            }
+        match command(&rx, Duration::from_millis(50))? {
+            Some(Cmd::Go) => break,
+            Some(Cmd::Stop) => return Ok(()),
+            Some(Cmd::Peer(proc, addr)) => node.carrier_mut(c0).add_peer(proc, addr),
+            None if Instant::now() > go_by => return Err("no GO from the swarm parent".into()),
+            None => {}
         }
     }
 
@@ -479,25 +444,19 @@ fn swarm_child(scale: Scale, seed: u64, opts: &NodeOpts) -> Result<(), String> {
     let mut dups = 0u64;
     let mut failures = 0u64;
     let mut complete = false;
-    let mut stop = false;
     let deadline = Instant::now() + Duration::from_secs(180);
 
-    while !stop {
+    loop {
         if Instant::now() > deadline {
             return Err(format!(
                 "swarm child {me} timed out at {}/{expected_in} packets",
                 seen.len()
             ));
         }
-        while let Ok(line) = rx.try_recv() {
-            if line == "STOP" {
-                stop = true;
-            } else if let Some(rest) = line.strip_prefix("PEER ") {
-                apply_peer(&mut node, c0, rest)?;
-            }
-        }
-        if stop {
-            break;
+        match command(&rx, Duration::ZERO)? {
+            Some(Cmd::Stop) => break,
+            Some(Cmd::Peer(proc, addr)) => node.carrier_mut(c0).add_peer(proc, addr),
+            Some(Cmd::Go) | None => {}
         }
         let mut progressed = false;
         for (n, f) in feeders.iter_mut() {
@@ -595,59 +554,57 @@ fn swarm_child(scale: Scale, seed: u64, opts: &NodeOpts) -> Result<(), String> {
 // swarm parent
 // ---------------------------------------------------------------------------
 
-enum FromChild {
-    Line(String),
-    Eof,
-}
-
-struct Slot {
-    child: Child,
-    stdin: ChildStdin,
-    gen: u64,
-    addr: Option<String>,
-    complete: bool,
-    prog: u64,
-    epoch: u32,
-    dump: ChildDump,
-    done: bool,
-}
-
-/// What one child printed after STOP, unparsed until [`gather`].
+/// What the parent heard from one child incarnation on its stdout.
 #[derive(Debug, Default)]
-struct ChildDump {
-    /// Its `LOG` lines, whole.
+struct Heard {
+    addr: Option<SocketAddr>,
+    prog: u64,
+    complete: bool,
+    /// Its `LOG` lines, whole, unparsed until [`gather`].
     log: Vec<String>,
     /// Its `STATS` line's JSON.
     stats: Option<String>,
+    done: bool,
 }
 
-/// The counters the parent reads from every child's `STATS` line.
-const STAT_KEYS: [&str; 14] = [
-    "epoch",
-    "unique",
-    "dups",
-    "failures",
-    "restarted_observed",
-    "transport_errors",
-    "unroutable",
-    "foreign",
-    "frames_in",
-    "frames_out",
-    "local_frames",
-    "refused",
-    "heartbeats_out",
-    "heartbeats_in",
+impl Heard {
+    /// Takes in one line child `proc` printed. A line that is not one of
+    /// the protocol's is an error naming the child and quoting the line.
+    fn hear(&mut self, proc: usize, line: &str) -> Result<(), String> {
+        let (word, rest) = line.split_once(' ').unwrap_or((line, ""));
+        let bad = || format!("swarm child {proc} sent a malformed line '{line}'");
+        match word {
+            "PORT" => self.addr = Some(rest.parse().map_err(|_| bad())?),
+            "PROG" => self.prog = rest.parse().map_err(|_| bad())?,
+            "COMPLETE" => self.complete = true,
+            "LOG" => self.log.push(line.to_string()),
+            "STATS" => self.stats = Some(rest.to_string()),
+            "DONE" => self.done = true,
+            _ => return Err(bad()),
+        }
+        Ok(())
+    }
+}
+
+/// Every counter the parent reads from a child's `STATS` line, with its
+/// column in the per-process table. A counter with no column counts errors:
+/// the [`gate`] requires its sum to be zero.
+const COUNTERS: [(&str, Option<&str>); 14] = [
+    ("epoch", Some("epoch")),
+    ("unique", Some("unique")),
+    ("dups", Some("dups")),
+    ("restarted_observed", Some("restarts seen")),
+    ("frames_in", Some("frames in")),
+    ("frames_out", Some("frames out")),
+    ("heartbeats_in", Some("beacons in")),
+    ("heartbeats_out", Some("beacons out")),
+    ("local_frames", Some("local")),
+    ("refused", Some("refused")),
+    ("failures", None),
+    ("transport_errors", None),
+    ("unroutable", None),
+    ("foreign", None),
 ];
-
-/// Every child's report, checked and merged.
-#[derive(Debug)]
-struct Gathered {
-    /// The per-destination delivery log over all children (destinations
-    /// are partitioned over children, so keys never collide).
-    log: DeliveryLog,
-    /// Each child's `STATS` object, holding every [`STAT_KEYS`] counter.
-    stats: Vec<Json>,
-}
 
 /// `LOG <src> <dst> <msg_id> <pkt>`, each field within its type's range.
 fn parse_log(line: &str) -> Option<(usize, usize, u64, u32)> {
@@ -662,52 +619,107 @@ fn parse_log(line: &str) -> Option<(usize, usize, u64, u32)> {
     next().is_none().then_some(entry)
 }
 
-/// Parses what each child printed. A missing or unparsable `STATS` line, a
-/// counter of [`STAT_KEYS`] missing from it, or a malformed `LOG` line is
+/// Merges what every child printed: the per-destination delivery log
+/// (destinations are partitioned over children, so keys never collide) and
+/// each child's `STATS` object. A missing or unparsable `STATS` line, a
+/// counter of [`COUNTERS`] missing from it, or a malformed `LOG` line is
 /// an error naming the child: a child that cannot be read is never clean.
-fn gather(dumps: &[ChildDump]) -> Result<Gathered, String> {
+fn gather<'a>(
+    from: impl IntoIterator<Item = &'a Heard>,
+) -> Result<(DeliveryLog, Vec<Json>), String> {
     let mut log = DeliveryLog::new();
-    let mut stats = Vec::with_capacity(dumps.len());
-    for (i, dump) in dumps.iter().enumerate() {
-        for line in &dump.log {
+    let mut stats = Vec::new();
+    for (i, child) in from.into_iter().enumerate() {
+        for line in &child.log {
             let (src, dst, msg, pkt) = parse_log(line)
                 .ok_or_else(|| format!("swarm child {i}: malformed LOG line '{line}'"))?;
             log.entry((src, dst)).or_default().push((msg, pkt));
         }
-        let raw = dump
-            .stats
-            .as_deref()
-            .ok_or(format!("swarm child {i} sent no STATS line"))?;
+        let raw = child.stats.as_deref();
+        let raw = raw.ok_or_else(|| format!("swarm child {i} sent no STATS line"))?;
         let json =
             json::parse(raw).map_err(|e| format!("swarm child {i}: unparsable STATS ({e:?})"))?;
-        if let Some(key) = STAT_KEYS
-            .iter()
-            .find(|&&key| json.get(key).and_then(Json::as_u64).is_none())
-        {
-            return Err(format!("swarm child {i}: STATS has no counter '{key}'"));
+        for (key, _) in COUNTERS {
+            if json.get(key).and_then(Json::as_u64).is_none() {
+                return Err(format!("swarm child {i}: STATS has no counter '{key}'"));
+            }
         }
         stats.push(json);
     }
-    Ok(Gathered { log, stats })
+    Ok((log, stats))
 }
 
-fn attach_reader(
-    tx: &mpsc::Sender<(usize, u64, FromChild)>,
-    slot: usize,
-    gen: u64,
-    stdout: ChildStdout,
-) {
-    let tx = tx.clone();
-    std::thread::spawn(move || {
-        let reader = BufReader::new(stdout);
-        for line in reader.lines() {
-            let Ok(line) = line else { break };
-            if tx.send((slot, gen, FromChild::Line(line))).is_err() {
-                return;
-            }
+/// A child's counter `key`; [`gather`] checked that every [`COUNTERS`]
+/// counter is there.
+fn stat(stats: &Json, key: &str) -> u64 {
+    stats.get(key).and_then(Json::as_u64).unwrap_or(0)
+}
+
+/// Counter `key` summed over every child.
+fn summed(children: &[Json], key: &str) -> u64 {
+    children.iter().map(|c| stat(c, key)).sum()
+}
+
+/// What a run's merged delivery log is held to.
+enum Mode {
+    /// `node:serve`: the plan's order, and with `sim` the simulator's.
+    Serve { sim: bool },
+    /// A clean swarm: the plan's and the simulator's order, no duplicate.
+    Parity,
+    /// The `--kill` drill: every planned packet delivered, child `victim`
+    /// back at epoch 1, and its restart observed.
+    Recovery { victim: usize },
+}
+
+/// The one gate of both commands: `mode`'s checks over the merged `log` and
+/// the children's counters, and a verdict that names every failed check.
+fn gate(plan: &SwarmPlan, log: &DeliveryLog, mode: Mode, children: &[Json]) -> (bool, String) {
+    let count = |key: &str| summed(children, key);
+    let mut failed: Vec<String> = COUNTERS
+        .iter()
+        .filter(|&&(key, column)| column.is_none() && count(key) > 0)
+        .map(|(key, _)| format!("{} {}", key.replace('_', " "), count(key)))
+        .collect();
+    let mut check = |ok: bool, what: &str| failed.extend((!ok).then(|| what.to_string()));
+    let (expected, dups) = (plan.expected_log(), count("dups"));
+    let sim = matches!(mode, Mode::Serve { sim: true } | Mode::Parity);
+    let in_order = matches!(mode, Mode::Recovery { .. }) || *log == expected;
+    check(in_order, "plan order");
+    check(!sim || *log == sim_reference(plan), "sim parity");
+    let (pass, fail) = match mode {
+        Mode::Serve { .. } => (if sim { "plan+sim" } else { "plan" }.into(), "DIVERGED"),
+        Mode::Parity => {
+            check(dups == 0, &format!("dups {dups}"));
+            let pass = format!(
+                "node:swarm parity OK: {} packets, delivery order byte-identical to the \
+                 flit-level sim (seed {})",
+                plan.total_packets(),
+                plan.seed
+            );
+            (pass, "node:swarm parity FAILED")
         }
-        let _ = tx.send((slot, gen, FromChild::Eof));
-    });
+        Mode::Recovery { victim } => {
+            let sets = |log: &DeliveryLog| -> Vec<_> {
+                let set = |v: &Vec<_>| v.iter().copied().collect::<BTreeSet<(u64, u32)>>();
+                log.iter().map(|(pair, v)| (*pair, set(v))).collect()
+            };
+            let epoch = stat(&children[victim], "epoch");
+            let restarts = count("restarted_observed");
+            check(sets(log) == sets(&expected), "coverage");
+            check(epoch == 1, &format!("victim epoch {epoch}"));
+            check(restarts > 0, "restarts observed 0");
+            let pass = format!(
+                "node:swarm recovery OK: {} packets covered after killing process {victim} \
+                 (epoch 1, {restarts} restart observations, {dups} dups absorbed)",
+                plan.total_packets()
+            );
+            (pass, "node:swarm recovery FAILED")
+        }
+    };
+    match failed.is_empty() {
+        true => (true, pass),
+        false => (false, format!("{fail}: {}", failed.join(", "))),
+    }
 }
 
 /// Swarm child `proc`'s node flags: the parent's own, forwarded as given,
@@ -720,42 +732,97 @@ fn child_args(extra: &[String], proc: usize, epoch: u32) -> Vec<String> {
     args
 }
 
-fn spawn_child(
-    exe: &std::path::Path,
-    scale: Scale,
-    seed: u64,
-    extra: &[String],
-    proc: usize,
-    epoch: u32,
-) -> Result<(Child, ChildStdin, ChildStdout), String> {
-    let mut cmd = Command::new(exe);
-    cmd.arg("node:serve")
-        .arg("--seed")
-        .arg(seed.to_string())
-        .arg(scale_flag(scale))
-        .args(child_args(extra, proc, epoch))
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit());
-    let mut child = cmd
-        .spawn()
-        .map_err(|e| format!("cannot spawn swarm child {proc}: {e}"))?;
-    let stdin = child.stdin.take().ok_or("child stdin unavailable")?;
-    let stdout = child.stdout.take().ok_or("child stdout unavailable")?;
-    Ok((child, stdin, stdout))
+/// One child incarnation. Dropping it kills and reaps the process.
+struct Slot {
+    child: Child,
+    stdin: ChildStdin,
+    /// Incarnation: lines an earlier one printed are stale.
+    gen: u64,
+    /// `GO` sent.
+    started: bool,
+    heard: Heard,
 }
 
-fn send_line(slot: &mut Slot, line: &str) {
-    // A write failure means the child died; the event loop will see the
-    // EOF and report it with context, so the error is not lost here.
-    let _ = writeln!(slot.stdin, "{line}");
-    let _ = slot.stdin.flush();
+impl Drop for Slot {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
 }
 
-/// A child's counter `key`; [`gather`] checked that every [`STAT_KEYS`]
-/// counter is there.
-fn stat(stats: &Json, key: &str) -> u64 {
-    stats.get(key).and_then(Json::as_u64).unwrap_or(0)
+/// The swarm parent's children and the one channel their stdout arrives
+/// on. Every child starts through [`Swarm::start`], and none outlives the
+/// swarm: each [`Slot`] kills and reaps its process when dropped, on every
+/// exit path of the parent, errors and panics included.
+struct Swarm {
+    /// `node:serve`, the parent's seed and scale, then its node flags.
+    args: Vec<String>,
+    slots: Vec<Slot>,
+    /// Stdout lines by slot and incarnation, `None` at a child's EOF.
+    tx: mpsc::Sender<(usize, u64, Option<String>)>,
+    rx: mpsc::Receiver<(usize, u64, Option<String>)>,
+}
+
+impl Swarm {
+    /// Starts child `proc` at `epoch`, replacing (so killing) the
+    /// incarnation in its slot, if any.
+    fn start(&mut self, proc: usize, epoch: u32) -> Result<(), String> {
+        let exe = std::env::current_exe().map_err(|e| format!("no current exe: {e}"))?;
+        let mut child = Command::new(exe)
+            .args(child_args(&self.args, proc, epoch))
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::inherit())
+            .spawn()
+            .map_err(|e| format!("cannot spawn swarm child {proc}: {e}"))?;
+        let stdout = child.stdout.take().ok_or("child stdout unavailable")?;
+        let stdin = child.stdin.take().ok_or("child stdin unavailable")?;
+        let gen = self.slots.get(proc).map_or(0, |s| s.gen + 1);
+        let tx = self.tx.clone();
+        std::thread::spawn(move || {
+            let mut lines = BufReader::new(stdout).lines().map_while(Result::ok);
+            let _ = lines.try_for_each(|l| tx.send((proc, gen, Some(l))));
+            let _ = tx.send((proc, gen, None));
+        });
+        let slot = Slot {
+            child,
+            stdin,
+            gen,
+            started: false,
+            heard: Heard::default(),
+        };
+        match self.slots.get_mut(proc) {
+            Some(old) => *old = slot,
+            None => self.slots.push(slot),
+        }
+        Ok(())
+    }
+
+    fn send(&mut self, proc: usize, line: &str) {
+        // A write failure means the child died; the event loop will see the
+        // EOF and report it with context, so the error is not lost here.
+        let stdin = &mut self.slots[proc].stdin;
+        let _ = writeln!(stdin, "{line}").and_then(|()| stdin.flush());
+    }
+
+    /// Introduces child `proc`, whose `PORT` just arrived, to every child
+    /// whose address is known and each of them to it; then, once every
+    /// address is known, sends `GO` to every child not yet started.
+    fn introduce(&mut self, proc: usize) {
+        let addrs: Vec<_> = self.slots.iter().map(|s| s.heard.addr).collect();
+        for (j, addr) in addrs.iter().enumerate() {
+            if let (Some(peer), Some(new), true) = (addr, addrs[proc], j != proc) {
+                self.send(proc, &format!("PEER {j} {peer}"));
+                self.send(j, &format!("PEER {proc} {new}"));
+            }
+        }
+        for j in 0..self.slots.len() {
+            if addrs.iter().all(Option::is_some) && !self.slots[j].started {
+                self.slots[j].started = true;
+                self.send(j, "GO");
+            }
+        }
+    }
 }
 
 /// What `node:swarm` produced.
@@ -771,13 +838,6 @@ pub struct SwarmReport {
     pub json: Json,
 }
 
-#[derive(PartialEq)]
-enum Phase {
-    Ports,
-    Run,
-    Drain,
-}
-
 /// Runs the multi-process swarm; see the module docs for the protocol and
 /// the clean-mode (order parity) vs `--kill` (completeness + recovery)
 /// gates.
@@ -791,224 +851,71 @@ pub fn run_swarm(scale: Scale, seed: u64, extra: &[String]) -> Result<SwarmRepor
     }
     let total = opts.procs * opts.per_proc;
     let plan = build_plan(&opts, scale, seed, total);
-    let expected = plan.expected_log();
-    let exe = std::env::current_exe().map_err(|e| format!("no current exe: {e}"))?;
     let victim = opts.procs - 1;
-
-    let (tx, rx) = mpsc::channel::<(usize, u64, FromChild)>();
-    let mut slots: Vec<Slot> = Vec::with_capacity(opts.procs);
-    for i in 0..opts.procs {
-        let (child, stdin, stdout) = spawn_child(&exe, scale, seed, extra, i, 0)?;
-        attach_reader(&tx, i, 0, stdout);
-        slots.push(Slot {
-            child,
-            stdin,
-            gen: 0,
-            addr: None,
-            complete: false,
-            prog: 0,
-            epoch: 0,
-            dump: ChildDump::default(),
-            done: false,
-        });
-    }
-    let cleanup = |slots: &mut Vec<Slot>| {
-        for s in slots.iter_mut() {
-            let _ = s.child.kill();
-            let _ = s.child.wait();
-        }
+    let serve = ["node:serve", "--seed", &seed.to_string(), scale_flag(scale)].map(String::from);
+    let args = [&serve[..], extra].concat();
+    let (tx, rx) = mpsc::channel();
+    let slots = Vec::with_capacity(opts.procs);
+    let mut swarm = Swarm {
+        args,
+        slots,
+        tx,
+        rx,
     };
+    for i in 0..opts.procs {
+        swarm.start(i, 0)?;
+    }
 
-    let mut phase = Phase::Ports;
-    let mut killed = false;
+    let (mut killed, mut stopping) = (false, false);
     let deadline = Instant::now() + Duration::from_secs(240);
     loop {
         if Instant::now() > deadline {
-            cleanup(&mut slots);
             return Err("swarm parent timed out".into());
         }
         // Kill-one-process recovery drill: once the victim shows progress,
         // SIGKILL it and respawn the same slice with the next epoch.
-        if opts.kill && !killed && phase == Phase::Run {
-            let trigger = slots[victim].prog >= 1 || slots[victim].complete;
-            if trigger {
-                killed = true;
-                let s = &mut slots[victim];
-                s.gen += 1;
-                let _ = s.child.kill();
-                let _ = s.child.wait();
-                let (child, stdin, stdout) = spawn_child(&exe, scale, seed, extra, victim, 1)?;
-                attach_reader(&tx, victim, s.gen, stdout);
-                s.child = child;
-                s.stdin = stdin;
-                s.addr = None;
-                s.complete = false;
-                s.prog = 0;
-                s.epoch = 1;
-            }
+        let shown = &swarm.slots[victim].heard;
+        if opts.kill && !killed && (shown.prog >= 1 || shown.complete) {
+            killed = true;
+            swarm.start(victim, 1)?;
         }
-        match phase {
-            Phase::Ports => {
-                if slots.iter().all(|s| s.addr.is_some()) {
-                    let peers: Vec<(usize, String)> = slots
-                        .iter()
-                        .enumerate()
-                        .map(|(j, s)| (j, s.addr.clone().unwrap_or_default()))
-                        .collect();
-                    for (i, slot) in slots.iter_mut().enumerate() {
-                        for (j, addr) in &peers {
-                            if *j != i {
-                                send_line(slot, &format!("PEER {j} {addr}"));
-                            }
-                        }
-                        send_line(slot, "GO");
-                    }
-                    phase = Phase::Run;
-                    continue;
-                }
-            }
-            Phase::Run => {
-                let all_complete = slots.iter().all(|s| s.complete) && (!opts.kill || killed);
-                if all_complete {
-                    for s in slots.iter_mut() {
-                        send_line(s, "STOP");
-                    }
-                    phase = Phase::Drain;
-                    continue;
-                }
-            }
-            Phase::Drain => {
-                if slots.iter().all(|s| s.done) {
-                    break;
-                }
-            }
+        let complete = swarm.slots.iter().all(|s| s.heard.complete);
+        if !stopping && complete && (!opts.kill || killed) {
+            stopping = true;
+            (0..opts.procs).for_each(|i| swarm.send(i, "STOP"));
         }
-        let (i, gen, msg) = match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(ev) => ev,
-            Err(mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                cleanup(&mut slots);
-                return Err("all swarm reader threads vanished".into());
-            }
+        if stopping && swarm.slots.iter().all(|s| s.heard.done) {
+            break;
+        }
+        let Ok((i, gen, line)) = swarm.rx.recv_timeout(Duration::from_millis(50)) else {
+            continue; // the swarm holds a sender, so this is a timeout
         };
-        if gen != slots[i].gen {
+        if gen != swarm.slots[i].gen {
             continue; // stale line from a killed incarnation
         }
-        let line = match msg {
-            FromChild::Line(l) => l,
-            FromChild::Eof => {
-                if slots[i].done {
-                    continue;
-                }
-                cleanup(&mut slots);
-                return Err(format!("swarm child {i} exited unexpectedly"));
-            }
-        };
-        let mut it = line.split_whitespace();
-        match it.next() {
-            Some("PORT") => {
-                let addr = it.next().unwrap_or_default().to_string();
-                slots[i].addr = Some(addr.clone());
-                if phase == Phase::Run {
-                    // A respawned child joins late: give it the full peer
-                    // map, start it, and update everyone else's view.
-                    let peers: Vec<(usize, String)> = slots
-                        .iter()
-                        .enumerate()
-                        .filter(|(j, s)| *j != i && s.addr.is_some())
-                        .map(|(j, s)| (j, s.addr.clone().unwrap_or_default()))
-                        .collect();
-                    for (j, a) in &peers {
-                        send_line(&mut slots[i], &format!("PEER {j} {a}"));
-                    }
-                    send_line(&mut slots[i], "GO");
-                    for (j, slot) in slots.iter_mut().enumerate() {
-                        if j != i {
-                            send_line(slot, &format!("PEER {i} {addr}"));
-                        }
-                    }
+        match line {
+            Some(line) => {
+                swarm.slots[i].heard.hear(i, &line)?;
+                if line.starts_with("PORT") {
+                    swarm.introduce(i);
                 }
             }
-            Some("PROG") => {
-                slots[i].prog = it.next().and_then(|v| v.parse().ok()).unwrap_or(0);
-            }
-            Some("COMPLETE") => slots[i].complete = true,
-            Some("LOG") => slots[i].dump.log.push(line),
-            Some("STATS") => {
-                slots[i].dump.stats = Some(line.trim_start_matches("STATS ").to_string());
-            }
-            Some("DONE") => slots[i].done = true,
-            _ => {
-                cleanup(&mut slots);
-                return Err(format!("swarm child {i}: unexpected line '{line}'"));
-            }
+            None if swarm.slots[i].heard.done => {}
+            None => return Err(format!("swarm child {i} exited unexpectedly")),
         }
     }
-    for s in slots.iter_mut() {
-        let _ = s.child.wait();
-    }
 
-    let dumps: Vec<ChildDump> = slots
-        .iter_mut()
-        .map(|s| std::mem::take(&mut s.dump))
-        .collect();
-    let Gathered { log: agg, stats } = gather(&dumps)?;
-    let total_of = |key: &str| -> u64 { stats.iter().map(|s| stat(s, key)).sum() };
-    let unique = total_of("unique");
-    let dups = total_of("dups");
-    let failures = total_of("failures");
-    let transport_errors = total_of("transport_errors");
-    let unroutable = total_of("unroutable");
-    let foreign = total_of("foreign");
-    let restarted_observed = total_of("restarted_observed");
-    let hygiene = failures == 0 && transport_errors == 0 && unroutable == 0 && foreign == 0;
-
-    let (ok, verdict) = if opts.kill {
-        let want: BTreeSet<(usize, usize, u64, u32)> = expected
-            .iter()
-            .flat_map(|(&(s, d), v)| v.iter().map(move |&(m, p)| (s, d, m, p)))
-            .collect();
-        let got: BTreeSet<(usize, usize, u64, u32)> = agg
-            .iter()
-            .flat_map(|(&(s, d), v)| v.iter().map(move |&(m, p)| (s, d, m, p)))
-            .collect();
-        let coverage = want == got;
-        let victim_epoch = slots[victim].epoch == 1 && stat(&stats[victim], "epoch") == 1;
-        let ok = coverage && victim_epoch && restarted_observed > 0 && hygiene;
-        let verdict = if ok {
-            format!(
-                "node:swarm recovery OK: {} packets covered after killing process {victim} \
-                 (epoch 1, {restarted_observed} restart observations, {dups} dups absorbed)",
-                want.len()
-            )
-        } else {
-            format!(
-                "node:swarm recovery FAILED: coverage {coverage}, victim epoch ok {victim_epoch}, \
-                 restarts observed {restarted_observed}, failures {failures}, \
-                 transport errors {transport_errors}, unroutable {unroutable}, foreign {foreign}"
-            )
-        };
-        (ok, verdict)
-    } else {
-        let sim = sim_reference(&plan);
-        let parity = agg == sim && sim == expected;
-        let ok = parity && dups == 0 && hygiene;
-        let verdict = if ok {
-            format!(
-                "node:swarm parity OK: {} packets, delivery order byte-identical to the \
-                 flit-level sim (seed {seed})",
-                plan.total_packets()
-            )
-        } else {
-            format!(
-                "node:swarm parity FAILED: sim parity {parity}, dups {dups}, \
-                 failures {failures}, transport errors {transport_errors}, \
-                 unroutable {unroutable}, foreign {foreign}"
-            )
-        };
-        (ok, verdict)
+    let (log, stats) = gather(swarm.slots.iter().map(|s| &s.heard))?;
+    let mode = match opts.kill {
+        true => Mode::Recovery { victim },
+        false => Mode::Parity,
     };
+    let (ok, verdict) = gate(&plan, &log, mode, &stats);
 
+    let columns = COUNTERS
+        .iter()
+        .filter_map(|&(key, column)| Some((key, column?)));
+    let headers = std::iter::once("proc").chain(columns.clone().map(|(_, column)| column));
     let mut table = Table::new(
         format!(
             "nifdy-node: swarm, {} procs x {} endpoints = {} nodes, {} workload ({}, seed {seed}{})",
@@ -1019,40 +926,14 @@ pub fn run_swarm(scale: Scale, seed: u64, extra: &[String]) -> Result<SwarmRepor
             if plan.want_bulk { "bulk" } else { "scalar" },
             if opts.kill { ", kill drill" } else { "" },
         ),
-        vec![
-            "proc".into(),
-            "epoch".into(),
-            "unique".into(),
-            "dups".into(),
-            "restarts seen".into(),
-            "frames in".into(),
-            "frames out".into(),
-            "beacons in".into(),
-            "beacons out".into(),
-            "local".into(),
-            "refused".into(),
-        ],
+        headers.map(String::from).collect(),
     );
     for (i, s) in stats.iter().enumerate() {
-        let mut row = vec![i.to_string()];
-        for key in [
-            "epoch",
-            "unique",
-            "dups",
-            "restarted_observed",
-            "frames_in",
-            "frames_out",
-            "heartbeats_in",
-            "heartbeats_out",
-            "local_frames",
-            "refused",
-        ] {
-            row.push(stat(s, key).to_string());
-        }
-        table.row(row);
+        let counts = columns.clone().map(|(key, _)| stat(s, key).to_string());
+        table.row(std::iter::once(i.to_string()).chain(counts).collect());
     }
 
-    let children = Json::Arr(stats);
+    let sum = |key| Json::u64(summed(&stats, key));
     let json = Json::obj([
         ("experiment", Json::str("node:swarm")),
         ("seed", Json::u64(seed)),
@@ -1061,13 +942,13 @@ pub fn run_swarm(scale: Scale, seed: u64, extra: &[String]) -> Result<SwarmRepor
         ("workload", Json::str(opts.workload.label())),
         ("kill", Json::u64(u64::from(opts.kill))),
         ("total_packets", Json::u64(plan.total_packets())),
-        ("unique_delivered", Json::u64(unique)),
-        ("duplicates", Json::u64(dups)),
-        ("failures", Json::u64(failures)),
-        ("transport_errors", Json::u64(transport_errors)),
-        ("restarted_observed", Json::u64(restarted_observed)),
+        ("unique_delivered", sum("unique")),
+        ("duplicates", sum("dups")),
+        ("failures", sum("failures")),
+        ("transport_errors", sum("transport_errors")),
+        ("restarted_observed", sum("restarted_observed")),
         ("ok", Json::u64(u64::from(ok))),
-        ("children", children),
+        ("children", Json::Arr(stats)),
     ]);
     Ok(SwarmReport {
         table,
@@ -1190,29 +1071,42 @@ mod tests {
         assert!(plan.total_packets() < 10_000, "smoke plan stays small");
     }
 
-    fn dump(log: &[&str], stats: Option<&str>) -> ChildDump {
-        ChildDump {
+    fn dump(log: &[&str], stats: Option<&str>) -> Heard {
+        Heard {
             log: s(log),
             stats: stats.map(str::to_string),
+            ..Heard::default()
         }
     }
 
-    /// A `STATS` line with every counter the parent reads.
+    /// A `STATS` object with every counter the parent reads: `epoch` and
+    /// `restarted_observed` as given, every other counter 0.
+    fn counters(epoch: u64, restarts: u64) -> Json {
+        Json::obj(COUNTERS.map(|(key, _)| {
+            let n = match key {
+                "epoch" => epoch,
+                "restarted_observed" => restarts,
+                _ => 0,
+            };
+            (key, Json::u64(n))
+        }))
+    }
+
     fn clean_stats() -> String {
-        Json::obj(STAT_KEYS.map(|key| (key, Json::u64(0)))).render()
+        counters(0, 0).render()
     }
 
     #[test]
     fn gather_merges_clean_children() {
         let good = clean_stats();
-        let got = gather(&[
+        let (log, stats) = gather(&[
             dump(&["LOG 1 0 7 0", "LOG 1 0 7 1"], Some(&good)),
             dump(&["LOG 0 1 9 0"], Some(&good)),
         ])
         .expect("clean reports gather");
-        assert_eq!(got.log[&(1, 0)], vec![(7, 0), (7, 1)]);
-        assert_eq!(got.log[&(0, 1)], vec![(9, 0)]);
-        assert_eq!(got.stats.len(), 2);
+        assert_eq!(log[&(1, 0)], vec![(7, 0), (7, 1)]);
+        assert_eq!(log[&(0, 1)], vec![(9, 0)]);
+        assert_eq!(stats.len(), 2);
     }
 
     #[test]
@@ -1245,8 +1139,126 @@ mod tests {
         let ServeOutcome::Report(r) = outcome else {
             panic!("not a child run");
         };
-        assert!(r.order_ok, "delivery order matches the plan");
+        assert!(r.ok, "delivery order matches the plan");
         assert!(r.frames_per_sec > 0.0);
-        assert!(r.ok());
+        assert_eq!(r.summary.rows[0].last().map(String::as_str), Some("plan"));
+    }
+
+    #[test]
+    fn a_malformed_child_line_is_an_error_naming_the_child() {
+        let mut heard = Heard::default();
+        heard.hear(3, "PORT 127.0.0.1:9").expect("an address");
+        heard.hear(3, "PROG 4").expect("a count");
+        assert_eq!((heard.addr.map(|a| a.port()), heard.prog), (Some(9), 4));
+        for line in [
+            "PORT",
+            "PORT ",
+            "PORT nowhere",
+            "PROG",
+            "PROG x",
+            "PROG 1 2",
+            "HELLO",
+        ] {
+            let err = Heard::default().hear(3, line).expect_err(line);
+            assert!(
+                err.contains("swarm child 3") && err.contains(&format!("'{line}'")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_child_takes_only_the_parents_commands_and_exits_at_eof() {
+        let (tx, rx) = mpsc::channel::<String>();
+        let next = |line: &str| {
+            tx.send(line.to_string()).expect("receiver alive");
+            command(&rx, Duration::ZERO)
+        };
+        let peer = next("PEER 1 127.0.0.1:9").expect("a peer");
+        let want = Cmd::Peer(NodeId::new(1), "127.0.0.1:9".parse().expect("addr"));
+        assert_eq!(peer, Some(want));
+        assert_eq!(next("GO"), Ok(Some(Cmd::Go)));
+        assert_eq!(next("STOP"), Ok(Some(Cmd::Stop)));
+        for line in [
+            "PEER 1",
+            "PEER x 127.0.0.1:9",
+            "PEER 1 nowhere",
+            "GO now",
+            "HELLO",
+            "",
+        ] {
+            let err = next(line).expect_err(line);
+            assert!(
+                err.contains("swarm parent") && err.contains(&format!("'{line}'")),
+                "{err}"
+            );
+        }
+        assert_eq!(command(&rx, Duration::ZERO), Ok(None), "nothing sent yet");
+        drop(tx);
+        let err = command(&rx, Duration::ZERO).expect_err("stdin closed");
+        assert!(err.contains("hung up"), "{err}");
+    }
+
+    /// A rotation over 8 nodes, two scalar packets per pair, and the
+    /// counters of its two children: clean, the second back at epoch 1
+    /// after one observed restart.
+    fn gate_inputs() -> (SwarmPlan, Vec<Json>) {
+        let plan = SwarmPlan::rotation(8, 1, 2, SIZE_WORDS, false, 1);
+        (plan, vec![counters(0, 1), counters(1, 0)])
+    }
+
+    #[test]
+    fn a_log_equal_to_the_plan_passes_every_gate() {
+        let (plan, children) = gate_inputs();
+        let log = plan.expected_log();
+        for (mode, verdict) in [
+            (Mode::Parity, "node:swarm parity OK: 16 packets"),
+            (
+                Mode::Recovery { victim: 1 },
+                "node:swarm recovery OK: 16 packets",
+            ),
+            (Mode::Serve { sim: true }, "plan+sim"),
+            (Mode::Serve { sim: false }, "plan"),
+        ] {
+            let (ok, got) = gate(&plan, &log, mode, &children);
+            assert!(ok && got.starts_with(verdict), "{got}");
+        }
+    }
+
+    #[test]
+    fn the_clean_gate_fails_a_dropped_repeated_or_swapped_delivery() {
+        let (plan, children) = gate_inputs();
+        for case in ["dropped", "repeated", "swapped"] {
+            let mut log = plan.expected_log();
+            let order = log.get_mut(&(3, 5)).expect("pair 3 -> 5 is planned");
+            match case {
+                "dropped" => order.truncate(1),
+                "repeated" => order.push(order[0]),
+                _ => order.swap(0, 1),
+            }
+            let (ok, verdict) = gate(&plan, &log, Mode::Parity, &children);
+            assert!(!ok, "{case}: {verdict}");
+            assert!(
+                verdict.starts_with("node:swarm parity FAILED: plan order"),
+                "{verdict}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_kill_gate_fails_a_missing_packet_and_names_error_counters() {
+        let (plan, mut children) = gate_inputs();
+        let mut log = plan.expected_log();
+        log.get_mut(&(3, 5)).expect("pair 3 -> 5 is planned").pop();
+        let (ok, verdict) = gate(&plan, &log, Mode::Recovery { victim: 1 }, &children);
+        assert!(!ok);
+        assert_eq!(verdict, "node:swarm recovery FAILED: coverage");
+        let Json::Obj(first) = &mut children[0] else {
+            panic!("counters are an object")
+        };
+        first.insert("transport_errors".into(), Json::u64(2));
+        let (ok, verdict) = gate(&plan, &plan.expected_log(), Mode::Parity, &children);
+        assert!(!ok);
+        assert_eq!(verdict, "node:swarm parity FAILED: transport errors 2");
     }
 }

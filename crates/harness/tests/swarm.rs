@@ -4,7 +4,10 @@
 //! workers, so each test here exercises the full stdio control protocol,
 //! real UDP datagrams between processes, and the parity/recovery gates.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::process::{Command, Stdio};
+use std::thread::sleep;
+use std::time::Duration;
 
 fn experiments() -> Command {
     Command::new(env!("CARGO_BIN_EXE_nifdy-experiments"))
@@ -115,4 +118,44 @@ fn procs_is_checked_by_the_swarm_parent_only() {
         stderr.contains("--procs must be at least 2"),
         "error should name the flag:\n{stderr}"
     );
+}
+
+#[test]
+fn a_child_exits_when_its_parent_hangs_up() {
+    let mut child = experiments()
+        .args(["node:serve", "--smoke", "--procs=2", "--per-proc=4"])
+        .args(["--messages=1", "--packets=2", "--swarm-child", "--proc=0"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn a swarm child");
+    let mut stdout = BufReader::new(child.stdout.take().expect("child stdout"));
+    let mut port = String::new();
+    stdout.read_line(&mut port).expect("read the PORT line");
+    assert!(port.starts_with("PORT "), "first line: {port:?}");
+    let mut stdin = child.stdin.take().expect("child stdin");
+    writeln!(stdin, "GO").expect("send GO");
+    drop(stdin);
+    // Its run loop polls stdin every round: EOF ends it well within 20 s.
+    let mut status = None;
+    for _ in 0..1_000 {
+        status = child.try_wait().expect("poll the child");
+        if status.is_some() {
+            break;
+        }
+        sleep(Duration::from_millis(20));
+    }
+    let Some(status) = status else {
+        let _ = child.kill();
+        let _ = child.wait();
+        panic!("the child kept running after its stdin closed");
+    };
+    let mut stderr = String::new();
+    let _ = child
+        .stderr
+        .take()
+        .map(|mut e| e.read_to_string(&mut stderr));
+    assert!(!status.success(), "exit on EOF is an error: {status}");
+    assert!(stderr.contains("swarm parent hung up"), "stderr:\n{stderr}");
 }
